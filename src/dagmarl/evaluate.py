@@ -1,16 +1,13 @@
 """Frozen-policy evaluation over fresh episode seeds.
 
-Policies act by their deterministic heads (argmax or distribution mean), the
-generator/distributor pair stays out of the loop since synthetic rewards are
-a training signal, and episodes are independent, so they can fan out over a
-thread pool (size from the DAGMARL_THREADS environment variable).  Results
-are keyed by episode index, so thread scheduling cannot reorder them.
+Policies act by their deterministic heads (argmax or distribution mean), and
+the generator/distributor pair stays out of the loop since synthetic rewards
+are a training signal.  Episodes run one at a time on one trainer; episode
+i's result depends only on the checkpoints, the eval seed and i.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +26,6 @@ class EvalResult:
     summary: dict
 
 
-def thread_count() -> int:
-    raw = os.environ.get("DAGMARL_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"DAGMARL_THREADS must be an integer, got {raw!r}")
-    return max(count, 1)
-
-
 def evaluate(config, checkpoint_dir, episodes: int = 1000, seed=None,
              bins: int = 30) -> EvalResult:
     if episodes < 1:
@@ -49,24 +37,12 @@ def evaluate(config, checkpoint_dir, episodes: int = 1000, seed=None,
     rewards = np.empty(episodes)
     periods = np.empty(episodes, dtype=int)
 
-    def run_chunk(indices):
-        # one trainer (and env) per worker: nets are only read, envs are not
-        trainer = Trainer(config)
-        trainer.load_checkpoints(checkpoint_dir)
-        for i in indices:
-            record = trainer.run_episode(i, env_seed=env_seeds[i],
-                                         frozen=True)
-            rewards[i] = record.team_reward
-            periods[i] = record.goal_periods
-
-    workers = min(thread_count(), episodes)
-    if workers == 1:
-        run_chunk(range(episodes))
-    else:
-        chunks = [range(k, episodes, workers) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_chunk, c) for c in chunks]:
-                future.result()
+    trainer = Trainer(config)
+    trainer.load_checkpoints(checkpoint_dir)
+    for i, env_seed in enumerate(env_seeds):
+        record = trainer.run_episode(i, env_seed=env_seed, frozen=True)
+        rewards[i] = record.team_reward
+        periods[i] = record.goal_periods
 
     counts, edges = histogram(rewards, bins=bins)
     summary = {

@@ -48,7 +48,10 @@ class DenseNet:
     """Fully connected ReLU net with a linear output layer.
 
     layer_dims = (in, h1, ..., out).  Weights init uniform over
-    +-sqrt(6/(fan_in+fan_out)), biases zero.
+    +-sqrt(6/(fan_in+fan_out)), biases zero.  All parameters live in one
+    contiguous float64 vector ``flat``, laid out row-major as
+    (W0, b0, W1, b1, ...); ``weights[l]`` (fan_out, fan_in) and
+    ``biases[l]`` are views into it.
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator | None = None):
@@ -56,16 +59,16 @@ class DenseNet:
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise DimensionMismatch(f"bad layer dims {layer_dims}")
         self.layer_dims = layer_dims
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
+        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                 in zip(layer_dims[:-1], layer_dims[1:])))
+        layers = self.layer_views(self.flat)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
+        if rng is not None:
+            for w in self.weights:
+                fan_out, fan_in = w.shape
                 limit = np.sqrt(6.0 / (fan_in + fan_out))
-                w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+                w[...] = rng.uniform(-limit, limit, size=w.shape)
 
     @classmethod
     def zeros(cls, layer_dims):
@@ -109,9 +112,10 @@ class DenseNet:
         return out, (acts, single)
 
     def backward(self, cache, output_gradient):
-        """Gradients of sum(output * output_gradient) w.r.t. all parameters.
+        """Gradient of sum(output * output_gradient) w.r.t. ``flat``.
 
-        Returns [(dW, db), ...] per layer, summed over the batch dimension.
+        Returns one vector laid out like ``flat``, summed over the batch
+        dimension; ``layer_views`` splits it into (dW, db) per layer.
         """
         acts, single = cache
         g = np.asarray(output_gradient, dtype=np.float64)
@@ -120,37 +124,49 @@ class DenseNet:
         if g.shape != acts[-1].shape:
             raise ShapeMismatch(
                 f"output gradient {g.shape} vs output {acts[-1].shape}")
-        grads = [None] * len(self.weights)
+        grad = np.empty_like(self.flat)
+        layers = self.layer_views(grad)
         for l in range(len(self.weights) - 1, -1, -1):
-            grads[l] = (g.T @ acts[l], g.sum(axis=0))
+            dw, db = layers[l]
+            np.matmul(g.T, acts[l], out=dw)
+            g.sum(axis=0, out=db)
             if l > 0:
                 g = (g @ self.weights[l]) * (acts[l] > 0.0)
-        return grads
+        return grad
 
     # -- parameter plumbing ------------------------------------------------
 
+    def layer_views(self, vec):
+        """[(W0, b0), (W1, b1), ...] as views into a vector laid out like
+        ``flat``."""
+        out = []
+        offset = 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            end = offset + fan_out * fan_in
+            out.append((vec[offset:end].reshape(fan_out, fan_in),
+                        vec[end:end + fan_out]))
+            offset = end + fan_out
+        return out
+
     def parameters(self):
-        """Live references, ordered (W0, b0, W1, b1, ...)."""
+        """Live views into ``flat``, ordered (W0, b0, W1, b1, ...)."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
 
     def copy_parameters(self):
-        return [p.copy() for p in self.parameters()]
+        return self.flat.copy()
 
-    def load_parameters(self, params):
-        mine = self.parameters()
-        if len(params) != len(mine):
-            raise ShapeMismatch("parameter list length mismatch")
-        for dst, src in zip(mine, params):
-            if dst.shape != src.shape:
-                raise ShapeMismatch(f"{src.shape} into slot {dst.shape}")
-            dst[...] = src
+    def load_parameters(self, flat):
+        if flat.shape != self.flat.shape:
+            raise ShapeMismatch(
+                f"{flat.shape} parameters into {self.flat.shape}")
+        self.flat[...] = flat
 
     @property
     def n_params(self):
-        return sum(p.size for p in self.parameters())
+        return self.flat.size
 
     # -- serialization -------------------------------------------------------
     # flat binary record: magic, version, layer dims, then parameters
@@ -163,9 +179,7 @@ class DenseNet:
         head = struct.pack("<4sHHI", self.MAGIC, self.VERSION, 0,
                            len(self.layer_dims))
         dims = struct.pack(f"<{len(self.layer_dims)}I", *self.layer_dims)
-        body = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
-                        for p in self.parameters())
-        return head + dims + body
+        return head + dims + np.asarray(self.flat, dtype="<f8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0):
@@ -185,13 +199,12 @@ class DenseNet:
             raise CheckpointMismatch(f"truncated dims: {e}") from None
         offset += 4 * ndims
         net = cls.zeros(dims)
-        for p in net.parameters():
-            end = offset + 8 * p.size
-            if end > len(data):
-                raise CheckpointMismatch("truncated parameter block")
-            p[...] = np.frombuffer(data[offset:end], dtype="<f8").reshape(p.shape)
-            offset = end
-        return net, offset
+        end = offset + 8 * net.flat.size
+        if end > len(data):
+            raise CheckpointMismatch("truncated parameter block")
+        net.flat[...] = np.frombuffer(data, dtype="<f8", count=net.flat.size,
+                                      offset=offset)
+        return net, end
 
 
 # ---------------------------------------------------------------------------
@@ -201,52 +214,61 @@ class DenseNet:
 
 @dataclass
 class AdamState:
+    """Optimizer moments for one net, laid out like its ``flat`` vector."""
+
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_net(cls, net: DenseNet, learning_rate: float):
-        state = cls(learning_rate=learning_rate)
-        state.m = [np.zeros_like(p) for p in net.parameters()]
-        state.v = [np.zeros_like(p) for p in net.parameters()]
-        return state
+        return cls(learning_rate=learning_rate, m=np.zeros_like(net.flat),
+                   v=np.zeros_like(net.flat))
 
     def snapshot(self):
-        return (self.step, [m.copy() for m in self.m], [v.copy() for v in self.v])
+        return (self.step, self.m.copy(), self.v.copy())
 
     def restore(self, snap):
         self.step = snap[0]
-        for dst, src in zip(self.m, snap[1]):
-            dst[...] = src
-        for dst, src in zip(self.v, snap[2]):
-            dst[...] = src
+        self.m[...] = snap[1]
+        self.v[...] = snap[2]
 
 
-def adam_step(state: AdamState, params, grads):
-    """One in-place Adam update on `params` (live arrays)."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ShapeMismatch("params/grads do not match optimizer state")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"grad {g.shape} for param {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("non-finite gradient")
+def adam_step(state: AdamState, params, grad):
+    """One in-place Adam update of the flat parameter vector ``params``.
+
+    Elementwise this is the textbook update in its usual op order
+    (m, v, bias-corrected m_hat / (sqrt(v_hat) + eps)), so it is bit for
+    bit the same as a per-tensor loop over the same values.
+    """
+    if params.shape != state.m.shape or grad.shape != state.m.shape:
+        raise ShapeMismatch(f"grad {grad.shape} for params {params.shape} "
+                            f"with optimizer state {state.m.shape}")
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("non-finite gradient")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    tmp = grad * (1.0 - b1)
+    m *= b1
+    m += tmp
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v *= b2
+    v += tmp
+    # tmp becomes sqrt(v_hat) + eps, upd becomes lr * m_hat / tmp
+    np.divide(v, 1.0 - b2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    upd = m / (1.0 - b1 ** t)
+    upd *= state.learning_rate
+    upd /= tmp
+    params -= upd
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ bounded-continuous agents (goal vectors, budget fractions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,35 +48,29 @@ class PpoConfig:
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    action: object
-    log_prob: float
-    reward: float
-    value: float
-    terminal: bool
-
-
-@dataclass
 class TrajectoryBatch:
-    """Episode-ordered transitions plus the bootstrap value after the last."""
+    """One row per step, in episode order, plus the bootstrap value after
+    the last step.
 
-    transitions: list = field(default_factory=list)
+    ``actions`` has the layout of the learner codec's ``empty_actions``.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    log_probs: np.ndarray
+    rewards: np.ndarray
+    values: np.ndarray
+    terminals: np.ndarray
     bootstrap_value: float = 0.0
 
+    def __post_init__(self):
+        rows = {len(a) for a in (self.states, self.actions, self.log_probs,
+                                 self.rewards, self.values, self.terminals)}
+        if len(rows) != 1:
+            raise ValueError(f"rollout arrays disagree on length: {rows}")
+
     def __len__(self):
-        return len(self.transitions)
-
-    def append(self, tr: Transition):
-        self.transitions.append(tr)
-
-    def arrays(self):
-        states = np.stack([t.state for t in self.transitions])
-        rewards = np.array([t.reward for t in self.transitions])
-        values = np.array([t.value for t in self.transitions])
-        terminals = np.array([t.terminal for t in self.transitions], dtype=bool)
-        log_probs = np.array([t.log_prob for t in self.transitions])
-        return states, rewards, values, terminals, log_probs
+        return len(self.rewards)
 
 
 def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
@@ -88,7 +82,10 @@ def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
     """
     if len(batch) == 0:
         raise EmptyBatch("no transitions")
-    _, rewards, values, terminals, _ = batch.arrays()
+    # Python floats: the same IEEE arithmetic as numpy scalars, faster
+    rewards = batch.rewards.tolist()
+    values = batch.values.tolist()
+    terminals = batch.terminals.tolist()
     n = len(rewards)
     adv = np.zeros(n)
     next_value = batch.bootstrap_value
@@ -101,7 +98,7 @@ def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
         next_adv = delta + gamma * lam * next_adv
         adv[t] = next_adv
         next_value = values[t]
-    return adv, adv + values
+    return adv, adv + batch.values
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +122,8 @@ class DiscreteCodec:
     def stats(self, params, actions):
         return nn.categorical_stats(params, np.asarray(actions, dtype=int))
 
-    def stack_actions(self, actions):
-        return np.asarray(actions, dtype=int)
+    def empty_actions(self, rows):
+        return np.zeros(rows, dtype=int)
 
 
 class ContinuousCodec:
@@ -145,8 +142,8 @@ class ContinuousCodec:
     def stats(self, params, actions):
         return nn.beta_stats(self.head, params, actions)
 
-    def stack_actions(self, actions):
-        return np.stack([np.asarray(a, dtype=np.float64) for a in actions])
+    def empty_actions(self, rows):
+        return np.zeros((rows, self.head.dim))
 
 
 class JointDiscreteCodec:
@@ -194,8 +191,8 @@ class JointDiscreteCodec:
             dent[:, lo:hi] = de
         return logp, ent, dlogp, dent
 
-    def stack_actions(self, actions):
-        return np.asarray([list(a) for a in actions], dtype=int)
+    def empty_actions(self, rows):
+        return np.zeros((rows, len(self.sizes)), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +227,13 @@ class PpoLearner:
     def frozen_act(self, state):
         return self.codec.frozen(self.policy.forward(state))
 
+    def empty_batch(self, rows: int) -> TrajectoryBatch:
+        """Zeroed rollout arrays for up to ``rows`` steps of this learner."""
+        return TrajectoryBatch(np.zeros((rows, self.obs_dim)),
+                               self.codec.empty_actions(rows), np.zeros(rows),
+                               np.zeros(rows), np.zeros(rows),
+                               np.zeros(rows, dtype=bool))
+
     # -- learning ------------------------------------------------------------
 
     def update(self, batch: TrajectoryBatch) -> dict:
@@ -241,8 +245,7 @@ class PpoLearner:
         if len(batch) == 0:
             raise EmptyBatch("no transitions")
         cfg = self.config
-        states, _, _, _, old_logp = batch.arrays()
-        actions = self.codec.stack_actions([t.action for t in batch.transitions])
+        states, actions, old_logp = batch.states, batch.actions, batch.log_probs
         adv, returns = compute_gae(batch, cfg.gamma, cfg.gae_lambda)
         if not (np.all(np.isfinite(adv)) and np.all(np.isfinite(returns))):
             raise NonFiniteLoss("non-finite advantages or returns")
@@ -301,11 +304,10 @@ class PpoLearner:
             raise NonFiniteLoss(
                 f"policy_loss={policy_loss}, value_loss={value_loss}")
 
-        adam = nn.adam_step
-        adam(self.opt_policy, self.policy.parameters(),
-             [g for pair in self.policy.backward(cache, gout) for g in pair])
-        adam(self.opt_value, self.value.parameters(),
-             [g for pair in self.value.backward(vcache, gval) for g in pair])
+        nn.adam_step(self.opt_policy, self.policy.flat,
+                     self.policy.backward(cache, gout))
+        nn.adam_step(self.opt_value, self.value.flat,
+                     self.value.backward(vcache, gval))
 
         diags["policy_loss"].append(policy_loss)
         diags["value_loss"].append(value_loss)
@@ -329,8 +331,8 @@ class PpoLearner:
         if value.layer_dims != self.value.layer_dims:
             raise nn.CheckpointMismatch(
                 f"value dims {value.layer_dims} != {self.value.layer_dims}")
-        self.policy.load_parameters(policy.parameters())
-        self.value.load_parameters(value.parameters())
+        self.policy.load_parameters(policy.flat)
+        self.value.load_parameters(value.flat)
 
     def save(self, path):
         with open(path, "wb") as fh:

@@ -23,14 +23,10 @@ from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import CheckpointMismatch
 from .ppo import (ContinuousCodec, DiscreteCodec, JointDiscreteCodec,
-                  PpoLearner, TrajectoryBatch, Transition)
+                  PpoLearner, TrajectoryBatch)
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget, update_baseline)
 from .seeding import substream
-
-
-class SnapshotRequired(ValueError):
-    pass
 
 
 def state_flow_indices(goal_period: int, stride: int) -> list:
@@ -73,25 +69,6 @@ def compose_shaped_rewards(team_rewards, potentials, gamma: float,
     return (team / n_nodes)[:, None] + gamma * nxt - phi
 
 
-def difference_reward(env, snapshot, joint_action, agent: int,
-                      default_action: int = 0) -> float:
-    """Team reward minus the reward with one agent's action defaulted.
-
-    Both branches replay from ``snapshot``; the environment is restored to it
-    afterwards.
-    """
-    if snapshot is None:
-        raise SnapshotRequired("difference rewards need a pre-step snapshot")
-    env.restore(snapshot)
-    _, r_true, _ = env.step(list(joint_action))
-    env.restore(snapshot)
-    alt = list(joint_action)
-    alt[agent] = default_action
-    _, r_cf, _ = env.step(alt)
-    env.restore(snapshot)
-    return float(r_true - r_cf)
-
-
 def counterfactual_rewards(env, joint_action, default_action: int = 0):
     """Difference rewards for every agent in one sweep.
 
@@ -111,6 +88,13 @@ def counterfactual_rewards(env, joint_action, default_action: int = 0):
     env.restore(snap)
     obs, r_true, done = env.step(list(joint_action))
     return obs, r_true, done, r_true - counter
+
+
+def _record(rows: TrajectoryBatch, t: int, state, action, log_prob, value):
+    rows.states[t] = state
+    rows.actions[t] = action
+    rows.log_probs[t] = log_prob
+    rows.values[t] = value
 
 
 @dataclass(frozen=True)
@@ -188,10 +172,14 @@ class Trainer:
             env_seed = int(self._env_stream.integers(2 ** 63))
         obs = env.reset(env_seed)
 
-        track_diffs = self.mode in (RunMode.DIFF_M, RunMode.CAP_M)
+        # frozen episodes return before the counterfactual rows are read
+        track_diffs = (not frozen
+                       and self.mode in (RunMode.DIFF_M, RunMode.CAP_M))
         rgd_active = self.rgd_on and not frozen
-        steps = {role: {"state": [], "action": [], "logp": [], "value": []}
-                 for role in self.agents}
+        # no role acts more than once per step
+        rollouts = {} if frozen else {
+            role: agent.empty_batch(env.max_steps)
+            for role, agent in self.agents.items()}
 
         team_rewards = []
         diff_rows = []
@@ -218,11 +206,8 @@ class Trainer:
                     goals_flat = self.agents["leader"].frozen_act(lstate)
                 else:
                     goals_flat, logp, value = self.agents["leader"].act(lstate)
-                    rec = steps["leader"]
-                    rec["state"].append(lstate)
-                    rec["action"].append(goals_flat)
-                    rec["logp"].append(logp)
-                    rec["value"].append(value)
+                    _record(rollouts["leader"], periods, lstate, goals_flat,
+                            logp, value)
                 goals = np.asarray(goals_flat, dtype=float).reshape(n, m)
 
             flow_states = []
@@ -231,7 +216,8 @@ class Trainer:
             for d in range(1, period_steps + 1):
                 if rgd_active and d in flow_idx:
                     flow_states.append(np.concatenate(obs))
-                actions = self._select_actions(obs, goals, steps, frozen)
+                actions = self._select_actions(obs, goals, rollouts,
+                                               len(team_rewards), frozen)
                 if track_diffs:
                     obs, reward, done, diffs = counterfactual_rewards(
                         env, actions)
@@ -255,7 +241,7 @@ class Trainer:
                                               + [np.concatenate(obs)])
                     if self.leader_on:
                         flow_vec = np.concatenate([flow_vec, goals_flat])
-                    sr = self._rgd_act(flow_vec, steps)
+                    sr = self._rgd_act(flow_vec, rollouts, len(sr_by_period))
                     sr_by_period[periods - 1] = sr
                     sr_sums += sr
                     pending_rgd = True
@@ -277,19 +263,18 @@ class Trainer:
         diagnostics = {}
         for role, rewards in streams.items():
             agent_rewards[role] = float(np.sum(rewards))
-            data = steps[role]
-            count = len(data["state"])
-            if count != len(rewards):
-                raise RuntimeError(f"{role}: {count} transitions vs "
-                                   f"{len(rewards)} rewards")
+            count = len(rewards)
             if count == 0:
                 continue
-            batch = TrajectoryBatch()
-            for t in range(count):
-                batch.append(Transition(data["state"][t], data["action"][t],
-                                        data["logp"][t], float(rewards[t]),
-                                        data["value"][t],
-                                        terminal=(t == count - 1)))
+            # rollout rows were written at the same indices the reward
+            # streams count, so the first `count` rows are this episode's
+            rows = rollouts[role]
+            terminals = np.zeros(count, dtype=bool)
+            terminals[-1] = True
+            batch = TrajectoryBatch(rows.states[:count], rows.actions[:count],
+                                    rows.log_probs[:count],
+                                    np.asarray(rewards, dtype=float),
+                                    rows.values[:count], terminals)
             diagnostics[role] = self.agents[role].update(batch)
         if rgd_active:
             self.baseline = update_baseline(self.baseline, total, periods)
@@ -297,18 +282,14 @@ class Trainer:
         return EpisodeRecord(episode_index, total, periods, agent_rewards,
                              sr_sums if rgd_active else None)
 
-    def _select_actions(self, obs, goals, steps, frozen):
+    def _select_actions(self, obs, goals, rollouts, t, frozen):
         if self.mode is RunMode.GS:
             state = np.concatenate(obs)
             agent = self.agents["gs"]
             if frozen:
                 return [int(a) for a in agent.frozen_act(state)]
             action, logp, value = agent.act(state)
-            rec = steps["gs"]
-            rec["state"].append(state)
-            rec["action"].append(action)
-            rec["logp"].append(logp)
-            rec["value"].append(value)
+            _record(rollouts["gs"], t, state, action, logp, value)
             return [int(a) for a in action]
         actions = []
         for i in range(self.n_nodes):
@@ -320,27 +301,15 @@ class Trainer:
                 actions.append(int(agent.frozen_act(state)))
                 continue
             action, logp, value = agent.act(state)
-            rec = steps[f"follower-{i}"]
-            rec["state"].append(state)
-            rec["action"].append(action)
-            rec["logp"].append(logp)
-            rec["value"].append(value)
+            _record(rollouts[f"follower-{i}"], t, state, action, logp, value)
             actions.append(int(action))
         return actions
 
-    def _rgd_act(self, rgd_state, steps):
+    def _rgd_act(self, rgd_state, rollouts, t):
         q_vec, logp_g, value_g = self.agents["generator"].act(rgd_state)
         values, logp_d, value_d = self.agents["distributor"].act(rgd_state)
-        rec = steps["generator"]
-        rec["state"].append(rgd_state)
-        rec["action"].append(q_vec)
-        rec["logp"].append(logp_g)
-        rec["value"].append(value_g)
-        rec = steps["distributor"]
-        rec["state"].append(rgd_state)
-        rec["action"].append(values)
-        rec["logp"].append(logp_d)
-        rec["value"].append(value_d)
+        _record(rollouts["generator"], t, rgd_state, q_vec, logp_g, value_g)
+        _record(rollouts["distributor"], t, rgd_state, values, logp_d, value_d)
         q = float(q_vec[0])
         budget = synthetic_budget(q, self.baseline)
         output = RgdOutput(q, values[:self.n_nodes],

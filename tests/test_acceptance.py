@@ -27,7 +27,7 @@ from dagmarl.envs.prey import LEASH, PARENT
 from dagmarl.logio import write_episode_csv
 from dagmarl.nn import DenseNet
 from dagmarl.oracle import run_bound_campaign
-from dagmarl.ppo import PpoConfig, TrajectoryBatch, Transition, compute_gae
+from dagmarl.ppo import PpoConfig, TrajectoryBatch, compute_gae
 from dagmarl.reward_flow import RgdOutput, distribute
 from dagmarl.training import (
     counterfactual_rewards,
@@ -146,7 +146,7 @@ def test_criterion_3_gradient_correctness():
         out_grad = rng.standard_normal(dims[-1])
 
         _, cache = net.forward_cached(x)
-        analytic = net.backward(cache, out_grad)
+        analytic = net.layer_views(net.backward(cache, out_grad))
         numeric = _numeric_grads(net, x, out_grad)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             for a, n in ((aw, nw), (ab, nb)):
@@ -161,12 +161,12 @@ def test_criterion_3_gradient_correctness():
 
 
 def _batch(rewards, values, terminal_last=True):
-    batch = TrajectoryBatch()
-    last = len(rewards) - 1
-    for t, (r, v) in enumerate(zip(rewards, values)):
-        batch.append(Transition(np.zeros(1), 0, 0.0, float(r), float(v),
-                                terminal=(terminal_last and t == last)))
-    return batch
+    n = len(rewards)
+    terminals = np.zeros(n, dtype=bool)
+    terminals[-1] = terminal_last
+    return TrajectoryBatch(np.zeros((n, 1)), np.zeros(n, dtype=int),
+                           np.zeros(n), np.asarray(rewards, dtype=float),
+                           np.asarray(values, dtype=float), terminals)
 
 
 def test_criterion_4_gae_oracle():

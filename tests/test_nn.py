@@ -2,6 +2,7 @@
 a hand-rolled Adam simulation, and distribution-head statistics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scipy import special, stats
 
 from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         CheckpointMismatch, DenseNet, DimensionMismatch,
-                        NonFiniteInput, ShapeMismatch, adam_step, beta_shapes,
-                        beta_stats, categorical_stats, frozen_action,
-                        sample_and_logprob)
+                        NonFiniteGradient, NonFiniteInput, ShapeMismatch,
+                        adam_step, beta_shapes, beta_stats, categorical_stats,
+                        frozen_action, sample_and_logprob)
 
 
 def forward_oracle(net, x):
@@ -118,7 +119,7 @@ class TestBackward:
                 x = rng.standard_normal((batch, dims[0]))
             out_grad = rng.standard_normal((batch, dims[-1]))
             out, cache = net.forward_cached(x)
-            analytic = net.backward(cache, out_grad)
+            analytic = net.layer_views(net.backward(cache, out_grad))
             numeric = numeric_grads(net, x, out_grad)
             for (aw, ab), (nw, nb) in zip(analytic, numeric):
                 for a, n in ((aw, nw), (ab, nb)):
@@ -129,7 +130,7 @@ class TestBackward:
     def test_grad_shapes_match_params(self):
         net = DenseNet([3, 5, 2], np.random.default_rng(7))
         out, cache = net.forward_cached(np.ones((4, 3)))
-        grads = net.backward(cache, np.ones((4, 2)))
+        grads = net.layer_views(net.backward(cache, np.ones((4, 2))))
         for w, b, (gw, gb) in zip(net.weights, net.biases, grads):
             assert gw.shape == w.shape and gb.shape == b.shape
 
@@ -155,22 +156,35 @@ def adam_scalar_oracle(grad_fn, w0, lr, steps, beta1=0.9, beta2=0.999,
     return history
 
 
+def adam_reference(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999,
+                   eps=1e-8):
+    """Per-tensor Adam in the textbook op order, one array at a time."""
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
-        before = net.copy_parameters()
+        before = [p.copy() for p in net.parameters()]
         state = AdamState.for_net(net, learning_rate=0.1)
-        zero = [np.zeros_like(p) for p in net.parameters()]
-        adam_step(state, net.parameters(), zero)
+        zero = np.zeros_like(net.flat)
+        adam_step(state, net.flat, zero)
         for p0, p1 in zip(before, net.parameters()):
             np.testing.assert_array_equal(p0, p1)
 
     def test_zero_lr_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
-        before = net.copy_parameters()
+        before = [p.copy() for p in net.parameters()]
         state = AdamState.for_net(net, learning_rate=0.0)
-        grads = [np.ones_like(p) for p in net.parameters()]
-        adam_step(state, net.parameters(), grads)
+        grads = np.ones_like(net.flat)
+        adam_step(state, net.flat, grads)
         for p0, p1 in zip(before, net.parameters()):
             np.testing.assert_array_equal(p0, p1)
 
@@ -183,8 +197,7 @@ class TestAdam:
         trace = [float(w[0, 0])]
         for _ in range(100):
             g = 2.0 * w[0, 0]
-            adam_step(state, net.parameters(),
-                      [np.array([[g]]), np.zeros(1)])
+            adam_step(state, net.flat, np.array([g, 0.0]))  # (dW, db)
             trace.append(float(w[0, 0]))
         oracle = adam_scalar_oracle(lambda x: 2.0 * x, 1.0, 0.1, 100)
         np.testing.assert_allclose(trace, oracle, rtol=0, atol=1e-15)
@@ -199,8 +212,67 @@ class TestAdam:
         w = net.weights[0]
         w[0, 0] = 5.0
         state = AdamState.for_net(net, learning_rate=0.1)
-        adam_step(state, net.parameters(), [np.array([[4.0]]), np.zeros(1)])
+        adam_step(state, net.flat, np.array([4.0, 0.0]))  # (dW, db)
         assert abs(w[0, 0] - (5.0 - 0.1 * (1.0 - 1e-8 / (2.0 + 1e-8)))) < 1e-9
+
+
+    def test_fused_step_matches_per_tensor_reference(self):
+        net = DenseNet([7, 256, 256, 3], np.random.default_rng(5))
+        ref_params = [p.copy() for p in net.parameters()]
+        ref_m = [np.zeros_like(p) for p in ref_params]
+        ref_v = [np.zeros_like(p) for p in ref_params]
+        state = AdamState.for_net(net, learning_rate=1e-3)
+        rng = np.random.default_rng(6)
+        for t in range(1, 201):
+            grad = rng.standard_normal(net.flat.size)
+            adam_step(state, net.flat, grad)
+            grads = [g for pair in net.layer_views(grad) for g in pair]
+            adam_reference(ref_params, grads, ref_m, ref_v, t, 1e-3)
+        for fused, ref in zip(net.parameters(), ref_params):
+            np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(
+            state.m, np.concatenate([m.ravel() for m in ref_m]))
+        np.testing.assert_array_equal(
+            state.v, np.concatenate([v.ravel() for v in ref_v]))
+
+    def test_rejects_bad_gradients(self):
+        net = DenseNet([2, 3], np.random.default_rng(1))
+        state = AdamState.for_net(net, learning_rate=0.1)
+        before = net.flat.copy()
+        with pytest.raises(ShapeMismatch):
+            adam_step(state, net.flat, np.zeros(net.flat.size + 1))
+        bad = np.zeros_like(net.flat)
+        bad[-1] = np.nan
+        with pytest.raises(NonFiniteGradient):
+            adam_step(state, net.flat, bad)
+        assert state.step == 0
+        np.testing.assert_array_equal(net.flat, before)
+
+
+class TestFlatParameters:
+    def test_parameters_are_views_into_flat(self):
+        net = DenseNet([4, 6, 5, 2], np.random.default_rng(3))
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat)
+        loaded, _ = DenseNet.from_bytes(net.to_bytes())
+        for p in loaded.parameters():
+            assert np.shares_memory(p, loaded.flat)
+        other = DenseNet([4, 6, 5, 2], np.random.default_rng(4))
+        other.load_parameters(net.copy_parameters())
+        for p in other.parameters():
+            assert np.shares_memory(p, other.flat)
+        np.testing.assert_array_equal(other.flat, net.flat)
+
+    def test_layout_is_row_major_per_layer(self):
+        net = DenseNet([3, 4, 2], np.random.default_rng(8))
+        np.testing.assert_array_equal(
+            net.flat, np.concatenate([p.ravel() for p in net.parameters()]))
+        assert net.n_params == net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
+
+    def test_load_parameters_rejects_wrong_size(self):
+        net = DenseNet([3, 4, 2], np.random.default_rng(8))
+        with pytest.raises(ShapeMismatch):
+            net.load_parameters(np.zeros(net.flat.size - 1))
 
 
 class TestCategoricalHead:
@@ -340,3 +412,14 @@ class TestCheckpoint:
         blob = DenseNet([2, 2], np.random.default_rng(0)).to_bytes()
         with pytest.raises(CheckpointMismatch):
             DenseNet.from_bytes(blob[:-3])
+
+    def test_dgnt_v1_layout(self):
+        # header, dims, then each tensor as little-endian float64 in
+        # (W0, b0, W1, b1, ...) order, W row-major (fan_out, fan_in)
+        net = DenseNet([5, 7, 3], np.random.default_rng(12))
+        want = struct.pack("<4sHHI", b"DGNT", 1, 0, 3)
+        want += struct.pack("<3I", 5, 7, 3)
+        for w, b in zip(net.weights, net.biases):
+            want += np.ascontiguousarray(w, dtype="<f8").tobytes()
+            want += np.ascontiguousarray(b, dtype="<f8").tobytes()
+        assert net.to_bytes() == want

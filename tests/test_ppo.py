@@ -5,17 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dagmarl import nn
 from dagmarl.nn import CheckpointMismatch
 from dagmarl.ppo import (ContinuousCodec, DiscreteCodec, EmptyBatch,
                          JointDiscreteCodec, NonFiniteLoss, PpoConfig,
-                         PpoLearner, TrajectoryBatch, Transition, compute_gae)
+                         PpoLearner, TrajectoryBatch, compute_gae)
+
+
+def batch_of(rows, bootstrap=0.0):
+    """TrajectoryBatch from (state, action, log_prob, reward, value,
+    terminal) rows."""
+    states, actions, log_probs, rewards, values, terminals = zip(*rows)
+    return TrajectoryBatch(np.array(states), np.array(actions),
+                           np.array(log_probs), np.array(rewards, dtype=float),
+                           np.array(values, dtype=float),
+                           np.array(terminals, dtype=bool), bootstrap)
 
 
 def make_batch(rewards, values, terminals, bootstrap=0.0):
-    batch = TrajectoryBatch(bootstrap_value=bootstrap)
-    for r, v, t in zip(rewards, values, terminals):
-        batch.append(Transition(np.zeros(1), 0, 0.0, float(r), float(v), t))
-    return batch
+    return batch_of([(np.zeros(1), 0, 0.0, float(r), float(v), t)
+                     for r, v, t in zip(rewards, values, terminals)],
+                    bootstrap)
 
 
 def reward_to_go(rewards, gamma):
@@ -137,27 +147,25 @@ class TestLearner:
                            np.random.default_rng(3))
         state = np.zeros(1)
         for _ in range(150):
-            batch = TrajectoryBatch()
+            rows = []
             for _ in range(32):
                 action, logp, value = agent.act(state)
                 reward = 1.0 if action == 0 else 0.0
-                batch.append(Transition(state, action, logp, reward, value,
-                                        True))
-            agent.update(batch)
+                rows.append((state, action, logp, reward, value, True))
+            agent.update(batch_of(rows))
         pulls = [agent.act(state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
     def test_update_diagnostics(self):
         agent = PpoLearner(2, DiscreteCodec(3), small_config(),
                            np.random.default_rng(1))
-        batch = TrajectoryBatch()
+        rows = []
         rng = np.random.default_rng(5)
         for t in range(20):
             s = rng.standard_normal(2)
             a, logp, v = agent.act(s)
-            batch.append(Transition(s, a, logp, rng.standard_normal(), v,
-                                    t == 19))
-        diags = agent.update(batch)
+            rows.append((s, a, logp, rng.standard_normal(), v, t == 19))
+        diags = agent.update(batch_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
             assert key in diags
@@ -169,52 +177,77 @@ class TestLearner:
         agent = PpoLearner(2, DiscreteCodec(3),
                            small_config(epochs_per_update=1, batch_size=256),
                            np.random.default_rng(1))
-        batch = TrajectoryBatch()
+        rows = []
         rng = np.random.default_rng(5)
         for t in range(30):
             s = rng.standard_normal(2)
             a, logp, v = agent.act(s)
-            batch.append(Transition(s, a, logp, rng.standard_normal(), v,
-                                    t == 29))
-        diags = agent.update(batch)
+            rows.append((s, a, logp, rng.standard_normal(), v, t == 29))
+        diags = agent.update(batch_of(rows))
         assert diags["clip_fraction"] == 0.0
 
     def test_empty_batch_raises(self):
         agent = PpoLearner(2, DiscreteCodec(2), small_config(),
                            np.random.default_rng(0))
         with pytest.raises(EmptyBatch):
-            agent.update(TrajectoryBatch())
+            agent.update(agent.empty_batch(0))
 
-    def test_non_finite_loss_restores_state(self):
-        agent = PpoLearner(2, DiscreteCodec(2), small_config(),
+    def test_non_finite_loss_restores_state(self, monkeypatch):
+        agent = PpoLearner(2, DiscreteCodec(2),
+                           small_config(batch_size=1, epochs_per_update=2),
                            np.random.default_rng(0))
-        params_before = [p.copy() for net in (agent.policy, agent.value)
-                         for p in net.parameters()]
-        opt_before = (agent.opt_policy.snapshot(), agent.opt_value.snapshot())
-        batch = TrajectoryBatch()
-        for t in range(4):
-            s = np.ones(2)
-            a, logp, v = agent.act(s)
-            batch.append(Transition(s, a, logp, np.inf, v, t == 3))
-        with pytest.raises(NonFiniteLoss):
-            agent.update(batch)
-        params_after = [p for net in (agent.policy, agent.value)
-                        for p in net.parameters()]
-        for p0, p1 in zip(params_before, params_after):
-            np.testing.assert_array_equal(p0, p1)
-        assert agent.opt_policy.snapshot()[0] == opt_before[0][0]
+        s = np.ones(2)
+
+        def batch_with_rewards(rewards):
+            rows = []
+            for t, r in enumerate(rewards):
+                a, logp, v = agent.act(s)
+                rows.append((s, a, logp, r, v, t == len(rewards) - 1))
+            return batch_of(rows)
+
+        # warm up so the optimizer moments are not all zero
+        agent.update(batch_with_rewards([1.0, -1.0, 0.5, 2.0]))
+        adam_calls = []
+        adam_step = nn.adam_step
+        monkeypatch.setattr(nn, "adam_step",
+                            lambda *a: adam_calls.append(1) or adam_step(*a))
+        # an infinite reward fails before any step; a huge finite first
+        # reward overflows the value loss only in its own minibatch (later
+        # rows' returns do not include it), after others have stepped
+        for rewards in ([np.inf, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]):
+            params_before = [p.copy() for net in (agent.policy, agent.value)
+                             for p in net.parameters()]
+            flat_before = (agent.policy.flat.copy(), agent.value.flat.copy())
+            opt_before = (agent.opt_policy.snapshot(),
+                          agent.opt_value.snapshot())
+            batch = batch_with_rewards(rewards)
+            with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
+                agent.update(batch)
+            params_after = [p for net in (agent.policy, agent.value)
+                            for p in net.parameters()]
+            for p0, p1 in zip(params_before, params_after):
+                np.testing.assert_array_equal(p0, p1)
+            assert agent.opt_policy.snapshot()[0] == opt_before[0][0]
+            np.testing.assert_array_equal(agent.policy.flat, flat_before[0])
+            np.testing.assert_array_equal(agent.value.flat, flat_before[1])
+            for opt, (step, m, v) in zip((agent.opt_policy, agent.opt_value),
+                                         opt_before):
+                assert opt.step == step > 0
+                np.testing.assert_array_equal(opt.m, m)
+                np.testing.assert_array_equal(opt.v, v)
+        assert adam_calls, "the rollback must undo steps already taken"
 
     def test_constant_advantage_not_normalized_to_nan(self):
         # all-equal advantages have zero std; normalization must be skipped
         agent = PpoLearner(1, DiscreteCodec(2), small_config(),
                            np.random.default_rng(2))
-        batch = TrajectoryBatch()
+        rows = []
         for t in range(8):
             s = np.zeros(1)
             a, logp, v = agent.act(s)
             # overwrite value with 0 and reward constant: advantages equal
-            batch.append(Transition(s, a, logp, 1.0, 0.0, True))
-        diags = agent.update(batch)
+            rows.append((s, a, logp, 1.0, 0.0, True))
+        diags = agent.update(batch_of(rows))
         assert np.isfinite(diags["policy_loss"])
 
 

@@ -11,12 +11,10 @@ from dagmarl.envs import FactoryEnv, snapshots_equal
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl.ppo import PpoConfig
 from dagmarl.training import (
-    SnapshotRequired,
     Trainer,
     compose_follower_rewards,
     compose_shaped_rewards,
     counterfactual_rewards,
-    difference_reward,
     state_flow_indices,
     train,
 )
@@ -115,6 +113,30 @@ def test_compose_shaped_rewards_shape_check():
 # -- counterfactual replay --------------------------------------------------------
 
 
+class SnapshotRequired(ValueError):
+    pass
+
+
+def difference_reward(env, snapshot, joint_action, agent: int,
+                      default_action: int = 0) -> float:
+    """Two-branch oracle for one agent's difference reward.
+
+    Team reward minus the reward with one agent's action defaulted; both
+    branches replay from ``snapshot`` and the environment is restored to it
+    afterwards.
+    """
+    if snapshot is None:
+        raise SnapshotRequired("difference rewards need a pre-step snapshot")
+    env.restore(snapshot)
+    _, r_true, _ = env.step(list(joint_action))
+    env.restore(snapshot)
+    alt = list(joint_action)
+    alt[agent] = default_action
+    _, r_cf, _ = env.step(alt)
+    env.restore(snapshot)
+    return float(r_true - r_cf)
+
+
 def test_difference_reward_matches_two_branch_replay():
     env = FactoryEnv(goal_period=10, goal_periods=2)
     rng = np.random.default_rng(4)
@@ -162,13 +184,25 @@ def test_counterfactual_rewards_end_at_true_successor():
 
         assert diffs.shape == (4,)
         for i in range(4):
-            env.restore(before)
-            alt = list(joint)
-            alt[i] = 0
-            _, r_cf, _ = env.step(alt)
-            assert diffs[i] == r_true - r_cf
-        env.restore(before)
+            assert diffs[i] == difference_reward(env, before, joint, agent=i)
         env.step(joint)
+
+
+def test_frozen_diff_episode_skips_counterfactual_replay():
+    srm = Trainer(micro_config(RunMode.SRM, seed=9))
+    diff = Trainer(micro_config(RunMode.DIFF_M, seed=9))
+    snapshots = []
+    take = diff.env.snapshot
+    diff.env.snapshot = lambda: snapshots.append(1) or take()
+    for env_seed in (1, 2, 3):
+        want = srm.run_episode(0, env_seed=env_seed, frozen=True)
+        got = diff.run_episode(0, env_seed=env_seed, frozen=True)
+        assert got.team_reward == want.team_reward
+        assert got.goal_periods == want.goal_periods
+    assert snapshots == []
+    # training still replays every step
+    diff.run_episode(0)
+    assert len(snapshots) == diff.env.max_steps
 
 
 # -- trainer wiring --------------------------------------------------------------
