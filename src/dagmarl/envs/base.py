@@ -8,7 +8,6 @@ counterfactual rollouts replay bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,36 @@ def snapshots_equal(a: EnvSnapshot, b: EnvSnapshot) -> bool:
     return a.signature == b.signature and _equal(a.payload, b.payload)
 
 
+_IMMUTABLE = (int, float, bool, str, type(None), np.generic)
+
+
+def _clone(value, name: str):
+    """Copies state attribute `name` so that no mutable part is shared."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if type(value) is dict:
+        return {k: _clone(v, name) for k, v in value.items()}
+    if type(value) is list:
+        return [_clone(v, name) for v in value]
+    if type(value) is tuple:
+        return tuple(_clone(v, name) for v in value)
+    if isinstance(value, _IMMUTABLE):
+        return value
+    raise TypeError(f"state attribute {name!r} holds a "
+                    f"{type(value).__name__}, which snapshot() cannot copy")
+
+
 class DagEnv:
     """Base class wiring the snapshot plumbing and action validation.
 
     Subclasses set: topology, obs_dims, action_sizes, goal_period, max_steps;
     and implement reset(seed), observe(), and _advance(actions) -> (reward,
     done).  Mutable state must live in attributes listed in _STATE_ATTRS.
+    snapshot() and restore() copy those attributes: NumPy arrays with
+    .copy(), dicts, lists and tuples element by element, and int, float,
+    bool, str, None and NumPy scalars as they are.  Any other type (a set,
+    a subclass of dict, list or tuple, an object) raises TypeError naming
+    the attribute, so no mutable state is ever shared with a snapshot.
     """
 
     _STATE_ATTRS: tuple = ()
@@ -112,10 +135,12 @@ class DagEnv:
                 self.goal_period, self.max_steps)
 
     def snapshot(self) -> EnvSnapshot:
+        # bit_generator.state builds a fresh dict on every read, and its
+        # setter copies the values out, so the RNG state needs no copy.
         payload = {"step_count": self.step_count, "ready": self._ready,
-                   "rng": copy.deepcopy(self.rng.bit_generator.state)}
+                   "rng": self.rng.bit_generator.state}
         for name in self._STATE_ATTRS:
-            payload[name] = copy.deepcopy(getattr(self, name))
+            payload[name] = _clone(getattr(self, name), name)
         return EnvSnapshot(self.signature(), payload)
 
     def restore(self, snap: EnvSnapshot):
@@ -124,6 +149,6 @@ class DagEnv:
                 f"snapshot {snap.signature} vs env {self.signature()}")
         self.step_count = snap.payload["step_count"]
         self._ready = snap.payload["ready"]
-        self.rng.bit_generator.state = copy.deepcopy(snap.payload["rng"])
+        self.rng.bit_generator.state = snap.payload["rng"]
         for name in self._STATE_ATTRS:
-            setattr(self, name, copy.deepcopy(snap.payload[name]))
+            setattr(self, name, _clone(snap.payload[name], name))

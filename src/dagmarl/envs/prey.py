@@ -61,59 +61,67 @@ class PreyEnv(DagEnv):
         return self.observe()
 
     # -- dynamics ------------------------------------------------------------
-
-    def _clamp_grid(self, pos):
-        return np.clip(pos, 0, self.grid_size - 1)
+    #
+    # Positions are read out of the state arrays once per call with tolist()
+    # and moved on Python ints: min(max(v, lo), hi) is np.clip on integers.
 
     def _advance(self, actions):
+        hi = self.grid_size - 1
+        prey = self.prey_pos.tolist()
+        predators = self.predator_pos.tolist()
+        alive = self.alive.tolist()
         for i in self.topology.topological_order:
-            if not self.alive[i]:
+            if not alive[i]:
                 continue
+            x, y = prey[i]
             a = actions[i]
-            pos = self.prey_pos[i].copy()
             if a > 0:
-                pos += DIRS[a - 1]
-            pos = self._clamp_grid(pos)
+                dx, dy = DIRS[a - 1]
+                x, y = x + dx, y + dy
+            x, y = min(max(x, 0), hi), min(max(y, 0), hi)
             if i in PARENT:
-                anchor = self.prey_pos[PARENT[i]]
-                pos = np.clip(pos, anchor - LEASH, anchor + LEASH)
-                pos = self._clamp_grid(pos)
-            self.prey_pos[i] = pos
+                ax, ay = prey[PARENT[i]]
+                x = min(max(min(max(x, ax - LEASH), ax + LEASH), 0), hi)
+                y = min(max(min(max(y, ay - LEASH), ay + LEASH), 0), hi)
+            prey[i] = [x, y]
 
         for p in range(self.n_predators):
-            self.predator_pos[p] = self._predator_move(p)
+            predators[p] = self._predator_move(p, predators[p], prey, alive)
 
         for k in self.sinks:
-            if self.alive[k] and any(
-                    np.array_equal(self.prey_pos[k], self.predator_pos[p])
-                    for p in range(self.n_predators)):
-                self.alive[k] = False
+            if alive[k] and prey[k] in predators:
+                alive[k] = False
 
-        living = int(sum(self.alive[k] for k in self.sinks))
+        self.prey_pos[:] = prey
+        self.predator_pos[:] = predators
+        self.alive[:] = alive
+        living = sum(alive[k] for k in self.sinks)
         done = living == 0 or self.step_count + 1 >= self.max_steps
         return float(living), done
 
-    def _predator_move(self, p):
-        pos = self.predator_pos[p]
+    def _predator_move(self, p, pos, prey, alive):
+        hi = self.grid_size - 1
+        x, y = pos
         if self.first_dir[p] is not None:
-            step = DIRS[self.first_dir[p]]
+            dx, dy = DIRS[self.first_dir[p]]
             self.first_dir[p] = None
-            return self._clamp_grid(pos + step)
-        target = self._nearest_living_sink(pos)
-        options = [self._clamp_grid(pos + d) for d in DIRS]
-        dists = [abs(q[0] - target[0]) + abs(q[1] - target[1]) for q in options]
+            return [min(max(x + dx, 0), hi), min(max(y + dy, 0), hi)]
+        tx, ty = self._nearest_living_sink(pos, prey, alive)
+        options = [[min(max(x + dx, 0), hi), min(max(y + dy, 0), hi)]
+                   for dx, dy in DIRS]
+        dists = [abs(qx - tx) + abs(qy - ty) for qx, qy in options]
         best = min(dists)
         ties = [q for q, d in zip(options, dists) if d == best]
         return ties[int(self.rng.integers(len(ties)))]
 
-    def _nearest_living_sink(self, pos):
+    def _nearest_living_sink(self, pos, prey, alive):
         best, best_d = None, None
         for k in self.sinks:
-            if not self.alive[k]:
+            if not alive[k]:
                 continue
-            d = abs(self.prey_pos[k][0] - pos[0]) + abs(self.prey_pos[k][1] - pos[1])
+            d = abs(prey[k][0] - pos[0]) + abs(prey[k][1] - pos[1])
             if best_d is None or d < best_d:
-                best, best_d = self.prey_pos[k], d
+                best, best_d = prey[k], d
         return best
 
     # -- observations ----------------------------------------------------------
@@ -121,19 +129,19 @@ class PreyEnv(DagEnv):
     def observe(self):
         g = float(self.grid_size)
         frac = (self.step_count % self.goal_period) / self.goal_period
+        prey = self.prey_pos.tolist()
+        predators = self.predator_pos.tolist()
+        alive = self.alive.tolist()
         out = []
-        for i in range(4):
-            pos = self.prey_pos[i]
+        for i, (x, y) in enumerate(prey):
             if i in PARENT:
-                rel_parent = (self.prey_pos[PARENT[i]] - pos) / g
+                px, py = prey[PARENT[i]]
+                rel_x, rel_y = (px - x) / g, (py - y) / g
             else:
-                rel_parent = np.zeros(2)
-            dists = [abs(q[0] - pos[0]) + abs(q[1] - pos[1])
-                     for q in self.predator_pos]
-            nearest = self.predator_pos[int(np.argmin(dists))]
-            out.append(np.array([pos[0] / g, pos[1] / g,
-                                 rel_parent[0], rel_parent[1],
-                                 (nearest[0] - pos[0]) / g,
-                                 (nearest[1] - pos[1]) / g,
-                                 float(self.alive[i]), frac]))
+                rel_x, rel_y = 0.0, 0.0
+            dists = [abs(qx - x) + abs(qy - y) for qx, qy in predators]
+            nx, ny = predators[dists.index(min(dists))]
+            out.append(np.array([x / g, y / g, rel_x, rel_y,
+                                 (nx - x) / g, (ny - y) / g,
+                                 float(alive[i]), frac]))
         return out

@@ -10,6 +10,8 @@ run_meta.json sidecar so reruns with one seed diff clean.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 VERSION_LINE = "# dagmarl-log v1"
@@ -21,6 +23,27 @@ class IoError(OSError):
 
 class SchemaMismatch(ValueError):
     pass
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Writes `data` to `path` so readers see the old file or the new one.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces the target in one `os.replace`; on any failure the temporary
+    file is removed and the target is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _format(value) -> str:
@@ -50,12 +73,10 @@ def write_episode_csv(path, records) -> None:
     for row in rows:
         if list(row) != header:
             raise SchemaMismatch("episode records disagree on columns")
+    lines = [VERSION_LINE, ",".join(header)]
+    lines += [",".join(_format(row[c]) for c in header) for row in rows]
     try:
-        with open(path, "w") as fh:
-            fh.write(VERSION_LINE + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format(row[c]) for c in header) + "\n")
+        atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
     except OSError as err:
         raise IoError(str(err)) from err
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .logio import atomic_write_bytes
 from .nn import BetaHead, CategoricalHead, DenseNet
 
 
@@ -335,8 +336,7 @@ class PpoLearner:
         self.value.load_parameters(value.flat)
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        atomic_write_bytes(path, self.to_bytes())
 
     def load(self, path):
         with open(path, "rb") as fh:

@@ -5,6 +5,8 @@ against the invariants its dynamics promise: non-negative stocks, unit
 conservation, leash geometry, and exact snapshot/restore replay.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,8 @@ from dagmarl.envs.micro import (
     mixed_radix_index,
     sample_micro_env,
 )
-from dagmarl.envs.prey import LEASH, PARENT
+from dagmarl.envs.base import DagEnv
+from dagmarl.envs.prey import DIRS, LEASH, PARENT
 
 
 def small_envs():
@@ -188,6 +191,56 @@ def test_restore_rejects_tampered_signature():
     forged = EnvSnapshot(("SomethingElse",) + snap.signature[1:], snap.payload)
     with pytest.raises(VersionMismatch):
         env.restore(forged)
+
+
+@pytest.mark.parametrize("env", small_envs(), ids=lambda e: type(e).__name__)
+def test_snapshot_is_independent_of_later_steps(env):
+    rng = np.random.default_rng(5)
+    env.reset(6)
+    env.step(random_actions(env, rng))
+    snap = env.snapshot()
+    kept = copy.deepcopy(snap)
+    for _ in range(6):
+        _, _, done = env.step(random_actions(env, rng))
+        if done:
+            break
+    assert env.step_count > kept.payload["step_count"]
+    assert snapshots_equal(snap, kept)
+
+
+@pytest.mark.parametrize("env", small_envs(), ids=lambda e: type(e).__name__)
+def test_snapshot_restores_twice_to_the_same_run(env):
+    rng = np.random.default_rng(8)
+    env.reset(10)
+    env.step(random_actions(env, rng))
+    snap = env.snapshot()
+    tail = [random_actions(env, rng) for _ in range(4)]
+
+    runs = []
+    for _ in range(2):
+        env.restore(snap)
+        steps = [env.step(a) for a in tail]
+        runs.append((steps, env.snapshot()))
+
+    (first, end_a), (second, end_b) = runs
+    for (o1, r1, d1), (o2, r2, d2) in zip(first, second):
+        assert r1 == r2 and d1 == d2
+        for x, y in zip(o1, o2):
+            np.testing.assert_array_equal(x, y)
+    assert snapshots_equal(end_a, end_b)
+
+
+class _SetStateEnv(DagEnv):
+    _STATE_ATTRS = ("seen",)
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {1, 2}
+
+
+def test_snapshot_rejects_uncopyable_state():
+    with pytest.raises(TypeError, match="seen"):
+        _SetStateEnv().snapshot()
 
 
 # -- factory -----------------------------------------------------------------
@@ -416,6 +469,115 @@ def test_prey_reward_counts_living_sinks():
 def test_prey_rejects_tiny_grid():
     with pytest.raises(ValueError):
         PreyEnv(grid_size=3)
+
+
+class ArrayPreyEnv(PreyEnv):
+    """Reference prey dynamics on NumPy arrays throughout (np.clip, argmin).
+
+    PreyEnv moves positions as Python ints; running the two side by side
+    checks that they agree bit for bit, RNG draws included.
+    """
+
+    def _clamp_grid(self, pos):
+        return np.clip(pos, 0, self.grid_size - 1)
+
+    def _advance(self, actions):
+        for i in self.topology.topological_order:
+            if not self.alive[i]:
+                continue
+            a = actions[i]
+            pos = self.prey_pos[i].copy()
+            if a > 0:
+                pos += DIRS[a - 1]
+            pos = self._clamp_grid(pos)
+            if i in PARENT:
+                anchor = self.prey_pos[PARENT[i]]
+                pos = np.clip(pos, anchor - LEASH, anchor + LEASH)
+                pos = self._clamp_grid(pos)
+            self.prey_pos[i] = pos
+
+        for p in range(self.n_predators):
+            self.predator_pos[p] = self._predator_move(p)
+
+        for k in self.sinks:
+            if self.alive[k] and any(
+                    np.array_equal(self.prey_pos[k], self.predator_pos[p])
+                    for p in range(self.n_predators)):
+                self.alive[k] = False
+
+        living = int(sum(self.alive[k] for k in self.sinks))
+        done = living == 0 or self.step_count + 1 >= self.max_steps
+        return float(living), done
+
+    def _predator_move(self, p):
+        pos = self.predator_pos[p]
+        if self.first_dir[p] is not None:
+            step = DIRS[self.first_dir[p]]
+            self.first_dir[p] = None
+            return self._clamp_grid(pos + step)
+        target = self._nearest_living_sink(pos)
+        options = [self._clamp_grid(pos + d) for d in DIRS]
+        dists = [abs(q[0] - target[0]) + abs(q[1] - target[1])
+                 for q in options]
+        best = min(dists)
+        ties = [q for q, d in zip(options, dists) if d == best]
+        return ties[int(self.rng.integers(len(ties)))]
+
+    def _nearest_living_sink(self, pos):
+        best, best_d = None, None
+        for k in self.sinks:
+            if not self.alive[k]:
+                continue
+            d = (abs(self.prey_pos[k][0] - pos[0])
+                 + abs(self.prey_pos[k][1] - pos[1]))
+            if best_d is None or d < best_d:
+                best, best_d = self.prey_pos[k], d
+        return best
+
+    def observe(self):
+        g = float(self.grid_size)
+        frac = (self.step_count % self.goal_period) / self.goal_period
+        out = []
+        for i in range(4):
+            pos = self.prey_pos[i]
+            if i in PARENT:
+                rel_parent = (self.prey_pos[PARENT[i]] - pos) / g
+            else:
+                rel_parent = np.zeros(2)
+            dists = [abs(q[0] - pos[0]) + abs(q[1] - pos[1])
+                     for q in self.predator_pos]
+            nearest = self.predator_pos[int(np.argmin(dists))]
+            out.append(np.array([pos[0] / g, pos[1] / g,
+                                 rel_parent[0], rel_parent[1],
+                                 (nearest[0] - pos[0]) / g,
+                                 (nearest[1] - pos[1]) / g,
+                                 float(self.alive[i]), frac]))
+        return out
+
+
+@pytest.mark.parametrize("grid_size", [4, 20])
+@pytest.mark.parametrize("predators", [1, 2, 3])
+def test_prey_matches_array_reference(grid_size, predators):
+    env = PreyEnv(grid_size=grid_size, predators=predators)
+    ref = ArrayPreyEnv(grid_size=grid_size, predators=predators)
+    for seed in range(50):
+        action_rng = np.random.default_rng(1000 + seed)
+        got, want = env.reset(seed), ref.reset(seed)
+        done = False
+        while True:
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y)
+            assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+            for name in PreyEnv._STATE_ATTRS:
+                np.testing.assert_array_equal(getattr(env, name),
+                                              getattr(ref, name))
+            if done:
+                break
+            actions = random_actions(env, action_rng)
+            got, reward, done = env.step(actions)
+            want, ref_reward, ref_done = ref.step(actions)
+            assert reward == ref_reward and done == ref_done
+        assert env.step_count == ref.step_count
 
 
 # -- micro ---------------------------------------------------------------------

@@ -3,6 +3,7 @@ charts, the command-line entry point, and a statistical cross-check of the
 frozen evaluator against exhaustive value computation."""
 
 import json
+import os
 import xml.dom.minidom
 
 import numpy as np
@@ -20,6 +21,7 @@ from dagmarl.evaluate import evaluate
 from dagmarl.logio import (
     IoError,
     SchemaMismatch,
+    atomic_write_bytes,
     read_episode_csv,
     write_episode_csv,
 )
@@ -31,7 +33,7 @@ from dagmarl.metrics import (
 )
 from dagmarl.oracle import TabularJointPolicy, exact_values
 from dagmarl.plotting import histogram_chart, line_chart
-from dagmarl.ppo import PpoConfig
+from dagmarl.ppo import DiscreteCodec, PpoConfig, PpoLearner
 from dagmarl.training import EpisodeRecord, Trainer
 
 CONFIG_TEXT = """
@@ -170,6 +172,40 @@ def test_write_refuses_empty_or_ragged(tmp_path):
     ragged[1] = EpisodeRecord(1, 0.0, 3, {"follower-0": 0.0}, None)
     with pytest.raises(SchemaMismatch):
         write_episode_csv(tmp_path / "y.csv", ragged)
+
+
+def test_atomic_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "blob.bin"
+    atomic_write_bytes(path, b"first")
+    atomic_write_bytes(path, b"second")
+    assert path.read_bytes() == b"second"
+    assert os.listdir(tmp_path) == ["blob.bin"]
+
+
+def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
+    csv_path = tmp_path / "episodes.csv"
+    ckpt_path = tmp_path / "agent.ckpt"
+    write_episode_csv(csv_path, sample_records()[:1])
+    agent = PpoLearner(3, DiscreteCodec(4), PpoConfig(hidden=(8,)),
+                       np.random.default_rng(0))
+    agent.save(ckpt_path)
+    old_csv, old_ckpt = csv_path.read_bytes(), ckpt_path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError):
+        write_episode_csv(csv_path, sample_records())
+    other = PpoLearner(3, DiscreteCodec(4), PpoConfig(hidden=(8,)),
+                       np.random.default_rng(1))
+    assert other.to_bytes() != old_ckpt
+    with pytest.raises(OSError):
+        other.save(ckpt_path)
+
+    assert csv_path.read_bytes() == old_csv
+    assert ckpt_path.read_bytes() == old_ckpt
+    assert sorted(os.listdir(tmp_path)) == ["agent.ckpt", "episodes.csv"]
 
 
 def test_read_validates_header_and_width(tmp_path):
