@@ -81,8 +81,9 @@ class PreyEnv(DagEnv):
             x, y = min(max(x, 0), hi), min(max(y, 0), hi)
             if i in PARENT:
                 ax, ay = prey[PARENT[i]]
-                x = min(max(min(max(x, ax - LEASH), ax + LEASH), 0), hi)
-                y = min(max(min(max(y, ay - LEASH), ay + LEASH), 0), hi)
+                # both points lie on the grid, so the leash box keeps it there
+                x = min(max(x, ax - LEASH), ax + LEASH)
+                y = min(max(y, ay - LEASH), ay + LEASH)
             prey[i] = [x, y]
 
         for p in range(self.n_predators):

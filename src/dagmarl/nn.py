@@ -1,9 +1,10 @@
 """Dense networks, Adam, and stochastic policy heads.
 
 Everything is float64 numpy with hand-written reverse-mode gradients; there
-is deliberately no autograd framework underneath.  Two head families cover
-the policies used here: Categorical over logits and BoundedContinuous, a
-per-coordinate Beta on (0,1) with both shape parameters >= 1.
+is deliberately no autograd framework underneath.  Two policy heads cover
+every action space used here: ``CategoricalHead``, one or more categorical
+segments over consecutive logits, and ``BetaHead``, a per-coordinate Beta on
+(0,1) with both shape parameters >= 1.
 """
 
 from __future__ import annotations
@@ -278,13 +279,31 @@ def adam_step(state: AdamState, params, grad):
 
 @dataclass(frozen=True)
 class CategoricalHead:
-    """Discrete distribution over n_actions logits."""
+    """One categorical segment per entry of ``sizes``, over consecutive logits.
 
-    n_actions: int
+    An action is a tuple of one int per segment; log-probs and entropies add
+    across segments, logit gradients concatenate.
+    """
+
+    sizes: tuple
+    # (lo, hi) logit slice of each segment
+    bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = tuple(int(s) for s in self.sizes)
+        if not sizes or min(sizes) < 1:
+            raise DimensionMismatch(f"bad segment sizes {sizes}")
+        ends = np.cumsum(sizes).tolist()
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "bounds",
+                           tuple(zip([0] + ends[:-1], ends)))
 
     @property
     def param_dim(self):
-        return self.n_actions
+        return self.bounds[-1][1]
+
+    def empty_actions(self, rows):
+        return np.zeros((rows, len(self.sizes)), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -300,6 +319,9 @@ class BetaHead:
     @property
     def param_dim(self):
         return 2 * self.dim
+
+    def empty_actions(self, rows):
+        return np.zeros((rows, self.dim))
 
 
 def _softplus(x):
@@ -338,16 +360,20 @@ def sample_and_logprob(head, params, rng: np.random.Generator):
     params = np.asarray(params, dtype=np.float64)
     _check_params(params)
     if isinstance(head, CategoricalHead):
-        if params.shape != (head.n_actions,):
+        if params.shape != (head.param_dim,):
             raise DimensionMismatch(
-                f"logits shape {params.shape} for {head.n_actions} actions")
-        logp_all = params - _logsumexp(params)
-        p = np.exp(logp_all)
-        u = rng.random()
-        action = int(min(np.searchsorted(np.cumsum(p), u, side="right"),
-                         head.n_actions - 1))
-        entropy = -float(p @ logp_all)
-        return action, float(logp_all[action]), entropy
+                f"logits shape {params.shape} for segments {head.sizes}")
+        action, logp, entropy = [], 0.0, 0.0
+        for lo, hi in head.bounds:
+            seg = params[lo:hi]
+            logp_all = seg - _logsumexp(seg)
+            p = np.exp(logp_all)
+            a = min(int(p.cumsum().searchsorted(rng.random(), side="right")),
+                    hi - lo - 1)
+            action.append(a)
+            logp += float(logp_all[a])
+            entropy -= float(p @ logp_all)
+        return tuple(action), logp, entropy
     if isinstance(head, BetaHead):
         alpha, beta = beta_shapes(head, params)
         x = np.clip(rng.beta(alpha, beta), _X_EDGE, 1.0 - _X_EDGE)
@@ -360,11 +386,11 @@ def sample_and_logprob(head, params, rng: np.random.Generator):
 
 
 def frozen_action(head, params):
-    """Deterministic action for evaluation: argmax logits / Beta mean."""
+    """Deterministic action for evaluation: per-segment argmax / Beta mean."""
     params = np.asarray(params, dtype=np.float64)
     _check_params(params)
     if isinstance(head, CategoricalHead):
-        return int(np.argmax(params))
+        return tuple([int(params[lo:hi].argmax()) for lo, hi in head.bounds])
     if isinstance(head, BetaHead):
         alpha, beta = beta_shapes(head, params)
         return alpha / (alpha + beta)
@@ -385,24 +411,31 @@ def _beta_entropy(alpha, beta):
             + (s - 2.0) * digamma(s))
 
 
-def categorical_stats(logits, actions):
+def categorical_stats(head: CategoricalHead, logits, actions):
     """Batched log-prob/entropy and their logit gradients.
 
-    logits (N,K), actions (N,) ints.  Returns (logp (N,), entropy (N,),
-    dlogp (N,K), dentropy (N,K)).
+    logits (N, param_dim), actions (N, segments) ints.  Returns (logp (N,),
+    entropy (N,), dlogp (N, param_dim), dentropy (N, param_dim)).
     """
     logits = np.asarray(logits, dtype=np.float64)
     actions = np.asarray(actions)
-    n, k = logits.shape
-    logp_all = logits - _logsumexp(logits, keepdims=True)
-    p = np.exp(logp_all)
-    idx = np.arange(n)
-    logp = logp_all[idx, actions]
-    entropy = -np.sum(p * logp_all, axis=1)
-    dlogp = -p.copy()
-    dlogp[idx, actions] += 1.0
-    dentropy = -p * (logp_all + entropy[:, None])
-    return logp, entropy, dlogp, dentropy
+    idx = np.arange(logits.shape[0])
+    logp = entropy = 0.0
+    dlogp, dentropy = [], []
+    for k, (lo, hi) in enumerate(head.bounds):
+        seg = logits[:, lo:hi]
+        a = actions[:, k]
+        logp_all = seg - _logsumexp(seg, keepdims=True)
+        p = np.exp(logp_all)
+        ent = -np.sum(p * logp_all, axis=1)
+        logp = logp + logp_all[idx, a]
+        entropy = entropy + ent
+        dl = -p
+        dl[idx, a] += 1.0
+        dlogp.append(dl)
+        dentropy.append(-p * (logp_all + ent[:, None]))
+    return (logp, entropy, np.concatenate(dlogp, axis=1),
+            np.concatenate(dentropy, axis=1))
 
 
 def beta_stats(head: BetaHead, raw, actions):

@@ -1,9 +1,9 @@
 """Clipped-surrogate PPO on top of the hand-rolled dense nets.
 
 One learner owns a policy net and a value net (separate trunks, separate
-Adam states).  Action spaces are described by small codecs so the same
-update code serves discrete agents, joint multi-node discrete agents, and
-bounded-continuous agents (goal vectors, budget fractions).
+Adam states).  Its action space is an ``nn`` policy head, so the same update
+code serves categorical agents, one segment per node they act for, and
+bounded-continuous Beta agents (goal vectors, budget fractions).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .logio import atomic_write_bytes
-from .nn import BetaHead, CategoricalHead, DenseNet
+from .nn import BetaHead, DenseNet
 
 
 class EmptyBatch(ValueError):
@@ -53,7 +53,7 @@ class TrajectoryBatch:
     """One row per step, in episode order, plus the bootstrap value after
     the last step.
 
-    ``actions`` has the layout of the learner codec's ``empty_actions``.
+    ``actions`` has the layout of the learner head's ``empty_actions``.
     """
 
     states: np.ndarray
@@ -103,100 +103,6 @@ def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# action codecs
-# ---------------------------------------------------------------------------
-
-
-class DiscreteCodec:
-    """Single categorical action."""
-
-    def __init__(self, n_actions: int):
-        self.head = CategoricalHead(n_actions)
-        self.param_dim = self.head.param_dim
-
-    def sample(self, params, rng):
-        return nn.sample_and_logprob(self.head, params, rng)
-
-    def frozen(self, params):
-        return nn.frozen_action(self.head, params)
-
-    def stats(self, params, actions):
-        return nn.categorical_stats(params, np.asarray(actions, dtype=int))
-
-    def empty_actions(self, rows):
-        return np.zeros(rows, dtype=int)
-
-
-class ContinuousCodec:
-    """Vector of independent Beta coordinates on (0,1)."""
-
-    def __init__(self, dim: int):
-        self.head = BetaHead(dim)
-        self.param_dim = self.head.param_dim
-
-    def sample(self, params, rng):
-        return nn.sample_and_logprob(self.head, params, rng)
-
-    def frozen(self, params):
-        return nn.frozen_action(self.head, params)
-
-    def stats(self, params, actions):
-        return nn.beta_stats(self.head, params, actions)
-
-    def empty_actions(self, rows):
-        return np.zeros((rows, self.head.dim))
-
-
-class JointDiscreteCodec:
-    """One categorical segment per node under a shared trunk.
-
-    The action is a tuple of ints; log-probs and entropies add across
-    segments, gradients concatenate.
-    """
-
-    def __init__(self, sizes):
-        self.sizes = tuple(int(s) for s in sizes)
-        self.heads = [CategoricalHead(s) for s in self.sizes]
-        self.param_dim = sum(self.sizes)
-        self._offsets = np.cumsum((0,) + self.sizes)
-
-    def _segment(self, params, k):
-        return params[..., self._offsets[k]:self._offsets[k + 1]]
-
-    def sample(self, params, rng):
-        actions, logp, ent = [], 0.0, 0.0
-        for k, head in enumerate(self.heads):
-            a, lp, en = nn.sample_and_logprob(head, self._segment(params, k), rng)
-            actions.append(a)
-            logp += lp
-            ent += en
-        return tuple(actions), logp, ent
-
-    def frozen(self, params):
-        return tuple(nn.frozen_action(head, self._segment(params, k))
-                     for k, head in enumerate(self.heads))
-
-    def stats(self, params, actions):
-        actions = np.asarray(actions, dtype=int)
-        n = params.shape[0]
-        logp = np.zeros(n)
-        ent = np.zeros(n)
-        dlogp = np.zeros_like(params)
-        dent = np.zeros_like(params)
-        for k in range(len(self.heads)):
-            lo, hi = self._offsets[k], self._offsets[k + 1]
-            lp, en, dl, de = nn.categorical_stats(params[:, lo:hi], actions[:, k])
-            logp += lp
-            ent += en
-            dlogp[:, lo:hi] = dl
-            dent[:, lo:hi] = de
-        return logp, ent, dlogp, dent
-
-    def empty_actions(self, rows):
-        return np.zeros((rows, len(self.sizes)), dtype=int)
-
-
-# ---------------------------------------------------------------------------
 # learner
 # ---------------------------------------------------------------------------
 
@@ -204,14 +110,14 @@ class JointDiscreteCodec:
 class PpoLearner:
     """Policy + value pair with its own RNG stream and Adam states."""
 
-    def __init__(self, obs_dim: int, codec, config: PpoConfig,
+    def __init__(self, obs_dim: int, head, config: PpoConfig,
                  rng: np.random.Generator):
         self.obs_dim = int(obs_dim)
-        self.codec = codec
+        self.head = head
         self.config = config
         self.rng = rng
         dims = (self.obs_dim, *config.hidden)
-        self.policy = DenseNet(dims + (codec.param_dim,), rng)
+        self.policy = DenseNet(dims + (head.param_dim,), rng)
         self.value = DenseNet(dims + (1,), rng)
         self.opt_policy = nn.AdamState.for_net(self.policy, config.learning_rate)
         self.opt_value = nn.AdamState.for_net(self.value, config.learning_rate)
@@ -221,17 +127,17 @@ class PpoLearner:
     def act(self, state):
         """Samples an action; returns (action, log_prob, value)."""
         params = self.policy.forward(state)
-        action, logp, _ = self.codec.sample(params, self.rng)
+        action, logp, _ = nn.sample_and_logprob(self.head, params, self.rng)
         value = float(self.value.forward(state)[0])
         return action, logp, value
 
     def frozen_act(self, state):
-        return self.codec.frozen(self.policy.forward(state))
+        return nn.frozen_action(self.head, self.policy.forward(state))
 
     def empty_batch(self, rows: int) -> TrajectoryBatch:
         """Zeroed rollout arrays for up to ``rows`` steps of this learner."""
         return TrajectoryBatch(np.zeros((rows, self.obs_dim)),
-                               self.codec.empty_actions(rows), np.zeros(rows),
+                               self.head.empty_actions(rows), np.zeros(rows),
                                np.zeros(rows), np.zeros(rows),
                                np.zeros(rows, dtype=bool))
 
@@ -282,7 +188,9 @@ class PpoLearner:
         m = len(states)
 
         params, cache = self.policy.forward_cached(states)
-        logp, entropy, dlogp, dentropy = self.codec.stats(params, actions)
+        stats = (nn.beta_stats if isinstance(self.head, BetaHead)
+                 else nn.categorical_stats)
+        logp, entropy, dlogp, dentropy = stats(self.head, params, actions)
         ratio = np.exp(logp - old_logp)
         unclipped = ratio * adv
         clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon,

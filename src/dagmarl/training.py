@@ -21,9 +21,8 @@ import numpy as np
 
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
-from .nn import CheckpointMismatch
-from .ppo import (ContinuousCodec, DiscreteCodec, JointDiscreteCodec,
-                  PpoLearner, TrajectoryBatch)
+from .nn import BetaHead, CategoricalHead, CheckpointMismatch
+from .ppo import PpoLearner, TrajectoryBatch
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget, update_baseline)
 from .seeding import substream
@@ -134,19 +133,19 @@ class Trainer:
         agents = {}
         if self.mode is RunMode.GS:
             agents["gs"] = PpoLearner(self.global_dim,
-                                      JointDiscreteCodec(sizes), ppo,
+                                      CategoricalHead(sizes), ppo,
                                       substream(seed, "gs"))
             return agents
         for i in range(self.n_nodes):
             dim = self.env.obs_dims[i] + (m if self.leader_on else 0)
             agents[f"follower-{i}"] = PpoLearner(
-                dim, DiscreteCodec(sizes[i]), ppo,
+                dim, CategoricalHead((sizes[i],)), ppo,
                 substream(seed, f"follower-{i}"))
         if self.leader_on:
             dim = self.global_dim
             if cfg.leader_full_state:
                 dim += self.n_nodes * m + self.n_nodes
-            agents["leader"] = PpoLearner(dim, ContinuousCodec(
+            agents["leader"] = PpoLearner(dim, BetaHead(
                 self.n_nodes * m), ppo, substream(seed, "leader"))
         if self.rgd_on:
             n_flow = len(state_flow_indices(self.env.goal_period,
@@ -154,10 +153,10 @@ class Trainer:
             dim = n_flow * self.global_dim
             if self.leader_on:
                 dim += self.n_nodes * m
-            agents["generator"] = PpoLearner(dim, ContinuousCodec(1), ppo,
+            agents["generator"] = PpoLearner(dim, BetaHead(1), ppo,
                                              substream(seed, "generator"))
             agents["distributor"] = PpoLearner(
-                dim, ContinuousCodec(self.n_nodes + len(self.env.topology.arcs)),
+                dim, BetaHead(self.n_nodes + len(self.env.topology.arcs)),
                 ppo, substream(seed, "distributor"))
         return agents
 
@@ -284,25 +283,23 @@ class Trainer:
 
     def _select_actions(self, obs, goals, rollouts, t, frozen):
         if self.mode is RunMode.GS:
-            state = np.concatenate(obs)
-            agent = self.agents["gs"]
-            if frozen:
-                return [int(a) for a in agent.frozen_act(state)]
-            action, logp, value = agent.act(state)
-            _record(rollouts["gs"], t, state, action, logp, value)
-            return [int(a) for a in action]
+            pairs = [("gs", np.concatenate(obs))]
+        else:
+            pairs = []
+            for i in range(self.n_nodes):
+                state = np.asarray(obs[i], dtype=float)
+                if goals is not None:
+                    state = np.concatenate([state, goals[i]])
+                pairs.append((f"follower-{i}", state))
         actions = []
-        for i in range(self.n_nodes):
-            state = np.asarray(obs[i], dtype=float)
-            if goals is not None:
-                state = np.concatenate([state, goals[i]])
-            agent = self.agents[f"follower-{i}"]
+        for role, state in pairs:
+            agent = self.agents[role]
             if frozen:
-                actions.append(int(agent.frozen_act(state)))
-                continue
-            action, logp, value = agent.act(state)
-            _record(rollouts[f"follower-{i}"], t, state, action, logp, value)
-            actions.append(int(action))
+                action = agent.frozen_act(state)
+            else:
+                action, logp, value = agent.act(state)
+                _record(rollouts[role], t, state, action, logp, value)
+            actions.extend(action)
         return actions
 
     def _rgd_act(self, rgd_state, rollouts, t):

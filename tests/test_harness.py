@@ -31,9 +31,10 @@ from dagmarl.metrics import (
     min_max_normalize,
     moving_average,
 )
+from dagmarl.nn import CategoricalHead
 from dagmarl.oracle import TabularJointPolicy, exact_values
 from dagmarl.plotting import histogram_chart, line_chart
-from dagmarl.ppo import DiscreteCodec, PpoConfig, PpoLearner
+from dagmarl.ppo import PpoConfig, PpoLearner
 from dagmarl.training import EpisodeRecord, Trainer
 
 CONFIG_TEXT = """
@@ -186,7 +187,7 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     csv_path = tmp_path / "episodes.csv"
     ckpt_path = tmp_path / "agent.ckpt"
     write_episode_csv(csv_path, sample_records()[:1])
-    agent = PpoLearner(3, DiscreteCodec(4), PpoConfig(hidden=(8,)),
+    agent = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
                        np.random.default_rng(0))
     agent.save(ckpt_path)
     old_csv, old_ckpt = csv_path.read_bytes(), ckpt_path.read_bytes()
@@ -197,7 +198,7 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(IoError):
         write_episode_csv(csv_path, sample_records())
-    other = PpoLearner(3, DiscreteCodec(4), PpoConfig(hidden=(8,)),
+    other = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
                        np.random.default_rng(1))
     assert other.to_bytes() != old_ckpt
     with pytest.raises(OSError):
@@ -420,8 +421,8 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
         for s in range(env.n_states[i]):
             onehot = np.zeros(env.n_states[i])
             onehot[s] = 1.0
-            per_state.append(int(trainer.agents[f"follower-{i}"]
-                                 .frozen_act(onehot)))
+            (action,) = trainer.agents[f"follower-{i}"].frozen_act(onehot)
+            per_state.append(action)
         choice.append(per_state)
     policy = TabularJointPolicy.deterministic(env, choice)
     sink_v, tail = exact_values(env, policy, gamma=1.0)

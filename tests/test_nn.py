@@ -277,43 +277,97 @@ class TestFlatParameters:
 
 class TestCategoricalHead:
     def test_uniform_sampling_frequencies(self):
-        head = CategoricalHead(4)
+        head = CategoricalHead((4,))
         rng = np.random.default_rng(9)
         counts = np.zeros(4)
         n = 8000
         for _ in range(n):
-            action, logp, ent = sample_and_logprob(head, np.zeros(4), rng)
+            (action,), logp, ent = sample_and_logprob(head, np.zeros(4), rng)
             counts[action] += 1
         p = 0.25
         sigma = math.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) < 3 * sigma)
 
     def test_logp_and_entropy_uniform(self):
-        head = CategoricalHead(5)
+        head = CategoricalHead((5,))
         action, logp, ent = sample_and_logprob(head, np.zeros(5),
                                                np.random.default_rng(0))
         assert abs(logp - math.log(0.2)) < 1e-12
         assert abs(ent - math.log(5.0)) < 1e-12
 
     def test_frozen_is_argmax(self):
-        head = CategoricalHead(3)
-        assert frozen_action(head, np.array([0.1, 2.0, -1.0])) == 1
+        head = CategoricalHead((3,))
+        assert frozen_action(head, np.array([0.1, 2.0, -1.0])) == (1,)
 
     def test_stats_gradients_finite_difference(self):
         rng = np.random.default_rng(4)
-        logits = rng.standard_normal((3, 4))
-        actions = np.array([0, 3, 2])
-        logp, ent, dlogp, dent = categorical_stats(logits, actions)
-        h = 1e-6
-        for r in range(3):
-            for c in range(4):
-                bumped = logits.copy()
-                bumped[r, c] += h
-                lp_hi, ent_hi, _, _ = categorical_stats(bumped, actions)
-                bumped[r, c] -= 2 * h
-                lp_lo, ent_lo, _, _ = categorical_stats(bumped, actions)
-                assert abs((lp_hi[r] - lp_lo[r]) / (2 * h) - dlogp[r, c]) < 1e-6
-                assert abs((ent_hi[r] - ent_lo[r]) / (2 * h) - dent[r, c]) < 1e-6
+        cases = ((CategoricalHead((4,)), np.array([[0], [3], [2]])),
+                 (CategoricalHead((2, 3, 4)),
+                  np.array([[1, 0, 3], [0, 2, 0], [1, 1, 2]])))
+        for head, actions in cases:
+            logits = rng.standard_normal((3, head.param_dim))
+            logp, ent, dlogp, dent = categorical_stats(head, logits, actions)
+            h = 1e-6
+            for r in range(3):
+                for c in range(head.param_dim):
+                    bumped = logits.copy()
+                    bumped[r, c] += h
+                    lp_hi, ent_hi, _, _ = categorical_stats(head, bumped,
+                                                            actions)
+                    bumped[r, c] -= 2 * h
+                    lp_lo, ent_lo, _, _ = categorical_stats(head, bumped,
+                                                            actions)
+                    assert abs((lp_hi[r] - lp_lo[r]) / (2 * h)
+                               - dlogp[r, c]) < 1e-6
+                    assert abs((ent_hi[r] - ent_lo[r]) / (2 * h)
+                               - dent[r, c]) < 1e-6
+
+    def test_segments_match_single_heads(self):
+        sizes = (2, 3, 4)
+        head = CategoricalHead(sizes)
+        assert head.bounds == ((0, 2), (2, 5), (5, 9))
+        singles = [CategoricalHead((k,)) for k in sizes]
+        data = np.random.default_rng(13)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            params = data.standard_normal(head.param_dim)
+            action, logp, ent = sample_and_logprob(head, params, rng)
+            want_action, want_logp, want_ent = [], 0.0, 0.0
+            for single, (lo, hi) in zip(singles, head.bounds):
+                (a,), lp, en = sample_and_logprob(single, params[lo:hi],
+                                                  ref_rng)
+                want_action.append(a)
+                want_logp += lp
+                want_ent += en
+            assert action == tuple(want_action)
+            assert logp == want_logp and ent == want_ent
+            assert frozen_action(head, params) == tuple(
+                frozen_action(single, params[lo:hi])[0]
+                for single, (lo, hi) in zip(singles, head.bounds))
+
+        logits = data.standard_normal((7, head.param_dim))
+        actions = np.stack([data.integers(k, size=7) for k in sizes], axis=1)
+        logp, ent, dlogp, dent = categorical_stats(head, logits, actions)
+        parts = [categorical_stats(single, logits[:, lo:hi],
+                                   actions[:, [k]])
+                 for k, (single, (lo, hi)) in enumerate(zip(singles,
+                                                            head.bounds))]
+        np.testing.assert_array_equal(
+            logp, 0.0 + parts[0][0] + parts[1][0] + parts[2][0])
+        np.testing.assert_array_equal(
+            ent, 0.0 + parts[0][1] + parts[1][1] + parts[2][1])
+        np.testing.assert_array_equal(
+            dlogp, np.concatenate([part[2] for part in parts], axis=1))
+        np.testing.assert_array_equal(
+            dent, np.concatenate([part[3] for part in parts], axis=1))
+
+    def test_rejects_bad_segments(self):
+        for sizes in ((), (3, 0)):
+            with pytest.raises(DimensionMismatch):
+                CategoricalHead(sizes)
+        with pytest.raises(DimensionMismatch):
+            sample_and_logprob(CategoricalHead((2, 3)), np.zeros(4),
+                               np.random.default_rng(0))
 
 
 class TestBetaHead:

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl import nn
-from dagmarl.nn import CheckpointMismatch
-from dagmarl.ppo import (ContinuousCodec, DiscreteCodec, EmptyBatch,
-                         JointDiscreteCodec, NonFiniteLoss, PpoConfig,
-                         PpoLearner, TrajectoryBatch, compute_gae)
+from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch
+from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
+                         TrajectoryBatch, compute_gae)
 
 
 def batch_of(rows, bootstrap=0.0):
@@ -117,15 +116,16 @@ def small_config(**kw):
 
 class TestLearner:
     def test_act_shapes_discrete(self):
-        agent = PpoLearner(3, DiscreteCodec(4), small_config(),
+        agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(0))
-        action, logp, value = agent.act(np.zeros(3))
+        (action,), logp, value = agent.act(np.zeros(3))
         assert 0 <= action < 4
         assert np.isfinite(logp) and np.isfinite(value)
-        assert 0 <= agent.frozen_act(np.zeros(3)) < 4
+        (frozen,) = agent.frozen_act(np.zeros(3))
+        assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
-        agent = PpoLearner(3, ContinuousCodec(5), small_config(),
+        agent = PpoLearner(3, BetaHead(5), small_config(),
                            np.random.default_rng(0))
         action, logp, value = agent.act(np.zeros(3))
         assert action.shape == (5,)
@@ -134,7 +134,7 @@ class TestLearner:
         assert np.all((frozen > 0.0) & (frozen < 1.0))
 
     def test_act_shapes_joint(self):
-        agent = PpoLearner(3, JointDiscreteCodec([2, 3, 4]), small_config(),
+        agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
                            np.random.default_rng(0))
         action, logp, value = agent.act(np.zeros(3))
         assert len(action) == 3
@@ -143,21 +143,21 @@ class TestLearner:
 
     def test_bandit_learns_best_arm(self):
         # contextual-free 2-armed bandit: arm 0 pays 1, arm 1 pays 0
-        agent = PpoLearner(1, DiscreteCodec(2), small_config(),
+        agent = PpoLearner(1, CategoricalHead((2,)), small_config(),
                            np.random.default_rng(3))
         state = np.zeros(1)
         for _ in range(150):
             rows = []
             for _ in range(32):
                 action, logp, value = agent.act(state)
-                reward = 1.0 if action == 0 else 0.0
+                reward = 1.0 if action == (0,) else 0.0
                 rows.append((state, action, logp, reward, value, True))
             agent.update(batch_of(rows))
         pulls = [agent.act(state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
     def test_update_diagnostics(self):
-        agent = PpoLearner(2, DiscreteCodec(3), small_config(),
+        agent = PpoLearner(2, CategoricalHead((3,)), small_config(),
                            np.random.default_rng(1))
         rows = []
         rng = np.random.default_rng(5)
@@ -174,7 +174,7 @@ class TestLearner:
     def test_first_epoch_ratio_is_one(self):
         # fresh batch, single minibatch, epochs=1: before any step the ratio
         # is exactly 1, so nothing clips
-        agent = PpoLearner(2, DiscreteCodec(3),
+        agent = PpoLearner(2, CategoricalHead((3,)),
                            small_config(epochs_per_update=1, batch_size=256),
                            np.random.default_rng(1))
         rows = []
@@ -187,13 +187,13 @@ class TestLearner:
         assert diags["clip_fraction"] == 0.0
 
     def test_empty_batch_raises(self):
-        agent = PpoLearner(2, DiscreteCodec(2), small_config(),
+        agent = PpoLearner(2, CategoricalHead((2,)), small_config(),
                            np.random.default_rng(0))
         with pytest.raises(EmptyBatch):
             agent.update(agent.empty_batch(0))
 
     def test_non_finite_loss_restores_state(self, monkeypatch):
-        agent = PpoLearner(2, DiscreteCodec(2),
+        agent = PpoLearner(2, CategoricalHead((2,)),
                            small_config(batch_size=1, epochs_per_update=2),
                            np.random.default_rng(0))
         s = np.ones(2)
@@ -239,7 +239,7 @@ class TestLearner:
 
     def test_constant_advantage_not_normalized_to_nan(self):
         # all-equal advantages have zero std; normalization must be skipped
-        agent = PpoLearner(1, DiscreteCodec(2), small_config(),
+        agent = PpoLearner(1, CategoricalHead((2,)), small_config(),
                            np.random.default_rng(2))
         rows = []
         for t in range(8):
@@ -253,10 +253,10 @@ class TestLearner:
 
 class TestLearnerCheckpoint:
     def test_round_trip_preserves_frozen_actions(self):
-        agent = PpoLearner(3, DiscreteCodec(4), small_config(),
+        agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(11))
         blob = agent.to_bytes()
-        clone = PpoLearner(3, DiscreteCodec(4), small_config(),
+        clone = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(99))
         clone.load_bytes(blob)
         rng = np.random.default_rng(0)
@@ -265,11 +265,11 @@ class TestLearnerCheckpoint:
             assert agent.frozen_act(s) == clone.frozen_act(s)
 
     def test_file_round_trip(self, tmp_path):
-        agent = PpoLearner(2, ContinuousCodec(2), small_config(),
+        agent = PpoLearner(2, BetaHead(2), small_config(),
                            np.random.default_rng(4))
         path = tmp_path / "agent.ckpt"
         agent.save(path)
-        clone = PpoLearner(2, ContinuousCodec(2), small_config(),
+        clone = PpoLearner(2, BetaHead(2), small_config(),
                            np.random.default_rng(5))
         clone.load(path)
         s = np.array([0.3, -0.7])
@@ -277,9 +277,9 @@ class TestLearnerCheckpoint:
                                       clone.frozen_act(s))
 
     def test_dimension_mismatch_rejected(self):
-        agent = PpoLearner(3, DiscreteCodec(4), small_config(),
+        agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(11))
-        other = PpoLearner(5, DiscreteCodec(4), small_config(),
+        other = PpoLearner(5, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(11))
         with pytest.raises(CheckpointMismatch):
             other.load_bytes(agent.to_bytes())

@@ -252,7 +252,7 @@ def test_rfm_mode_wires_generator_and_distributor():
     n_arcs = len(trainer.env.topology.arcs)
     assert trainer.agents["distributor"].obs_dim == n_flow * global_dim
     # one beta head (two shape params) per node value and per arc value
-    assert trainer.agents["distributor"].codec.param_dim == 2 * (3 + n_arcs)
+    assert trainer.agents["distributor"].head.param_dim == 2 * (3 + n_arcs)
 
 
 def test_proposed_mode_wires_everything():
