@@ -48,7 +48,6 @@ class ExperimentConfig:
     episodes: int = 100
     goal_dim: int = 4
     flow_stride: int = 3
-    leader_full_state: bool = False
     disable_leader: bool = False
     disable_rgd: bool = False
     out_dir: str | None = None
@@ -80,8 +79,7 @@ def _coerce(text: str):
 
 
 _RUN_KEYS = ("mode", "seed", "episodes", "out")
-_AGENT_KEYS = ("goal_dim", "flow_stride", "leader_full_state",
-               "disable_leader", "disable_rgd")
+_AGENT_KEYS = ("goal_dim", "flow_stride", "disable_leader", "disable_rgd")
 _PPO_KEYS = tuple(f.name for f in fields(PpoConfig))
 
 

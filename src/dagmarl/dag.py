@@ -2,14 +2,13 @@
 
 Nodes are dense integer ids 0..n-1.  Arcs point in the direction of task
 flow (upstream node -> downstream node).  Reward shares travel the other
-way, so the reward-flow neighbors of a node are its task-predecessors
-(recipients) and task-successors (senders).
+way: a node sends to its task-predecessors and receives from its
+task-successors.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,6 @@ class CycleDetected(ValueError):
     def __init__(self, cycle):
         self.cycle = list(cycle)
         super().__init__("cycle: " + " -> ".join(str(v) for v in self.cycle))
-
-
-@dataclass(frozen=True)
-class NodeClosures:
-    """Ancestor / descendant / influence closures of one node, self included."""
-
-    delta: frozenset  # ancestors
-    upsilon: frozenset  # descendants
-    omega: frozenset  # union of the two
 
 
 def _check_arcs(node_count, arcs):
@@ -92,7 +82,7 @@ def _find_cycle(succ, remaining):
 
 
 class DagTopology:
-    """Validated DAG with cached closures.
+    """Validated DAG with cached ancestor closures.
 
     Immutable after construction; all query methods are side-effect free and
     safe for concurrent reads.
@@ -118,7 +108,6 @@ class DagTopology:
             self._pred[i].sort()
 
         self._delta = [self._reach(i, self._pred) for i in range(node_count)]
-        self._upsilon = [self._reach(i, self._succ) for i in range(node_count)]
         self.arc_index = {a: n for n, a in enumerate(self.arcs)}
 
     def _reach(self, start, adjacency):
@@ -157,40 +146,13 @@ class DagTopology:
         self._check_node(i)
         return self._delta[i]
 
-    def descendants(self, i) -> frozenset:
-        """All nodes reachable from i, including i itself."""
-        self._check_node(i)
-        return self._upsilon[i]
-
-    def influence(self, i) -> frozenset:
-        """Ancestors union descendants (self included)."""
-        self._check_node(i)
-        return self._delta[i] | self._upsilon[i]
-
-    def closures(self, i) -> NodeClosures:
-        self._check_node(i)
-        return NodeClosures(self._delta[i], self._upsilon[i], self.influence(i))
-
     @property
     def sinks(self) -> list[int]:
         return [i for i in range(self.node_count) if not self._succ[i]]
 
-    @property
-    def sources(self) -> list[int]:
-        return [i for i in range(self.node_count) if not self._pred[i]]
-
     def is_sink(self, i) -> bool:
         self._check_node(i)
         return not self._succ[i]
-
-    def reward_flow_neighbors(self, i) -> tuple[frozenset, frozenset]:
-        """(delta_i, ch_i): recipients of i's shares and senders into i.
-
-        Reward flows against the task arcs, so delta_i are i's direct
-        task-predecessors and ch_i its direct task-successors.
-        """
-        self._check_node(i)
-        return frozenset(self._pred[i]), frozenset(self._succ[i])
 
     def __repr__(self):
         return f"DagTopology(node_count={self.node_count}, arcs={self.arcs})"

@@ -58,8 +58,7 @@ class MicroDagEnv(DagEnv):
         self.transitions = [np.asarray(t, dtype=np.float64) for t in transitions]
         self.sink_rewards = {int(k): np.asarray(r, dtype=np.float64)
                              for k, r in sink_rewards.items()}
-        self.horizon = int(horizon)
-        self.max_steps = self.horizon
+        self.max_steps = int(horizon)
         self.goal_period = int(goal_period)
         self.action_sizes = list(self.n_actions)
         self.obs_dims = list(self.n_states)
@@ -120,7 +119,7 @@ class MicroDagEnv(DagEnv):
                                       self.joint_action_index(i, actions)]
             nxt.append(int(self.rng.choice(self.n_states[i], p=row)))
         self.states = nxt
-        done = self.step_count + 1 >= self.horizon
+        done = self.step_count + 1 >= self.max_steps
         return float(reward), done
 
     def observe(self):

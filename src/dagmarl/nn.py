@@ -356,14 +356,14 @@ def _check_params(params):
 
 
 def sample_and_logprob(head, params, rng: np.random.Generator):
-    """Draws one action; returns (action, log_prob, entropy)."""
+    """Draws one action; returns (action, log_prob)."""
     params = np.asarray(params, dtype=np.float64)
     _check_params(params)
     if isinstance(head, CategoricalHead):
         if params.shape != (head.param_dim,):
             raise DimensionMismatch(
                 f"logits shape {params.shape} for segments {head.sizes}")
-        action, logp, entropy = [], 0.0, 0.0
+        action, logp = [], 0.0
         for lo, hi in head.bounds:
             seg = params[lo:hi]
             logp_all = seg - _logsumexp(seg)
@@ -372,16 +372,14 @@ def sample_and_logprob(head, params, rng: np.random.Generator):
                     hi - lo - 1)
             action.append(a)
             logp += float(logp_all[a])
-            entropy -= float(p @ logp_all)
-        return tuple(action), logp, entropy
+        return tuple(action), logp
     if isinstance(head, BetaHead):
         alpha, beta = beta_shapes(head, params)
         x = np.clip(rng.beta(alpha, beta), _X_EDGE, 1.0 - _X_EDGE)
         logp = float(np.sum((alpha - 1.0) * np.log(x)
                             + (beta - 1.0) * np.log1p(-x)
                             - betaln(alpha, beta)))
-        entropy = float(np.sum(_beta_entropy(alpha, beta)))
-        return x, logp, entropy
+        return x, logp
     raise TypeError(f"unknown head {head!r}")
 
 

@@ -189,17 +189,18 @@ class _JointModel:
 
 
 def _tail_bound(env, gamma, horizon, r_max):
-    if horizon >= env.horizon:
+    if horizon >= env.max_steps:
         return 0.0
     if gamma >= 1.0:
-        return (env.horizon - horizon) * r_max
+        return (env.max_steps - horizon) * r_max
     return gamma ** horizon * r_max / (1.0 - gamma)
 
 
 def _dp(env, policy, gamma, horizon, contribution):
     model = _JointModel(env)
     pol = model.policy_matrix(policy)
-    horizon = env.horizon if horizon is None else min(int(horizon), env.horizon)
+    horizon = (env.max_steps if horizon is None
+               else min(int(horizon), env.max_steps))
     sr = model.synthetic_r(contribution) if contribution is not None else None
 
     sink_v = {k: 0.0 for k in model.sink_r}
@@ -246,7 +247,7 @@ def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
     """Sums over every trajectory explicitly.  Exponentially expensive; only
     for cross-checking the DP on tiny instances."""
     model = _JointModel(env)
-    horizon = min(int(horizon), env.horizon)
+    horizon = min(int(horizon), env.max_steps)
     predicted = model.ns * (model.na * model.ns) ** max(horizon - 1, 0) * model.na
     if predicted > guard:
         raise StateSpaceTooLarge(f"about {predicted} trajectories")
@@ -363,8 +364,7 @@ def run_bound_campaign(trials: int, seed: int, gamma: float = 0.9,
     for _ in range(trials):
         env = sample_micro_env(rng, max_nodes=max_nodes, horizon=10 ** 9)
         horizon = _bound_horizon(gamma, tol, 1.0 * len(env.topology.sinks))
-        env.horizon = horizon  # enumerate everything the bound needs
-        env.max_steps = horizon
+        env.max_steps = horizon  # enumerate everything the bound needs
         policy = sample_tabular_policy(rng, env)
         contribution = sample_admissible_contribution(rng, env)
         report = verify_bound(env, policy, contribution, gamma)

@@ -127,7 +127,7 @@ class PpoLearner:
     def act(self, state):
         """Samples an action; returns (action, log_prob, value)."""
         params = self.policy.forward(state)
-        action, logp, _ = nn.sample_and_logprob(self.head, params, self.rng)
+        action, logp = nn.sample_and_logprob(self.head, params, self.rng)
         value = float(self.value.forward(state)[0])
         return action, logp, value
 

@@ -7,9 +7,11 @@ is appended to that node's observation for the whole period.  After each
 sparse sequence of sampled global states into a scalar budget request and a
 value assignment over nodes and arcs; the resulting per-node synthetic
 rewards are credited at the final step of the period that produced them.
-Baseline modes replace or augment the shared team signal instead:
-difference rewards via counterfactual replay, or potential-based shaping on
-top of the equal share.
+The leader is paid each period's team reward and the pair the next
+period's; every stream is derived from the per-step team rewards once the
+episode ends.  Baseline modes replace or augment the shared team signal
+instead: difference rewards via counterfactual replay, or potential-based
+shaping on top of the equal share.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ def compose_shaped_rewards(team_rewards, potentials, gamma: float,
     return (team / n_nodes)[:, None] + gamma * nxt - phi
 
 
-def counterfactual_rewards(env, joint_action, default_action: int = 0):
+def counterfactual_rewards(env, joint_action):
     """Difference rewards for every agent in one sweep.
 
-    Counterfactual branches run first from a snapshot; the true step runs
-    last so the environment ends at the real successor state.  Returns
-    ``(obs, team_reward, done, diffs)``.
+    Each agent's counterfactual replaces its action with 0, which the
+    environment contract fixes as idle.  Counterfactual branches run first
+    from a snapshot; the true step runs last so the environment ends at the
+    real successor state.  Returns ``(obs, team_reward, done, diffs)``.
     """
     snap = env.snapshot()
     n = env.topology.node_count
@@ -81,19 +84,12 @@ def counterfactual_rewards(env, joint_action, default_action: int = 0):
     for i in range(n):
         env.restore(snap)
         alt = list(joint_action)
-        alt[i] = default_action
+        alt[i] = 0
         _, r_cf, _ = env.step(alt)
         counter[i] = r_cf
     env.restore(snap)
     obs, r_true, done = env.step(list(joint_action))
     return obs, r_true, done, r_true - counter
-
-
-def _record(rows: TrajectoryBatch, t: int, state, action, log_prob, value):
-    rows.states[t] = state
-    rows.actions[t] = action
-    rows.log_probs[t] = log_prob
-    rows.values[t] = value
 
 
 @dataclass(frozen=True)
@@ -142,10 +138,7 @@ class Trainer:
                 dim, CategoricalHead((sizes[i],)), ppo,
                 substream(seed, f"follower-{i}"))
         if self.leader_on:
-            dim = self.global_dim
-            if cfg.leader_full_state:
-                dim += self.n_nodes * m + self.n_nodes
-            agents["leader"] = PpoLearner(dim, BetaHead(
+            agents["leader"] = PpoLearner(self.global_dim, BetaHead(
                 self.n_nodes * m), ppo, substream(seed, "leader"))
         if self.rgd_on:
             n_flow = len(state_flow_indices(self.env.goal_period,
@@ -164,9 +157,7 @@ class Trainer:
                     frozen: bool = False) -> EpisodeRecord:
         cfg = self.config
         env = self.env
-        n = self.n_nodes
         period_steps = env.goal_period
-        m = cfg.goal_dim
         if env_seed is None:
             env_seed = int(self._env_stream.integers(2 ** 63))
         obs = env.reset(env_seed)
@@ -180,38 +171,24 @@ class Trainer:
             role: agent.empty_batch(env.max_steps)
             for role, agent in self.agents.items()}
 
+        # the episode's record; every role's rewards are derived from it
         team_rewards = []
         diff_rows = []
-        leader_rewards = []
-        rgd_rewards = []
-        sr_by_period = {}
-        sr_sums = np.zeros(n)
+        sr_by_period = {}  # completed period -> per-node synthetic rewards
         flow_idx = frozenset(state_flow_indices(period_steps,
                                                 cfg.flow_stride))
         goals = None
-        goals_flat = None
-        prev_goals = np.zeros(n * m)
-        prev_sr = np.zeros(n)
         periods = 0
-        pending_rgd = False
         done = False
 
         while not done:
             if self.leader_on:
-                lstate = np.concatenate(obs)
-                if cfg.leader_full_state:
-                    lstate = np.concatenate([lstate, prev_goals, prev_sr])
-                if frozen:
-                    goals_flat = self.agents["leader"].frozen_act(lstate)
-                else:
-                    goals_flat, logp, value = self.agents["leader"].act(lstate)
-                    _record(rollouts["leader"], periods, lstate, goals_flat,
-                            logp, value)
-                goals = np.asarray(goals_flat, dtype=float).reshape(n, m)
+                goals_flat = self._act("leader", np.concatenate(obs),
+                                       rollouts, periods, frozen)
+                goals = np.asarray(goals_flat, dtype=float).reshape(
+                    self.n_nodes, cfg.goal_dim)
 
             flow_states = []
-            period_sum = 0.0
-            period_len = 0
             for d in range(1, period_steps + 1):
                 if rgd_active and d in flow_idx:
                     flow_states.append(np.concatenate(obs))
@@ -224,40 +201,22 @@ class Trainer:
                 else:
                     obs, reward, done = env.step(actions)
                 team_rewards.append(reward)
-                period_sum += reward
-                period_len += 1
                 if done:
                     break
+            if rgd_active and d == period_steps:  # the period is complete
+                flow_vec = np.concatenate(flow_states + [np.concatenate(obs)])
+                if self.leader_on:
+                    flow_vec = np.concatenate([flow_vec, goals_flat])
+                sr_by_period[periods] = self._rgd_act(flow_vec, rollouts,
+                                                      len(sr_by_period))
             periods += 1
-            leader_rewards.append(period_sum)
 
-            if rgd_active:
-                if pending_rgd:
-                    rgd_rewards.append(period_sum)
-                    pending_rgd = False
-                if period_len == period_steps:
-                    flow_vec = np.concatenate(flow_states
-                                              + [np.concatenate(obs)])
-                    if self.leader_on:
-                        flow_vec = np.concatenate([flow_vec, goals_flat])
-                    sr = self._rgd_act(flow_vec, rollouts, len(sr_by_period))
-                    sr_by_period[periods - 1] = sr
-                    sr_sums += sr
-                    pending_rgd = True
-            if self.leader_on:
-                prev_goals = np.asarray(goals_flat, dtype=float)
-                prev_sr = sr_by_period.get(periods - 1, np.zeros(n))
-        if pending_rgd:
-            rgd_rewards.append(0.0)  # no period follows the last action
-
-        team_arr = np.asarray(team_rewards, dtype=float)
-        total = float(team_arr.sum())
+        total = float(np.asarray(team_rewards, dtype=float).sum())
         if frozen:
             return EpisodeRecord(episode_index, total, periods, {}, None)
 
-        streams = self._reward_streams(team_arr, diff_rows, sr_by_period,
-                                       leader_rewards, rgd_rewards,
-                                       rgd_active)
+        streams, sr_sums = self._reward_streams(team_rewards, diff_rows,
+                                                sr_by_period, rgd_active)
         agent_rewards = {}
         diagnostics = {}
         for role, rewards in streams.items():
@@ -279,7 +238,20 @@ class Trainer:
             self.baseline = update_baseline(self.baseline, total, periods)
         self.last_diagnostics = diagnostics
         return EpisodeRecord(episode_index, total, periods, agent_rewards,
-                             sr_sums if rgd_active else None)
+                             sr_sums)
+
+    def _act(self, role, state, rollouts, t, frozen):
+        """One role's action; in training it also fills rollout row ``t``."""
+        agent = self.agents[role]
+        if frozen:
+            return agent.frozen_act(state)
+        action, log_prob, value = agent.act(state)
+        rows = rollouts[role]
+        rows.states[t] = state
+        rows.actions[t] = action
+        rows.log_probs[t] = log_prob
+        rows.values[t] = value
+        return action
 
     def _select_actions(self, obs, goals, rollouts, t, frozen):
         if self.mode is RunMode.GS:
@@ -293,20 +265,13 @@ class Trainer:
                 pairs.append((f"follower-{i}", state))
         actions = []
         for role, state in pairs:
-            agent = self.agents[role]
-            if frozen:
-                action = agent.frozen_act(state)
-            else:
-                action, logp, value = agent.act(state)
-                _record(rollouts[role], t, state, action, logp, value)
-            actions.extend(action)
+            actions.extend(self._act(role, state, rollouts, t, frozen))
         return actions
 
     def _rgd_act(self, rgd_state, rollouts, t):
-        q_vec, logp_g, value_g = self.agents["generator"].act(rgd_state)
-        values, logp_d, value_d = self.agents["distributor"].act(rgd_state)
-        _record(rollouts["generator"], t, rgd_state, q_vec, logp_g, value_g)
-        _record(rollouts["distributor"], t, rgd_state, values, logp_d, value_d)
+        q_vec = self._act("generator", rgd_state, rollouts, t, frozen=False)
+        values = self._act("distributor", rgd_state, rollouts, t,
+                           frozen=False)
         q = float(q_vec[0])
         budget = synthetic_budget(q, self.baseline)
         output = RgdOutput(q, values[:self.n_nodes],
@@ -314,27 +279,47 @@ class Trainer:
         _, sr = distribute(self.env.topology, output, budget)
         return sr
 
-    def _reward_streams(self, team_arr, diff_rows, sr_by_period,
-                        leader_rewards, rgd_rewards, rgd_active) -> dict:
+    def _reward_streams(self, team_rewards, diff_rows, sr_by_period,
+                        rgd_active):
+        """Every role's reward stream and the episode's synthetic totals.
+
+        The leader is paid each period's team reward.  The generator/
+        distributor action after period p is paid period p + 1's, or 0.0
+        when no period follows.  Returns ``(streams, sr_sums)``.
+        """
         n = self.n_nodes
+        goal_period = self.env.goal_period
         if self.mode is RunMode.GS:
-            return {"gs": team_arr}
+            return {"gs": np.asarray(team_rewards, dtype=float)}, None
         if self.mode is RunMode.DIFF_M:
             mat = np.vstack(diff_rows)
         elif self.mode is RunMode.CAP_M:
-            mat = compose_shaped_rewards(team_arr, np.vstack(diff_rows),
+            mat = compose_shaped_rewards(team_rewards, np.vstack(diff_rows),
                                          self.config.ppo.gamma, n)
         else:
-            mat = compose_follower_rewards(team_arr, n, self.env.goal_period,
+            mat = compose_follower_rewards(team_rewards, n, goal_period,
                                            sr_by_period)
         streams = {f"follower-{i}": mat[:, i] for i in range(n)}
+        # added one step at a time: a pairwise or compensated sum rounds
+        # differently
+        period_sums = []
+        for start in range(0, len(team_rewards), goal_period):
+            period_sum = 0.0
+            for reward in team_rewards[start:start + goal_period]:
+                period_sum += reward
+            period_sums.append(period_sum)
         if self.leader_on:
-            streams["leader"] = np.asarray(leader_rewards, dtype=float)
-        if rgd_active:
-            rgd_arr = np.asarray(rgd_rewards, dtype=float)
-            streams["generator"] = rgd_arr
-            streams["distributor"] = rgd_arr.copy()
-        return streams
+            streams["leader"] = np.asarray(period_sums, dtype=float)
+        if not rgd_active:
+            return streams, None
+        paid = [period_sums[p + 1] if p + 1 < len(period_sums) else 0.0
+                for p in sr_by_period]
+        streams["generator"] = np.asarray(paid, dtype=float)
+        streams["distributor"] = streams["generator"].copy()
+        sr_sums = np.zeros(n)
+        for sr in sr_by_period.values():
+            sr_sums += sr
+        return streams, sr_sums
 
     def save_checkpoints(self, directory):
         directory = Path(directory)

@@ -121,6 +121,9 @@ def test_config_rejects_unknown_bits(tmp_path):
     unknown_node = CONFIG_TEXT.replace("a->b, a->c", "a->z")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, text=unknown_node))
+    bad_agent_key = CONFIG_TEXT.replace("goal_dim = 2", "goal_dims = 2")
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, text=bad_agent_key))
 
 
 def test_run_mode_parsing():

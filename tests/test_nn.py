@@ -282,7 +282,7 @@ class TestCategoricalHead:
         counts = np.zeros(4)
         n = 8000
         for _ in range(n):
-            (action,), logp, ent = sample_and_logprob(head, np.zeros(4), rng)
+            (action,), logp = sample_and_logprob(head, np.zeros(4), rng)
             counts[action] += 1
         p = 0.25
         sigma = math.sqrt(n * p * (1 - p))
@@ -290,10 +290,12 @@ class TestCategoricalHead:
 
     def test_logp_and_entropy_uniform(self):
         head = CategoricalHead((5,))
-        action, logp, ent = sample_and_logprob(head, np.zeros(5),
-                                               np.random.default_rng(0))
+        (action,), logp = sample_and_logprob(head, np.zeros(5),
+                                             np.random.default_rng(0))
         assert abs(logp - math.log(0.2)) < 1e-12
-        assert abs(ent - math.log(5.0)) < 1e-12
+        _, ent, _, _ = categorical_stats(head, np.zeros((1, 5)),
+                                         np.array([[action]]))
+        assert abs(ent[0] - math.log(5.0)) < 1e-12
 
     def test_frozen_is_argmax(self):
         head = CategoricalHead((3,))
@@ -331,16 +333,14 @@ class TestCategoricalHead:
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(50):
             params = data.standard_normal(head.param_dim)
-            action, logp, ent = sample_and_logprob(head, params, rng)
-            want_action, want_logp, want_ent = [], 0.0, 0.0
+            action, logp = sample_and_logprob(head, params, rng)
+            want_action, want_logp = [], 0.0
             for single, (lo, hi) in zip(singles, head.bounds):
-                (a,), lp, en = sample_and_logprob(single, params[lo:hi],
-                                                  ref_rng)
+                (a,), lp = sample_and_logprob(single, params[lo:hi], ref_rng)
                 want_action.append(a)
                 want_logp += lp
-                want_ent += en
             assert action == tuple(want_action)
-            assert logp == want_logp and ent == want_ent
+            assert logp == want_logp
             assert frozen_action(head, params) == tuple(
                 frozen_action(single, params[lo:hi])[0]
                 for single, (lo, hi) in zip(singles, head.bounds))

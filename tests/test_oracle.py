@@ -101,7 +101,7 @@ def test_dp_matches_monte_carlo_rollouts():
     for episode in range(4000):
         env.reset(int(rng.integers(2 ** 31)))
         total = 0.0
-        for _ in range(env.horizon):
+        for _ in range(env.max_steps):
             actions = [int(rng.integers(a)) for a in env.n_actions]
             _, r, _ = env.step(actions)
             total += r

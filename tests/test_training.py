@@ -233,14 +233,6 @@ def test_lfm_mode_appends_goals_to_followers():
     assert trainer.agents["leader"].obs_dim == sum(trainer.env.obs_dims)
 
 
-def test_leader_full_state_widens_leader_input():
-    cfg = micro_config(RunMode.LFM, leader_full_state=True)
-    trainer = Trainer(cfg)
-    n, m = 3, cfg.goal_dim
-    assert trainer.agents["leader"].obs_dim == \
-        sum(trainer.env.obs_dims) + n * m + n
-
-
 def test_rfm_mode_wires_generator_and_distributor():
     cfg = micro_config(RunMode.RFM, goal_period=4, horizon=12)
     trainer = Trainer(cfg)
@@ -331,6 +323,86 @@ def test_first_episode_budget_is_zero():
     np.testing.assert_array_equal(first.sr_sums, np.zeros(3))
     second = trainer.run_episode(1)
     assert second.sr_sums.sum() > 0.0  # baseline now set, budget positive
+
+
+def sequential_period_sums(team, goal_period):
+    sums = []
+    for start in range(0, len(team), goal_period):
+        total = 0.0
+        for reward in team[start:start + goal_period]:
+            total += reward
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("horizon", [10, 12])
+def test_role_streams_are_period_sums_of_team_rewards(horizon):
+    # the micro env's own random reward tables, so step rewards differ
+    trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=horizon,
+                                   seed=4))
+    team = []
+    env_step = trainer.env.step
+
+    def step(actions):
+        obs, reward, done = env_step(actions)
+        team.append(reward)
+        return obs, reward, done
+
+    trainer.env.step = step
+    paid = {}
+    for role in ("leader", "generator", "distributor"):
+        def update(batch, role=role, original=trainer.agents[role].update):
+            paid[role] = batch.rewards.copy()
+            return original(batch)
+        trainer.agents[role].update = update
+
+    for episode in range(2):
+        team.clear()
+        paid.clear()
+        trainer.run_episode(episode)
+        assert len(team) == horizon and len(set(team)) > 1
+        sums = sequential_period_sums(team, 4)
+        np.testing.assert_array_equal(paid["leader"], sums)
+        # each complete period's action is paid the next period's sum; an
+        # action after the final period is paid nothing
+        want = sums[1:] + ([0.0] if horizon % 4 == 0 else [])
+        np.testing.assert_array_equal(paid["generator"], want)
+        np.testing.assert_array_equal(paid["distributor"], want)
+
+
+def test_leader_input_is_concatenated_observation_in_every_run():
+    trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=10, seed=6))
+    env = trainer.env
+    leader = trainer.agents["leader"]
+    assert leader.obs_dim == sum(env.obs_dims)
+    observed, inputs = [], []
+    env_reset, env_step = env.reset, env.step
+
+    def reset(seed):
+        observed.append(env_reset(seed))
+        return observed[-1]
+
+    def step(actions):
+        obs, reward, done = env_step(actions)
+        observed.append(obs)
+        return obs, reward, done
+
+    env.reset, env.step = reset, step
+    for name in ("act", "frozen_act"):
+        def spy(state, original=getattr(leader, name)):
+            inputs.append(np.array(state))
+            return original(state)
+        setattr(leader, name, spy)
+
+    for frozen in (False, True):
+        observed.clear()
+        inputs.clear()
+        trainer.run_episode(0, env_seed=3, frozen=frozen)
+        period_starts = range(0, len(observed) - 1, env.goal_period)
+        assert len(inputs) == len(period_starts) == 3
+        for state, t in zip(inputs, period_starts):
+            assert state.shape == (leader.obs_dim,)
+            np.testing.assert_array_equal(state, np.concatenate(observed[t]))
 
 
 def test_follower_transition_counts():
