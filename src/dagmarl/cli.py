@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      load_config)
-from .logio import (IoError, SchemaMismatch, read_episode_csv,
-                    write_episode_csv)
+from .logio import (IoError, SchemaMismatch, atomic_write_bytes,
+                    read_episode_csv, write_episode_csv)
 from .metrics import EmptySeries, min_max_normalize, moving_average
 from .nn import CheckpointMismatch
 from .plotting import histogram_chart, line_chart
@@ -25,6 +25,10 @@ def _config_dict(config: ExperimentConfig) -> dict:
     data["env_options"] = {k: list(v) if isinstance(v, tuple) else v
                            for k, v in config.env_options.items()}
     return data
+
+
+def _json_bytes(data) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _load(args) -> ExperimentConfig:
@@ -54,9 +58,7 @@ def _cmd_train(args) -> int:
     result.trainer.save_checkpoints(out / "checkpoints")
     meta = {"config": _config_dict(config), "wall_seconds": wall,
             "episodes_run": len(result.records)}
-    with open(out / "run_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_bytes(out / "run_meta.json", _json_bytes(meta))
 
     tail = [r.team_reward for r in result.records[-100:]]
     mean_tail = sum(tail) / len(tail) if tail else float("nan")
@@ -77,17 +79,16 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out) if args.out else Path(args.checkpoints)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "eval_summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_bytes(out / "eval_summary.json", _json_bytes(result.summary))
     lines = [f"{i},{r!r}" for i, r in enumerate(result.rewards)]
-    (out / "eval_rewards.csv").write_text(
-        "# dagmarl-log v1\nepisode,team_reward\n" + "\n".join(lines) + "\n")
+    atomic_write_bytes(out / "eval_rewards.csv", (
+        "# dagmarl-log v1\nepisode,team_reward\n" + "\n".join(lines)
+        + "\n").encode())
     chart = histogram_chart(result.counts, result.edges,
                             x_label="episode team reward",
                             title=f"{config.mode.value}/{config.env_name} "
                                   f"({episodes} frozen episodes)")
-    (out / "eval_histogram.svg").write_text(chart)
+    atomic_write_bytes(out / "eval_histogram.svg", chart.encode())
 
     s = result.summary
     print(f"evaluated {episodes} episodes: mean {s['mean']:.3f}, "
@@ -101,10 +102,10 @@ def _cmd_verify(args) -> int:
 
     report = run_bound_campaign(trials=args.trials, seed=args.seed or 0,
                                 gamma=args.gamma)
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    print(payload)
+    payload = _json_bytes(report.to_dict())
+    print(payload.decode(), end="")
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        atomic_write_bytes(args.out, payload)
     return 0 if report.violations == 0 else 1
 
 
@@ -127,7 +128,7 @@ def _cmd_plot(args) -> int:
         series[name] = values
     y_label = args.column + (" (normalized)" if args.normalize else "")
     chart = line_chart(series, y_label=y_label, title=args.title or "")
-    Path(args.out).write_text(chart)
+    atomic_write_bytes(args.out, chart.encode())
     print(f"wrote {args.out}")
     return 0
 

@@ -125,10 +125,6 @@ class DagEnv:
             self._ready = False
         return self.observe(), float(reward), bool(done)
 
-    def global_state(self) -> np.ndarray:
-        return np.concatenate([np.asarray(o, dtype=np.float64)
-                               for o in self.observe()])
-
     def signature(self) -> tuple:
         return (type(self).__name__, self.topology.node_count,
                 tuple(self.obs_dims), tuple(self.action_sizes),

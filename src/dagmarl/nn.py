@@ -79,10 +79,6 @@ class DenseNet:
     def in_dim(self):
         return self.layer_dims[0]
 
-    @property
-    def out_dim(self):
-        return self.layer_dims[-1]
-
     def _prep(self, x):
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -149,13 +145,6 @@ class DenseNet:
             offset = end + fan_out
         return out
 
-    def parameters(self):
-        """Live views into ``flat``, ordered (W0, b0, W1, b1, ...)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
     def copy_parameters(self):
         return self.flat.copy()
 
@@ -164,10 +153,6 @@ class DenseNet:
             raise ShapeMismatch(
                 f"{flat.shape} parameters into {self.flat.shape}")
         self.flat[...] = flat
-
-    @property
-    def n_params(self):
-        return self.flat.size
 
     # -- serialization -------------------------------------------------------
     # flat binary record: magic, version, layer dims, then parameters

@@ -50,23 +50,24 @@ class PpoConfig:
 
 @dataclass
 class TrajectoryBatch:
-    """One row per step, in episode order, plus the bootstrap value after
-    the last step.
+    """What acting produced, one row per step in episode order, plus the
+    rewards, terminal flags and the bootstrap value after the last step.
 
     ``actions`` has the layout of the learner head's ``empty_actions``.
+    Value estimates are not part of a rollout: ``update`` evaluates them
+    for all ``states`` in one pass.
     """
 
     states: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
     rewards: np.ndarray
-    values: np.ndarray
     terminals: np.ndarray
     bootstrap_value: float = 0.0
 
     def __post_init__(self):
         rows = {len(a) for a in (self.states, self.actions, self.log_probs,
-                                 self.rewards, self.values, self.terminals)}
+                                 self.rewards, self.terminals)}
         if len(rows) != 1:
             raise ValueError(f"rollout arrays disagree on length: {rows}")
 
@@ -74,18 +75,22 @@ class TrajectoryBatch:
         return len(self.rewards)
 
 
-def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
+def compute_gae(batch: TrajectoryBatch, values: np.ndarray, gamma: float,
+                lam: float):
     """Generalized advantage estimates and value targets.
 
-    Backward recursion; a terminal flag cuts both the bootstrap and the
-    advantage tail, so a batch may hold several episode segments.
+    ``values`` holds V_old(s_t), one per row of ``batch``.  Backward
+    recursion; a terminal flag cuts both the bootstrap and the advantage
+    tail, so a batch may hold several episode segments.
     Returns (advantages, returns) with returns = advantages + values.
     """
     if len(batch) == 0:
         raise EmptyBatch("no transitions")
+    if len(values) != len(batch):
+        raise ValueError(f"{len(values)} values for {len(batch)} rows")
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
     rewards = batch.rewards.tolist()
-    values = batch.values.tolist()
+    value_list = values.tolist()
     terminals = batch.terminals.tolist()
     n = len(rewards)
     adv = np.zeros(n)
@@ -95,11 +100,11 @@ def compute_gae(batch: TrajectoryBatch, gamma: float, lam: float):
         if terminals[t]:
             next_value = 0.0
             next_adv = 0.0
-        delta = rewards[t] + gamma * next_value - values[t]
+        delta = rewards[t] + gamma * next_value - value_list[t]
         next_adv = delta + gamma * lam * next_adv
         adv[t] = next_adv
-        next_value = values[t]
-    return adv, adv + batch.values
+        next_value = value_list[t]
+    return adv, adv + values
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +130,13 @@ class PpoLearner:
     # -- acting ------------------------------------------------------------
 
     def act(self, state):
-        """Samples an action; returns (action, log_prob, value)."""
-        params = self.policy.forward(state)
-        action, logp = nn.sample_and_logprob(self.head, params, self.rng)
-        value = float(self.value.forward(state)[0])
-        return action, logp, value
+        """Samples an action; returns (action, log_prob).
+
+        The value net does not run here; ``update`` evaluates it for the
+        whole rollout at once.
+        """
+        return nn.sample_and_logprob(self.head, self.policy.forward(state),
+                                     self.rng)
 
     def frozen_act(self, state):
         return nn.frozen_action(self.head, self.policy.forward(state))
@@ -138,22 +145,24 @@ class PpoLearner:
         """Zeroed rollout arrays for up to ``rows`` steps of this learner."""
         return TrajectoryBatch(np.zeros((rows, self.obs_dim)),
                                self.head.empty_actions(rows), np.zeros(rows),
-                               np.zeros(rows), np.zeros(rows),
-                               np.zeros(rows, dtype=bool))
+                               np.zeros(rows), np.zeros(rows, dtype=bool))
 
     # -- learning ------------------------------------------------------------
 
     def update(self, batch: TrajectoryBatch) -> dict:
         """One PPO update over the batch; returns loss/entropy diagnostics.
 
-        On any non-finite loss or gradient the pre-update parameters and
-        optimizer state are restored before NonFiniteLoss is raised.
+        V_old is the value net on every state of the batch in one pass, taken
+        before any step.  On any non-finite loss or gradient the pre-update
+        parameters and optimizer state are restored before NonFiniteLoss is
+        raised.
         """
         if len(batch) == 0:
             raise EmptyBatch("no transitions")
         cfg = self.config
         states, actions, old_logp = batch.states, batch.actions, batch.log_probs
-        adv, returns = compute_gae(batch, cfg.gamma, cfg.gae_lambda)
+        adv, returns = compute_gae(batch, self.value.forward(states)[:, 0],
+                                   cfg.gamma, cfg.gae_lambda)
         if not (np.all(np.isfinite(adv)) and np.all(np.isfinite(returns))):
             raise NonFiniteLoss("non-finite advantages or returns")
         std = adv.std()

@@ -232,7 +232,7 @@ class Trainer:
             batch = TrajectoryBatch(rows.states[:count], rows.actions[:count],
                                     rows.log_probs[:count],
                                     np.asarray(rewards, dtype=float),
-                                    rows.values[:count], terminals)
+                                    terminals)
             diagnostics[role] = self.agents[role].update(batch)
         if rgd_active:
             self.baseline = update_baseline(self.baseline, total, periods)
@@ -245,12 +245,11 @@ class Trainer:
         agent = self.agents[role]
         if frozen:
             return agent.frozen_act(state)
-        action, log_prob, value = agent.act(state)
+        action, log_prob = agent.act(state)
         rows = rollouts[role]
         rows.states[t] = state
         rows.actions[t] = action
         rows.log_probs[t] = log_prob
-        rows.values[t] = value
         return action
 
     def _select_actions(self, obs, goals, rollouts, t, frozen):

@@ -6,10 +6,14 @@ modes; it is printed for inspection but never asserted, since at the reduced
 problem scale used here the centralized baseline is not expected to lag.
 
 The learning runs (criteria 7 and 11) share one module-scoped campaign:
-3 modes x 3 seeds on the reduced factory, about half a minute per run.
+3 modes x 3 seeds on the reduced factory, run in parallel worker processes,
+under a minute per run.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -160,13 +164,13 @@ def test_criterion_3_gradient_correctness():
 # -- criterion 4: advantage estimator ----------------------------------------------
 
 
-def _batch(rewards, values, terminal_last=True):
+def _batch(rewards, terminal_last=True):
     n = len(rewards)
     terminals = np.zeros(n, dtype=bool)
     terminals[-1] = terminal_last
     return TrajectoryBatch(np.zeros((n, 1)), np.zeros(n, dtype=int),
                            np.zeros(n), np.asarray(rewards, dtype=float),
-                           np.asarray(values, dtype=float), terminals)
+                           terminals)
 
 
 def test_criterion_4_gae_oracle():
@@ -176,7 +180,7 @@ def test_criterion_4_gae_oracle():
     for _ in range(50):
         steps = int(rng.integers(2, 60))
         rewards = rng.normal(size=steps)
-        adv, _ = compute_gae(_batch(rewards, np.zeros(steps)),
+        adv, _ = compute_gae(_batch(rewards), np.zeros(steps),
                              gamma=gamma, lam=1.0)
         rtg = np.zeros(steps)
         acc = 0.0
@@ -185,7 +189,7 @@ def test_criterion_4_gae_oracle():
             rtg[t] = acc
         worst = max(worst, float(np.max(np.abs(adv - rtg))))
 
-    adv, _ = compute_gae(_batch([1.0, 1.0], [0.5, 0.5]),
+    adv, _ = compute_gae(_batch([1.0, 1.0]), np.array([0.5, 0.5]),
                          gamma=0.99, lam=0.95)
     frozen_ok = (abs(adv[1] - 0.5) <= 1e-12
                  and abs(adv[0] - 1.46525) <= 1e-12)
@@ -277,19 +281,27 @@ def _learning_config(mode, seed):
                             ppo=PpoConfig(hidden=(64, 64)))
 
 
+def _learning_run(mode, seed):
+    """One campaign run; module level so a worker process can import it."""
+    started = time.perf_counter()
+    result = train(_learning_config(mode, seed))
+    wall = time.perf_counter() - started
+    rewards = np.array([r.team_reward for r in result.records])
+    return {"rewards": rewards, "wall": wall}
+
+
 @pytest.fixture(scope="module")
 def learning_runs():
-    out = {}
-    for mode in (RunMode.SRM, RunMode.PROPOSED, RunMode.GS):
-        per_seed = []
-        for seed in SEEDS:
-            started = time.perf_counter()
-            result = train(_learning_config(mode, seed))
-            wall = time.perf_counter() - started
-            rewards = np.array([r.team_reward for r in result.records])
-            per_seed.append({"rewards": rewards, "wall": wall})
-        out[mode] = per_seed
-    return out
+    # the nine runs share nothing, so they run side by side; each run's
+    # rewards are those of a run on its own, only its wall time grows
+    modes = (RunMode.SRM, RunMode.PROPOSED, RunMode.GS)
+    jobs = [(mode, seed) for mode in modes for seed in SEEDS]
+    with ProcessPoolExecutor(
+            min(os.cpu_count() or 1, len(jobs)),
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {job: pool.submit(_learning_run, *job) for job in jobs}
+        return {mode: [futures[mode, seed].result() for seed in SEEDS]
+                for mode in modes}
 
 
 def test_criterion_7_learning_smoke(learning_runs):

@@ -34,6 +34,7 @@ from dagmarl.envs.micro import (
 )
 from dagmarl.envs.base import DagEnv
 from dagmarl.envs.prey import DIRS, LEASH, PARENT
+from helpers import global_state
 
 
 def small_envs():
@@ -56,7 +57,7 @@ def rollout(env, seed, steps, action_rng):
     for _ in range(steps):
         _, r, done = env.step(random_actions(env, action_rng))
         rewards.append(r)
-        states.append(env.global_state().copy())
+        states.append(global_state(env).copy())
         dones.append(done)
         if done:
             break
@@ -129,7 +130,7 @@ def test_episode_terminates_and_locks(env):
 @pytest.mark.parametrize("env", small_envs(), ids=lambda e: type(e).__name__)
 def test_global_state_concatenates_observations(env):
     env.reset(2)
-    flat = env.global_state()
+    flat = global_state(env)
     parts = [np.asarray(o, dtype=np.float64) for o in env.observe()]
     assert flat.shape == (sum(env.obs_dims),)
     np.testing.assert_array_equal(flat, np.concatenate(parts))

@@ -212,6 +212,44 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["agent.ckpt", "episodes.csv"]
 
 
+def test_failed_replace_keeps_old_evaluation_files(tmp_path, monkeypatch,
+                                                   capsys):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+    eval_dir = tmp_path / "eval"
+    evaluate_args = ["evaluate", str(tmp_path / "run" / "checkpoints"),
+                     "--config", str(cfg), "--episodes", "5",
+                     "--out", str(eval_dir)]
+    assert main(evaluate_args + ["--seed", "1"]) == 0
+    names = ["eval_histogram.svg", "eval_rewards.csv", "eval_summary.json"]
+    assert sorted(os.listdir(eval_dir)) == names
+    old = {name: (eval_dir / name).read_bytes() for name in names}
+
+    replace = os.replace
+
+    def refuse(name):
+        def refusing_replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("replace refused")
+            replace(src, dst)
+        return refusing_replace
+
+    # each output in turn fails to replace; the others may go through
+    for name in names:
+        before = (eval_dir / name).read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse(name))
+            with pytest.raises(OSError):
+                main(evaluate_args + ["--seed", "2"])
+        assert sorted(os.listdir(eval_dir)) == names
+        assert (eval_dir / name).read_bytes() == before
+    # the refused evaluation would have written other bytes to every file
+    assert main(evaluate_args + ["--seed", "2"]) == 0
+    for name in names:
+        assert (eval_dir / name).read_bytes() != old[name]
+    capsys.readouterr()
+
+
 def test_read_validates_header_and_width(tmp_path):
     bad_version = tmp_path / "v.csv"
     bad_version.write_text("# dagmarl-log v9\nepisode\n0\n")

@@ -13,6 +13,7 @@ from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         NonFiniteGradient, NonFiniteInput, ShapeMismatch,
                         adam_step, beta_shapes, beta_stats, categorical_stats,
                         frozen_action, sample_and_logprob)
+from helpers import n_params, parameters
 
 
 def forward_oracle(net, x):
@@ -172,20 +173,20 @@ def adam_reference(params, grads, ms, vs, t, lr, beta1=0.9, beta2=0.999,
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in parameters(net)]
         state = AdamState.for_net(net, learning_rate=0.1)
         zero = np.zeros_like(net.flat)
         adam_step(state, net.flat, zero)
-        for p0, p1 in zip(before, net.parameters()):
+        for p0, p1 in zip(before, parameters(net)):
             np.testing.assert_array_equal(p0, p1)
 
     def test_zero_lr_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
-        before = [p.copy() for p in net.parameters()]
+        before = [p.copy() for p in parameters(net)]
         state = AdamState.for_net(net, learning_rate=0.0)
         grads = np.ones_like(net.flat)
         adam_step(state, net.flat, grads)
-        for p0, p1 in zip(before, net.parameters()):
+        for p0, p1 in zip(before, parameters(net)):
             np.testing.assert_array_equal(p0, p1)
 
     def test_matches_scalar_simulation_on_square(self):
@@ -218,7 +219,7 @@ class TestAdam:
 
     def test_fused_step_matches_per_tensor_reference(self):
         net = DenseNet([7, 256, 256, 3], np.random.default_rng(5))
-        ref_params = [p.copy() for p in net.parameters()]
+        ref_params = [p.copy() for p in parameters(net)]
         ref_m = [np.zeros_like(p) for p in ref_params]
         ref_v = [np.zeros_like(p) for p in ref_params]
         state = AdamState.for_net(net, learning_rate=1e-3)
@@ -228,7 +229,7 @@ class TestAdam:
             adam_step(state, net.flat, grad)
             grads = [g for pair in net.layer_views(grad) for g in pair]
             adam_reference(ref_params, grads, ref_m, ref_v, t, 1e-3)
-        for fused, ref in zip(net.parameters(), ref_params):
+        for fused, ref in zip(parameters(net), ref_params):
             np.testing.assert_array_equal(fused, ref)
         np.testing.assert_array_equal(
             state.m, np.concatenate([m.ravel() for m in ref_m]))
@@ -252,22 +253,22 @@ class TestAdam:
 class TestFlatParameters:
     def test_parameters_are_views_into_flat(self):
         net = DenseNet([4, 6, 5, 2], np.random.default_rng(3))
-        for p in net.parameters():
+        for p in parameters(net):
             assert np.shares_memory(p, net.flat)
         loaded, _ = DenseNet.from_bytes(net.to_bytes())
-        for p in loaded.parameters():
+        for p in parameters(loaded):
             assert np.shares_memory(p, loaded.flat)
         other = DenseNet([4, 6, 5, 2], np.random.default_rng(4))
         other.load_parameters(net.copy_parameters())
-        for p in other.parameters():
+        for p in parameters(other):
             assert np.shares_memory(p, other.flat)
         np.testing.assert_array_equal(other.flat, net.flat)
 
     def test_layout_is_row_major_per_layer(self):
         net = DenseNet([3, 4, 2], np.random.default_rng(8))
         np.testing.assert_array_equal(
-            net.flat, np.concatenate([p.ravel() for p in net.parameters()]))
-        assert net.n_params == net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
+            net.flat, np.concatenate([p.ravel() for p in parameters(net)]))
+        assert n_params(net) == net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_load_parameters_rejects_wrong_size(self):
         net = DenseNet([3, 4, 2], np.random.default_rng(8))
@@ -438,7 +439,7 @@ class TestCheckpoint:
         blob = net.to_bytes()
         loaded, offset = DenseNet.from_bytes(blob)
         assert offset == len(blob)
-        for p0, p1 in zip(net.parameters(), loaded.parameters()):
+        for p0, p1 in zip(parameters(net), parameters(loaded)):
             np.testing.assert_array_equal(p0, p1)
 
     def test_concatenated_records(self):

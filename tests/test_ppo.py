@@ -5,26 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagmarl import nn
+from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch
 from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
                          TrajectoryBatch, compute_gae)
+from helpers import parameters
 
 
 def batch_of(rows, bootstrap=0.0):
-    """TrajectoryBatch from (state, action, log_prob, reward, value,
-    terminal) rows."""
-    states, actions, log_probs, rewards, values, terminals = zip(*rows)
+    """TrajectoryBatch from (state, action, log_prob, reward, terminal)
+    rows."""
+    states, actions, log_probs, rewards, terminals = zip(*rows)
     return TrajectoryBatch(np.array(states), np.array(actions),
                            np.array(log_probs), np.array(rewards, dtype=float),
-                           np.array(values, dtype=float),
                            np.array(terminals, dtype=bool), bootstrap)
 
 
-def make_batch(rewards, values, terminals, bootstrap=0.0):
-    return batch_of([(np.zeros(1), 0, 0.0, float(r), float(v), t)
-                     for r, v, t in zip(rewards, values, terminals)],
-                    bootstrap)
+def gae_of(rewards, values, terminals, gamma, lam, bootstrap=0.0):
+    """compute_gae on a batch of the given rewards and terminal flags."""
+    batch = batch_of([(np.zeros(1), 0, 0.0, float(r), t)
+                      for r, t in zip(rewards, terminals)], bootstrap)
+    return compute_gae(batch, np.asarray(values, dtype=float), gamma, lam)
 
 
 def reward_to_go(rewards, gamma):
@@ -38,8 +39,7 @@ def reward_to_go(rewards, gamma):
 
 class TestGae:
     def test_frozen_two_step_example(self):
-        batch = make_batch([1.0, 1.0], [0.5, 0.5], [False, True])
-        adv, ret = compute_gae(batch, 0.99, 0.95)
+        adv, ret = gae_of([1.0, 1.0], [0.5, 0.5], [False, True], 0.99, 0.95)
         assert abs(adv[1] - 0.5) < 1e-12
         assert abs(adv[0] - 1.46525) < 1e-12
 
@@ -50,8 +50,7 @@ class TestGae:
             gamma = float(rng.uniform(0.5, 1.0))
             rewards = rng.standard_normal(n)
             terminals = [False] * (n - 1) + [True]
-            batch = make_batch(rewards, np.zeros(n), terminals)
-            adv, ret = compute_gae(batch, gamma, 1.0)
+            adv, ret = gae_of(rewards, np.zeros(n), terminals, gamma, 1.0)
             expected = reward_to_go(rewards, gamma)
             np.testing.assert_allclose(adv, expected, rtol=0, atol=1e-10)
             np.testing.assert_allclose(ret, expected, rtol=0, atol=1e-10)
@@ -59,8 +58,7 @@ class TestGae:
     def test_mid_batch_terminal_blocks_flow(self):
         # two one-step episodes in one batch: the second reward must not
         # leak into the first episode's advantage
-        batch = make_batch([1.0, 100.0], [0.0, 0.0], [True, True])
-        adv, _ = compute_gae(batch, 0.99, 0.95)
+        adv, _ = gae_of([1.0, 100.0], [0.0, 0.0], [True, True], 0.99, 0.95)
         assert abs(adv[0] - 1.0) < 1e-12
         assert abs(adv[1] - 100.0) < 1e-12
 
@@ -68,20 +66,17 @@ class TestGae:
         rng = np.random.default_rng(7)
         r1, r2 = rng.standard_normal(5), rng.standard_normal(4)
         v1, v2 = rng.standard_normal(5), rng.standard_normal(4)
-        joint = make_batch(np.concatenate([r1, r2]),
-                           np.concatenate([v1, v2]),
-                           [False] * 4 + [True] + [False] * 3 + [True])
-        a_joint, _ = compute_gae(joint, 0.99, 0.95)
-        a1, _ = compute_gae(make_batch(r1, v1, [False] * 4 + [True]),
+        a_joint, _ = gae_of(np.concatenate([r1, r2]),
+                            np.concatenate([v1, v2]),
+                            [False] * 4 + [True] + [False] * 3 + [True],
                             0.99, 0.95)
-        a2, _ = compute_gae(make_batch(r2, v2, [False] * 3 + [True]),
-                            0.99, 0.95)
+        a1, _ = gae_of(r1, v1, [False] * 4 + [True], 0.99, 0.95)
+        a2, _ = gae_of(r2, v2, [False] * 3 + [True], 0.99, 0.95)
         np.testing.assert_allclose(a_joint, np.concatenate([a1, a2]),
                                    atol=1e-12)
 
     def test_bootstrap_used_when_not_terminal(self):
-        batch = make_batch([1.0], [0.0], [False], bootstrap=10.0)
-        adv, _ = compute_gae(batch, 0.5, 1.0)
+        adv, _ = gae_of([1.0], [0.0], [False], 0.5, 1.0, bootstrap=10.0)
         assert abs(adv[0] - (1.0 + 0.5 * 10.0)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -93,8 +88,7 @@ class TestGae:
         terminals = list(rng.random(n) < 0.2)
         terminals[-1] = True
         gamma, lam = 0.97, 0.9
-        batch = make_batch(rewards, values, terminals)
-        adv, ret = compute_gae(batch, gamma, lam)
+        adv, ret = gae_of(rewards, values, terminals, gamma, lam)
         # direct recursion oracle
         expected = np.zeros(n)
         acc = 0.0
@@ -118,16 +112,16 @@ class TestLearner:
     def test_act_shapes_discrete(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            np.random.default_rng(0))
-        (action,), logp, value = agent.act(np.zeros(3))
+        (action,), logp = agent.act(np.zeros(3))
         assert 0 <= action < 4
-        assert np.isfinite(logp) and np.isfinite(value)
+        assert np.isfinite(logp)
         (frozen,) = agent.frozen_act(np.zeros(3))
         assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
         agent = PpoLearner(3, BetaHead(5), small_config(),
                            np.random.default_rng(0))
-        action, logp, value = agent.act(np.zeros(3))
+        action, logp = agent.act(np.zeros(3))
         assert action.shape == (5,)
         assert np.all((action > 0.0) & (action < 1.0))
         frozen = agent.frozen_act(np.zeros(3))
@@ -136,10 +130,50 @@ class TestLearner:
     def test_act_shapes_joint(self):
         agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
                            np.random.default_rng(0))
-        action, logp, value = agent.act(np.zeros(3))
+        action, logp = agent.act(np.zeros(3))
         assert len(action) == 3
         for a, size in zip(action, (2, 3, 4)):
             assert 0 <= a < size
+
+    @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
+                             ids=["categorical", "beta"])
+    def test_act_does_not_run_the_value_net(self, head, monkeypatch):
+        agent = PpoLearner(3, head, small_config(), np.random.default_rng(0))
+        calls = []
+        forward_cached = agent.value.forward_cached
+        monkeypatch.setattr(agent.value, "forward_cached",
+                            lambda x: calls.append(1) or forward_cached(x))
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            agent.act(rng.standard_normal(3))
+        assert calls == []
+        agent.value.forward(np.zeros(3))
+        assert calls == [1], "the counter must see value-net calls"
+
+    def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
+        agent = PpoLearner(5, CategoricalHead((3,)),
+                           small_config(hidden=(64, 64)),
+                           np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        rows = []
+        for t in range(57):
+            s = rng.standard_normal(5)
+            a, logp = agent.act(s)
+            rows.append((s, a, logp, rng.standard_normal(), t == 56))
+        batch = batch_of(rows)
+        batched = agent.value.forward(batch.states)[:, 0]
+        row_by_row = np.array([agent.value.forward(s)[0]
+                               for s in batch.states])
+        seen = []
+        real_gae = ppo.compute_gae
+        monkeypatch.setattr(
+            ppo, "compute_gae",
+            lambda b, values, *a: (seen.append(values.copy())
+                                   or real_gae(b, values, *a)))
+        agent.update(batch)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], batched)
+        np.testing.assert_allclose(seen[0], row_by_row, rtol=0, atol=1e-12)
 
     def test_bandit_learns_best_arm(self):
         # contextual-free 2-armed bandit: arm 0 pays 1, arm 1 pays 0
@@ -149,9 +183,9 @@ class TestLearner:
         for _ in range(150):
             rows = []
             for _ in range(32):
-                action, logp, value = agent.act(state)
+                action, logp = agent.act(state)
                 reward = 1.0 if action == (0,) else 0.0
-                rows.append((state, action, logp, reward, value, True))
+                rows.append((state, action, logp, reward, True))
             agent.update(batch_of(rows))
         pulls = [agent.act(state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
@@ -163,8 +197,8 @@ class TestLearner:
         rng = np.random.default_rng(5)
         for t in range(20):
             s = rng.standard_normal(2)
-            a, logp, v = agent.act(s)
-            rows.append((s, a, logp, rng.standard_normal(), v, t == 19))
+            a, logp = agent.act(s)
+            rows.append((s, a, logp, rng.standard_normal(), t == 19))
         diags = agent.update(batch_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
@@ -181,8 +215,8 @@ class TestLearner:
         rng = np.random.default_rng(5)
         for t in range(30):
             s = rng.standard_normal(2)
-            a, logp, v = agent.act(s)
-            rows.append((s, a, logp, rng.standard_normal(), v, t == 29))
+            a, logp = agent.act(s)
+            rows.append((s, a, logp, rng.standard_normal(), t == 29))
         diags = agent.update(batch_of(rows))
         assert diags["clip_fraction"] == 0.0
 
@@ -201,8 +235,8 @@ class TestLearner:
         def batch_with_rewards(rewards):
             rows = []
             for t, r in enumerate(rewards):
-                a, logp, v = agent.act(s)
-                rows.append((s, a, logp, r, v, t == len(rewards) - 1))
+                a, logp = agent.act(s)
+                rows.append((s, a, logp, r, t == len(rewards) - 1))
             return batch_of(rows)
 
         # warm up so the optimizer moments are not all zero
@@ -216,7 +250,7 @@ class TestLearner:
         # rows' returns do not include it), after others have stepped
         for rewards in ([np.inf, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]):
             params_before = [p.copy() for net in (agent.policy, agent.value)
-                             for p in net.parameters()]
+                             for p in parameters(net)]
             flat_before = (agent.policy.flat.copy(), agent.value.flat.copy())
             opt_before = (agent.opt_policy.snapshot(),
                           agent.opt_value.snapshot())
@@ -224,7 +258,7 @@ class TestLearner:
             with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
                 agent.update(batch)
             params_after = [p for net in (agent.policy, agent.value)
-                            for p in net.parameters()]
+                            for p in parameters(net)]
             for p0, p1 in zip(params_before, params_after):
                 np.testing.assert_array_equal(p0, p1)
             assert agent.opt_policy.snapshot()[0] == opt_before[0][0]
@@ -244,9 +278,10 @@ class TestLearner:
         rows = []
         for t in range(8):
             s = np.zeros(1)
-            a, logp, v = agent.act(s)
-            # overwrite value with 0 and reward constant: advantages equal
-            rows.append((s, a, logp, 1.0, 0.0, True))
+            a, logp = agent.act(s)
+            # every state is equal, so update's value estimates are equal
+            # too; with a constant reward the advantages are equal
+            rows.append((s, a, logp, 1.0, True))
         diags = agent.update(batch_of(rows))
         assert np.isfinite(diags["policy_loss"])
 

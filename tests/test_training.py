@@ -18,6 +18,7 @@ from dagmarl.training import (
     state_flow_indices,
     train,
 )
+from helpers import parameters
 
 
 def tiny_ppo(**kw):
@@ -444,13 +445,13 @@ def test_env_seed_controls_environment_draws():
 
 def test_frozen_episode_leaves_parameters_untouched():
     trainer = Trainer(micro_config(RunMode.PROPOSED, seed=5))
-    before = {role: [p.copy() for p in agent.policy.parameters()]
+    before = {role: [p.copy() for p in parameters(agent.policy)]
               for role, agent in trainer.agents.items()}
     record = trainer.run_episode(0, env_seed=1, frozen=True)
     assert record.agent_rewards == {}
     assert record.sr_sums is None
     for role, agent in trainer.agents.items():
-        for old, new in zip(before[role], agent.policy.parameters()):
+        for old, new in zip(before[role], parameters(agent.policy)):
             np.testing.assert_array_equal(old, new)
 
 
