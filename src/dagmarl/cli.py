@@ -11,10 +11,9 @@ from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
                      load_config)
-from .logio import (IoError, SchemaMismatch, atomic_write_bytes,
-                    read_episode_csv, write_episode_csv)
-from .metrics import EmptySeries, min_max_normalize, moving_average
-from .nn import CheckpointMismatch
+from .logio import (SchemaMismatch, atomic_write_bytes, read_episode_csv,
+                    write_episode_csv, write_log)
+from .metrics import min_max_normalize, moving_average
 from .plotting import histogram_chart, line_chart
 
 
@@ -80,10 +79,9 @@ def _cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     atomic_write_bytes(out / "eval_summary.json", _json_bytes(result.summary))
-    lines = [f"{i},{r!r}" for i, r in enumerate(result.rewards)]
-    atomic_write_bytes(out / "eval_rewards.csv", (
-        "# dagmarl-log v1\nepisode,team_reward\n" + "\n".join(lines)
-        + "\n").encode())
+    write_log(out / "eval_rewards.csv",
+              [{"episode": i, "team_reward": r}
+               for i, r in enumerate(result.rewards)])
     chart = histogram_chart(result.counts, result.edges,
                             x_label="episode team reward",
                             title=f"{config.mode.value}/{config.env_name} "
@@ -187,8 +185,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ConfigError, IoError, SchemaMismatch, CheckpointMismatch,
-            EmptySeries, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

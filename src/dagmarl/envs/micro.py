@@ -70,7 +70,7 @@ class MicroDagEnv(DagEnv):
         topo = self.topology
         for i in range(topo.node_count):
             sizes = [self.n_actions[j] for j in self.delta_order[i]]
-            ja = int(np.prod(sizes)) if sizes else 1
+            ja = int(np.prod(sizes))
             want = (self.n_states[i], ja, self.n_states[i])
             if self.transitions[i].shape != want:
                 raise InvalidDistribution(
@@ -89,7 +89,7 @@ class MicroDagEnv(DagEnv):
                 f"sinks are {topo.sinks}")
         for k, table in self.sink_rewards.items():
             sizes = [self.n_actions[j] for j in self.delta_order[k]]
-            want = (self.n_states[k], int(np.prod(sizes)) if sizes else 1)
+            want = (self.n_states[k], int(np.prod(sizes)))
             if table.shape != want:
                 raise InvalidDistribution(
                     f"sink {k}: reward shape {table.shape}, want {want}")
@@ -164,14 +164,14 @@ def sample_micro_env(rng: np.random.Generator, topology: DagTopology | None = No
         raw = rng.random(n_states[i]) + 1e-3
         p0.append(raw / raw.sum())
         sizes = [n_actions[j] for j in sorted(topology.ancestors(i))]
-        ja = int(np.prod(sizes)) if sizes else 1
+        ja = int(np.prod(sizes))
         t = rng.random((n_states[i], ja, n_states[i])) + 1e-3
         transitions.append(t / t.sum(axis=-1, keepdims=True))
 
     sink_rewards = {}
     for k in topology.sinks:
         sizes = [n_actions[j] for j in sorted(topology.ancestors(k))]
-        ja = int(np.prod(sizes)) if sizes else 1
+        ja = int(np.prod(sizes))
         sink_rewards[k] = rng.random((n_states[k], ja))
 
     return MicroDagEnv(topology, n_states, n_actions, p0, transitions,

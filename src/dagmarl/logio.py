@@ -1,11 +1,11 @@
 """Episode logs as versioned CSV.
 
-Layout: a `# dagmarl-log v1` header line, then a column row, then one row
-per episode.  Columns are `episode,team_reward,goal_periods`, one
-`reward:<role>` column per agent, and `sr:<node>` columns when synthetic
-rewards were active.  Floats are written with repr so a parse round-trips
-bit for bit.  No timestamps or host details appear here; those go in the
-run_meta.json sidecar so reruns with one seed diff clean.
+Layout: a `# dagmarl-log v1` header line, a column row, one row per
+episode.  Training logs have `episode,team_reward,goal_periods`, a
+`reward:<role>` column per agent and `sr:<node>` columns when synthetic
+rewards were active; evaluation logs have `episode,team_reward`.  Floats are
+written with repr so a parse round-trips bit for bit.  Timestamps and host
+details go in the run_meta.json sidecar, so reruns with one seed diff clean.
 """
 
 from __future__ import annotations
@@ -66,13 +66,17 @@ def episode_columns(record) -> dict:
 
 
 def write_episode_csv(path, records) -> None:
-    if not records:
-        raise IoError("refusing to write an empty episode log")
-    rows = [episode_columns(r) for r in records]
+    write_log(path, [episode_columns(r) for r in records])
+
+
+def write_log(path, rows) -> None:
+    """Writes rows, column -> value mappings in column order, as a log."""
+    if not rows:
+        raise IoError("refusing to write an empty log")
     header = list(rows[0])
     for row in rows:
         if list(row) != header:
-            raise SchemaMismatch("episode records disagree on columns")
+            raise SchemaMismatch("log rows disagree on columns")
     lines = [VERSION_LINE, ",".join(header)]
     lines += [",".join(_format(row[c]) for c in header) for row in rows]
     try:

@@ -49,58 +49,39 @@ class PpoConfig:
 
 
 @dataclass
-class TrajectoryBatch:
-    """What acting produced, one row per step in episode order, plus the
-    rewards, terminal flags and the bootstrap value after the last step.
+class Rollout:
+    """What a learner's acting produced, one row per step in order.
 
     ``actions`` has the layout of the learner head's ``empty_actions``.
-    Value estimates are not part of a rollout: ``update`` evaluates them
-    for all ``states`` in one pass.
+    Rewards and value estimates are not part of a rollout: ``update`` takes
+    the episode's rewards and evaluates the values for all rows in one pass.
     """
 
     states: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
-    rewards: np.ndarray
-    terminals: np.ndarray
-    bootstrap_value: float = 0.0
-
-    def __post_init__(self):
-        rows = {len(a) for a in (self.states, self.actions, self.log_probs,
-                                 self.rewards, self.terminals)}
-        if len(rows) != 1:
-            raise ValueError(f"rollout arrays disagree on length: {rows}")
-
-    def __len__(self):
-        return len(self.rewards)
 
 
-def compute_gae(batch: TrajectoryBatch, values: np.ndarray, gamma: float,
-                lam: float):
-    """Generalized advantage estimates and value targets.
+def compute_gae(rewards, values: np.ndarray, gamma: float, lam: float):
+    """Generalized advantage estimates and value targets of one episode.
 
-    ``values`` holds V_old(s_t), one per row of ``batch``.  Backward
-    recursion; a terminal flag cuts both the bootstrap and the advantage
-    tail, so a batch may hold several episode segments.
+    ``values`` holds V_old(s_t), one per reward.  Backward recursion over a
+    finished episode: the value and advantage after its last step are 0.
     Returns (advantages, returns) with returns = advantages + values.
     """
-    if len(batch) == 0:
+    if len(rewards) == 0:
         raise EmptyBatch("no transitions")
-    if len(values) != len(batch):
-        raise ValueError(f"{len(values)} values for {len(batch)} rows")
+    if len(values) != len(rewards):
+        raise ValueError(f"{len(values)} values for {len(rewards)} rewards")
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
-    rewards = batch.rewards.tolist()
+    reward_list = rewards.tolist()
     value_list = values.tolist()
-    terminals = batch.terminals.tolist()
-    n = len(rewards)
+    n = len(reward_list)
     adv = np.zeros(n)
-    next_value = batch.bootstrap_value
+    next_value = 0.0
     next_adv = 0.0
     for t in range(n - 1, -1, -1):
-        if terminals[t]:
-            next_value = 0.0
-            next_adv = 0.0
-        delta = rewards[t] + gamma * next_value - value_list[t]
+        delta = reward_list[t] + gamma * next_value - value_list[t]
         next_adv = delta + gamma * lam * next_adv
         adv[t] = next_adv
         next_value = value_list[t]
@@ -141,27 +122,27 @@ class PpoLearner:
     def frozen_act(self, state):
         return nn.frozen_action(self.head, self.policy.forward(state))
 
-    def empty_batch(self, rows: int) -> TrajectoryBatch:
+    def empty_rollout(self, rows: int) -> Rollout:
         """Zeroed rollout arrays for up to ``rows`` steps of this learner."""
-        return TrajectoryBatch(np.zeros((rows, self.obs_dim)),
-                               self.head.empty_actions(rows), np.zeros(rows),
-                               np.zeros(rows), np.zeros(rows, dtype=bool))
+        return Rollout(np.zeros((rows, self.obs_dim)),
+                       self.head.empty_actions(rows), np.zeros(rows))
 
     # -- learning ------------------------------------------------------------
 
-    def update(self, batch: TrajectoryBatch) -> dict:
-        """One PPO update over the batch; returns loss/entropy diagnostics.
+    def update(self, rollout: Rollout, rewards: np.ndarray) -> dict:
+        """One PPO update on one finished episode, the first ``len(rewards)``
+        rows of the rollout; returns loss/entropy diagnostics.
 
-        V_old is the value net on every state of the batch in one pass, taken
+        V_old is the value net on all the episode's states in one pass, taken
         before any step.  On any non-finite loss or gradient the pre-update
         parameters and optimizer state are restored before NonFiniteLoss is
         raised.
         """
-        if len(batch) == 0:
-            raise EmptyBatch("no transitions")
         cfg = self.config
-        states, actions, old_logp = batch.states, batch.actions, batch.log_probs
-        adv, returns = compute_gae(batch, self.value.forward(states)[:, 0],
+        n = len(rewards)
+        states, actions, old_logp = (rollout.states[:n], rollout.actions[:n],
+                                     rollout.log_probs[:n])
+        adv, returns = compute_gae(rewards, self.value.forward(states)[:, 0],
                                    cfg.gamma, cfg.gae_lambda)
         if not (np.all(np.isfinite(adv)) and np.all(np.isfinite(returns))):
             raise NonFiniteLoss("non-finite advantages or returns")
@@ -171,7 +152,6 @@ class PpoLearner:
 
         saved = (self.policy.copy_parameters(), self.value.copy_parameters(),
                  self.opt_policy.snapshot(), self.opt_value.snapshot())
-        n = len(batch)
         diags = {"policy_loss": [], "value_loss": [], "entropy": [],
                  "clip_fraction": []}
         try:

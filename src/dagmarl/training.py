@@ -24,7 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch
-from .ppo import PpoLearner, TrajectoryBatch
+from .ppo import PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget, update_baseline)
 from .seeding import substream
@@ -74,20 +74,20 @@ def counterfactual_rewards(env, joint_action):
     """Difference rewards for every agent in one sweep.
 
     Each agent's counterfactual replaces its action with 0, which the
-    environment contract fixes as idle.  Counterfactual branches run first
-    from a snapshot; the true step runs last so the environment ends at the
-    real successor state.  Returns ``(obs, team_reward, done, diffs)``.
+    environment contract fixes as idle.  Each counterfactual branch steps
+    and then restores the snapshot taken before the sweep; the true step runs
+    last so the environment ends at the real successor state.  Returns
+    ``(obs, team_reward, done, diffs)``.
     """
     snap = env.snapshot()
     n = env.topology.node_count
     counter = np.empty(n)
     for i in range(n):
-        env.restore(snap)
         alt = list(joint_action)
         alt[i] = 0
         _, r_cf, _ = env.step(alt)
+        env.restore(snap)
         counter[i] = r_cf
-    env.restore(snap)
     obs, r_true, done = env.step(list(joint_action))
     return obs, r_true, done, r_true - counter
 
@@ -168,7 +168,7 @@ class Trainer:
         rgd_active = self.rgd_on and not frozen
         # no role acts more than once per step
         rollouts = {} if frozen else {
-            role: agent.empty_batch(env.max_steps)
+            role: agent.empty_rollout(env.max_steps)
             for role, agent in self.agents.items()}
 
         # the episode's record; every role's rewards are derived from it
@@ -221,19 +221,12 @@ class Trainer:
         diagnostics = {}
         for role, rewards in streams.items():
             agent_rewards[role] = float(np.sum(rewards))
-            count = len(rewards)
-            if count == 0:
+            if len(rewards) == 0:
                 continue
             # rollout rows were written at the same indices the reward
-            # streams count, so the first `count` rows are this episode's
-            rows = rollouts[role]
-            terminals = np.zeros(count, dtype=bool)
-            terminals[-1] = True
-            batch = TrajectoryBatch(rows.states[:count], rows.actions[:count],
-                                    rows.log_probs[:count],
-                                    np.asarray(rewards, dtype=float),
-                                    terminals)
-            diagnostics[role] = self.agents[role].update(batch)
+            # streams count, so the first len(rewards) rows are this episode's
+            diagnostics[role] = self.agents[role].update(rollouts[role],
+                                                         rewards)
         if rgd_active:
             self.baseline = update_baseline(self.baseline, total, periods)
         self.last_diagnostics = diagnostics

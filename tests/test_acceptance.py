@@ -31,7 +31,7 @@ from dagmarl.envs.prey import LEASH, PARENT
 from dagmarl.logio import write_episode_csv
 from dagmarl.nn import DenseNet
 from dagmarl.oracle import run_bound_campaign
-from dagmarl.ppo import PpoConfig, TrajectoryBatch, compute_gae
+from dagmarl.ppo import PpoConfig, compute_gae
 from dagmarl.reward_flow import RgdOutput, distribute
 from dagmarl.training import (
     counterfactual_rewards,
@@ -164,15 +164,6 @@ def test_criterion_3_gradient_correctness():
 # -- criterion 4: advantage estimator ----------------------------------------------
 
 
-def _batch(rewards, terminal_last=True):
-    n = len(rewards)
-    terminals = np.zeros(n, dtype=bool)
-    terminals[-1] = terminal_last
-    return TrajectoryBatch(np.zeros((n, 1)), np.zeros(n, dtype=int),
-                           np.zeros(n), np.asarray(rewards, dtype=float),
-                           terminals)
-
-
 def test_criterion_4_gae_oracle():
     rng = np.random.default_rng(404)
     gamma = 0.97
@@ -180,7 +171,7 @@ def test_criterion_4_gae_oracle():
     for _ in range(50):
         steps = int(rng.integers(2, 60))
         rewards = rng.normal(size=steps)
-        adv, _ = compute_gae(_batch(rewards), np.zeros(steps),
+        adv, _ = compute_gae(rewards, np.zeros(steps),
                              gamma=gamma, lam=1.0)
         rtg = np.zeros(steps)
         acc = 0.0
@@ -189,7 +180,7 @@ def test_criterion_4_gae_oracle():
             rtg[t] = acc
         worst = max(worst, float(np.max(np.abs(adv - rtg))))
 
-    adv, _ = compute_gae(_batch([1.0, 1.0]), np.array([0.5, 0.5]),
+    adv, _ = compute_gae(np.array([1.0, 1.0]), np.array([0.5, 0.5]),
                          gamma=0.99, lam=0.95)
     frozen_ok = (abs(adv[1] - 0.5) <= 1e-12
                  and abs(adv[0] - 1.46525) <= 1e-12)

@@ -235,12 +235,13 @@ def test_failed_replace_keeps_old_evaluation_files(tmp_path, monkeypatch,
         return refusing_replace
 
     # each output in turn fails to replace; the others may go through
+    capsys.readouterr()
     for name in names:
         before = (eval_dir / name).read_bytes()
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", refuse(name))
-            with pytest.raises(OSError):
-                main(evaluate_args + ["--seed", "2"])
+            assert main(evaluate_args + ["--seed", "2"]) == 1
+        assert "error: replace refused" in capsys.readouterr().err
         assert sorted(os.listdir(eval_dir)) == names
         assert (eval_dir / name).read_bytes() == before
     # the refused evaluation would have written other bytes to every file
@@ -389,6 +390,24 @@ def test_cli_round_trip(tmp_path, capsys):
     assert main(["plot", str(run_dir / "episodes.csv"), "--window", "3",
                  "--out", str(svg_path)]) == 0
     xml.dom.minidom.parseString(svg_path.read_text())
+    capsys.readouterr()
+
+
+def test_cli_eval_rewards_are_a_readable_log(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+    checkpoints = tmp_path / "run" / "checkpoints"
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", str(checkpoints), "--config", str(cfg),
+                 "--episodes", "5", "--seed", "3",
+                 "--out", str(eval_dir)]) == 0
+    want = evaluate(load_config(cfg), checkpoints, episodes=5, seed=3)
+    columns = read_episode_csv(eval_dir / "eval_rewards.csv")
+    np.testing.assert_array_equal(columns["episode"], np.arange(5))
+    assert columns["team_reward"].tobytes() == want.rewards.tobytes()
+    assert main(["plot", str(eval_dir / "eval_rewards.csv"),
+                 "--out", str(tmp_path / "eval.svg")]) == 0
+    xml.dom.minidom.parseString((tmp_path / "eval.svg").read_text())
     capsys.readouterr()
 
 

@@ -8,24 +8,22 @@ from hypothesis import strategies as st
 from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch
 from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
-                         TrajectoryBatch, compute_gae)
+                         Rollout, compute_gae)
 from helpers import parameters
 
 
-def batch_of(rows, bootstrap=0.0):
-    """TrajectoryBatch from (state, action, log_prob, reward, terminal)
-    rows."""
-    states, actions, log_probs, rewards, terminals = zip(*rows)
-    return TrajectoryBatch(np.array(states), np.array(actions),
-                           np.array(log_probs), np.array(rewards, dtype=float),
-                           np.array(terminals, dtype=bool), bootstrap)
+def episode_of(rows):
+    """``(Rollout, rewards)`` of one episode from (state, action, log_prob,
+    reward) rows, the arguments of ``PpoLearner.update``."""
+    states, actions, log_probs, rewards = zip(*rows)
+    return (Rollout(np.array(states), np.array(actions), np.array(log_probs)),
+            np.array(rewards, dtype=float))
 
 
-def gae_of(rewards, values, terminals, gamma, lam, bootstrap=0.0):
-    """compute_gae on a batch of the given rewards and terminal flags."""
-    batch = batch_of([(np.zeros(1), 0, 0.0, float(r), t)
-                      for r, t in zip(rewards, terminals)], bootstrap)
-    return compute_gae(batch, np.asarray(values, dtype=float), gamma, lam)
+def gae_of(rewards, values, gamma, lam):
+    """compute_gae on one episode of the given rewards."""
+    return compute_gae(np.asarray(rewards, dtype=float),
+                       np.asarray(values, dtype=float), gamma, lam)
 
 
 def reward_to_go(rewards, gamma):
@@ -39,7 +37,7 @@ def reward_to_go(rewards, gamma):
 
 class TestGae:
     def test_frozen_two_step_example(self):
-        adv, ret = gae_of([1.0, 1.0], [0.5, 0.5], [False, True], 0.99, 0.95)
+        adv, ret = gae_of([1.0, 1.0], [0.5, 0.5], 0.99, 0.95)
         assert abs(adv[1] - 0.5) < 1e-12
         assert abs(adv[0] - 1.46525) < 1e-12
 
@@ -49,35 +47,10 @@ class TestGae:
             n = int(rng.integers(1, 40))
             gamma = float(rng.uniform(0.5, 1.0))
             rewards = rng.standard_normal(n)
-            terminals = [False] * (n - 1) + [True]
-            adv, ret = gae_of(rewards, np.zeros(n), terminals, gamma, 1.0)
+            adv, ret = gae_of(rewards, np.zeros(n), gamma, 1.0)
             expected = reward_to_go(rewards, gamma)
             np.testing.assert_allclose(adv, expected, rtol=0, atol=1e-10)
             np.testing.assert_allclose(ret, expected, rtol=0, atol=1e-10)
-
-    def test_mid_batch_terminal_blocks_flow(self):
-        # two one-step episodes in one batch: the second reward must not
-        # leak into the first episode's advantage
-        adv, _ = gae_of([1.0, 100.0], [0.0, 0.0], [True, True], 0.99, 0.95)
-        assert abs(adv[0] - 1.0) < 1e-12
-        assert abs(adv[1] - 100.0) < 1e-12
-
-    def test_segments_match_separate_batches(self):
-        rng = np.random.default_rng(7)
-        r1, r2 = rng.standard_normal(5), rng.standard_normal(4)
-        v1, v2 = rng.standard_normal(5), rng.standard_normal(4)
-        a_joint, _ = gae_of(np.concatenate([r1, r2]),
-                            np.concatenate([v1, v2]),
-                            [False] * 4 + [True] + [False] * 3 + [True],
-                            0.99, 0.95)
-        a1, _ = gae_of(r1, v1, [False] * 4 + [True], 0.99, 0.95)
-        a2, _ = gae_of(r2, v2, [False] * 3 + [True], 0.99, 0.95)
-        np.testing.assert_allclose(a_joint, np.concatenate([a1, a2]),
-                                   atol=1e-12)
-
-    def test_bootstrap_used_when_not_terminal(self):
-        adv, _ = gae_of([1.0], [0.0], [False], 0.5, 1.0, bootstrap=10.0)
-        assert abs(adv[0] - (1.0 + 0.5 * 10.0)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 25), st.integers(0, 10 ** 6))
@@ -85,17 +58,15 @@ class TestGae:
         rng = np.random.default_rng(seed)
         rewards = rng.standard_normal(n)
         values = rng.standard_normal(n)
-        terminals = list(rng.random(n) < 0.2)
-        terminals[-1] = True
         gamma, lam = 0.97, 0.9
-        adv, ret = gae_of(rewards, values, terminals, gamma, lam)
+        adv, ret = gae_of(rewards, values, gamma, lam)
         # direct recursion oracle
         expected = np.zeros(n)
         acc = 0.0
         for t in range(n - 1, -1, -1):
-            nxt = 0.0 if terminals[t] else (values[t + 1] if t + 1 < n else 0.0)
+            nxt = values[t + 1] if t + 1 < n else 0.0
             delta = rewards[t] + gamma * nxt - values[t]
-            acc = delta + gamma * lam * (0.0 if terminals[t] else acc)
+            acc = delta + gamma * lam * acc
             expected[t] = acc
         np.testing.assert_allclose(adv, expected, atol=1e-10)
         np.testing.assert_allclose(ret, expected + values, atol=1e-10)
@@ -159,25 +130,27 @@ class TestLearner:
         for t in range(57):
             s = rng.standard_normal(5)
             a, logp = agent.act(s)
-            rows.append((s, a, logp, rng.standard_normal(), t == 56))
-        batch = batch_of(rows)
-        batched = agent.value.forward(batch.states)[:, 0]
+            rows.append((s, a, logp, rng.standard_normal()))
+        rollout, rewards = episode_of(rows)
+        batched = agent.value.forward(rollout.states)[:, 0]
         row_by_row = np.array([agent.value.forward(s)[0]
-                               for s in batch.states])
+                               for s in rollout.states])
         seen = []
         real_gae = ppo.compute_gae
         monkeypatch.setattr(
             ppo, "compute_gae",
-            lambda b, values, *a: (seen.append(values.copy())
-                                   or real_gae(b, values, *a)))
-        agent.update(batch)
+            lambda r, values, *a: (seen.append(values.copy())
+                                   or real_gae(r, values, *a)))
+        agent.update(rollout, rewards)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], batched)
         np.testing.assert_allclose(seen[0], row_by_row, rtol=0, atol=1e-12)
 
     def test_bandit_learns_best_arm(self):
-        # contextual-free 2-armed bandit: arm 0 pays 1, arm 1 pays 0
-        agent = PpoLearner(1, CategoricalHead((2,)), small_config(),
+        # contextual-free 2-armed bandit: arm 0 pays 1, arm 1 pays 0; each
+        # update packs 32 one-step pulls into one episode, and gamma = 0
+        # gives every row exactly its own one-step advantage
+        agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
                            np.random.default_rng(3))
         state = np.zeros(1)
         for _ in range(150):
@@ -185,8 +158,8 @@ class TestLearner:
             for _ in range(32):
                 action, logp = agent.act(state)
                 reward = 1.0 if action == (0,) else 0.0
-                rows.append((state, action, logp, reward, True))
-            agent.update(batch_of(rows))
+                rows.append((state, action, logp, reward))
+            agent.update(*episode_of(rows))
         pulls = [agent.act(state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
@@ -198,8 +171,8 @@ class TestLearner:
         for t in range(20):
             s = rng.standard_normal(2)
             a, logp = agent.act(s)
-            rows.append((s, a, logp, rng.standard_normal(), t == 19))
-        diags = agent.update(batch_of(rows))
+            rows.append((s, a, logp, rng.standard_normal()))
+        diags = agent.update(*episode_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
             assert key in diags
@@ -216,15 +189,15 @@ class TestLearner:
         for t in range(30):
             s = rng.standard_normal(2)
             a, logp = agent.act(s)
-            rows.append((s, a, logp, rng.standard_normal(), t == 29))
-        diags = agent.update(batch_of(rows))
+            rows.append((s, a, logp, rng.standard_normal()))
+        diags = agent.update(*episode_of(rows))
         assert diags["clip_fraction"] == 0.0
 
     def test_empty_batch_raises(self):
         agent = PpoLearner(2, CategoricalHead((2,)), small_config(),
                            np.random.default_rng(0))
         with pytest.raises(EmptyBatch):
-            agent.update(agent.empty_batch(0))
+            agent.update(agent.empty_rollout(0), np.zeros(0))
 
     def test_non_finite_loss_restores_state(self, monkeypatch):
         agent = PpoLearner(2, CategoricalHead((2,)),
@@ -232,15 +205,15 @@ class TestLearner:
                            np.random.default_rng(0))
         s = np.ones(2)
 
-        def batch_with_rewards(rewards):
+        def episode_with_rewards(rewards):
             rows = []
-            for t, r in enumerate(rewards):
+            for r in rewards:
                 a, logp = agent.act(s)
-                rows.append((s, a, logp, r, t == len(rewards) - 1))
-            return batch_of(rows)
+                rows.append((s, a, logp, r))
+            return episode_of(rows)
 
         # warm up so the optimizer moments are not all zero
-        agent.update(batch_with_rewards([1.0, -1.0, 0.5, 2.0]))
+        agent.update(*episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
@@ -254,9 +227,9 @@ class TestLearner:
             flat_before = (agent.policy.flat.copy(), agent.value.flat.copy())
             opt_before = (agent.opt_policy.snapshot(),
                           agent.opt_value.snapshot())
-            batch = batch_with_rewards(rewards)
+            episode = episode_with_rewards(rewards)
             with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
-                agent.update(batch)
+                agent.update(*episode)
             params_after = [p for net in (agent.policy, agent.value)
                             for p in parameters(net)]
             for p0, p1 in zip(params_before, params_after):
@@ -273,16 +246,17 @@ class TestLearner:
 
     def test_constant_advantage_not_normalized_to_nan(self):
         # all-equal advantages have zero std; normalization must be skipped
-        agent = PpoLearner(1, CategoricalHead((2,)), small_config(),
+        agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
                            np.random.default_rng(2))
         rows = []
         for t in range(8):
             s = np.zeros(1)
             a, logp = agent.act(s)
             # every state is equal, so update's value estimates are equal
-            # too; with a constant reward the advantages are equal
-            rows.append((s, a, logp, 1.0, True))
-        diags = agent.update(batch_of(rows))
+            # too; with a constant reward and gamma = 0 (eight one-step
+            # episodes in one) the advantages are equal
+            rows.append((s, a, logp, 1.0))
+        diags = agent.update(*episode_of(rows))
         assert np.isfinite(diags["policy_loss"])
 
 

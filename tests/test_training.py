@@ -189,6 +189,21 @@ def test_counterfactual_rewards_end_at_true_successor():
         env.step(joint)
 
 
+def test_counterfactual_sweep_restores_once_per_branch():
+    env = FactoryEnv(goal_period=8, goal_periods=3)
+    env.reset(5)
+    calls = []
+    for name in ("snapshot", "restore", "step"):
+        method = getattr(env, name)
+        setattr(env, name, lambda *a, name=name, method=method:
+                calls.append(name) or method(*a))
+    counterfactual_rewards(env, [1, 0, 1, 0])
+    n = env.topology.node_count
+    assert calls.count("snapshot") == 1
+    assert calls.count("restore") == n
+    assert calls.count("step") == n + 1
+
+
 def test_frozen_diff_episode_skips_counterfactual_replay():
     srm = Trainer(micro_config(RunMode.SRM, seed=9))
     diff = Trainer(micro_config(RunMode.DIFF_M, seed=9))
@@ -352,9 +367,10 @@ def test_role_streams_are_period_sums_of_team_rewards(horizon):
     trainer.env.step = step
     paid = {}
     for role in ("leader", "generator", "distributor"):
-        def update(batch, role=role, original=trainer.agents[role].update):
-            paid[role] = batch.rewards.copy()
-            return original(batch)
+        def update(rollout, rewards, role=role,
+                   original=trainer.agents[role].update):
+            paid[role] = np.array(rewards, dtype=float)
+            return original(rollout, rewards)
         trainer.agents[role].update = update
 
     for episode in range(2):
