@@ -4,7 +4,9 @@ Sections: [run] (mode/seed/episodes/out), [env] (name plus environment
 options), [agents] (goal dimension, state-flow stride, leader/distributor
 switches), [ppo] (optimizer knobs), and optionally [dag] (node names and
 arcs as name pairs, consumed by the micro environment).  Unknown sections or
-keys fail loudly; command-line flags override file values.
+keys fail loudly, and so does a value that does not parse as its field's
+type; [env] options are checked by each environment's constructor.
+Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -78,9 +80,24 @@ def _coerce(text: str):
     return text
 
 
+def _typed(section: str, key: str, default, text: str):
+    """Parses ``text`` as the type of the field's default value."""
+    text = text.strip()
+    try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if isinstance(default, tuple):
+            return tuple(int(h) for h in text.split(",") if h.strip())
+        return type(default)(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value {text!r} for {key!r} in "
+                          f"[{section}]") from None
+
+
 _RUN_KEYS = ("mode", "seed", "episodes", "out")
-_AGENT_KEYS = ("goal_dim", "flow_stride", "disable_leader", "disable_rgd")
-_PPO_KEYS = tuple(f.name for f in fields(PpoConfig))
+_AGENT_DEFAULTS = {key: getattr(ExperimentConfig, key) for key in (
+    "goal_dim", "flow_stride", "disable_leader", "disable_rgd")}
+_PPO_DEFAULTS = {f.name: f.default for f in fields(PpoConfig)}
 
 
 def _parse_dag_section(section) -> dict:
@@ -125,10 +142,9 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in [run]")
         if "mode" in sec:
             kwargs["mode"] = RunMode.parse(sec["mode"])
-        if "seed" in sec:
-            kwargs["seed"] = int(sec["seed"])
-        if "episodes" in sec:
-            kwargs["episodes"] = int(sec["episodes"])
+        for key in ("seed", "episodes"):
+            if key in sec:
+                kwargs[key] = _typed("run", key, 0, sec[key])
         if "out" in sec:
             kwargs["out_dir"] = sec["out"].strip()
 
@@ -144,24 +160,21 @@ def load_config(path) -> ExperimentConfig:
     if parser.has_section("agents"):
         sec = parser["agents"]
         for key in sec:
-            if key not in _AGENT_KEYS:
+            if key not in _AGENT_DEFAULTS:
                 raise ConfigError(f"unknown key {key!r} in [agents]")
-            kwargs[key] = _coerce(sec[key])
+            kwargs[key] = _typed("agents", key, _AGENT_DEFAULTS[key],
+                                 sec[key])
 
     if parser.has_section("ppo"):
         sec = parser["ppo"]
         ppo_kwargs = {}
         for key in sec:
-            if key not in _PPO_KEYS:
+            if key not in _PPO_DEFAULTS:
                 raise ConfigError(f"unknown key {key!r} in [ppo]")
-            if key == "hidden":
-                ppo_kwargs[key] = tuple(
-                    int(h) for h in sec[key].split(",") if h.strip())
-            else:
-                ppo_kwargs[key] = _coerce(sec[key])
+            ppo_kwargs[key] = _typed("ppo", key, _PPO_DEFAULTS[key], sec[key])
         try:
             kwargs["ppo"] = PpoConfig(**ppo_kwargs)
-        except (TypeError, ValueError) as err:
+        except ValueError as err:
             raise ConfigError(f"bad [ppo] values: {err}") from None
 
     try:

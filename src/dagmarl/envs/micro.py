@@ -49,6 +49,8 @@ class MicroDagEnv(DagEnv):
                  transitions, sink_rewards, horizon: int = 20,
                  goal_period: int = 5):
         super().__init__()
+        if horizon < 1 or goal_period < 1:
+            raise ValueError("horizon and goal_period must be >= 1")
         self.topology = topology
         self.n_states = [int(s) for s in n_states]
         self.n_actions = [int(a) for a in n_actions]

@@ -34,6 +34,8 @@ class PreyEnv(DagEnv):
         super().__init__()
         if grid_size < 4 or predators < 1:
             raise ValueError("need grid_size >= 4 and predators >= 1")
+        if max_steps < 1 or goal_period < 1:
+            raise ValueError("max_steps and goal_period must be >= 1")
         self.topology = DagTopology(4, [(0, 1), (1, 2), (1, 3)],
                                     names=("root", "mid", "sink-1", "sink-2"))
         self.grid_size = int(grid_size)

@@ -340,10 +340,9 @@ class CampaignReport:
 
 
 def _bound_horizon(gamma, tol, r_max):
-    if r_max <= 0.0:
+    """Steps after which the discounted tail is below ``tol``; gamma < 1."""
+    if r_max <= 0.0 or gamma == 0.0:  # nothing after the first step counts
         return 1
-    if gamma >= 1.0:
-        raise ValueError("need gamma < 1 to bound the tail")
     return max(1, math.ceil(math.log(tol * (1.0 - gamma) / r_max)
                             / math.log(gamma)))
 
@@ -355,6 +354,10 @@ def run_bound_campaign(trials: int, seed: int, gamma: float = 0.9,
     Single-sink instances additionally get a saturated contribution (columns
     summing to exactly 1), where the bound must be an equality.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma {gamma} outside [0, 1)")
     rng = np.random.default_rng(seed)
     violations = 0
     max_violation = 0.0

@@ -8,8 +8,8 @@ sparse sequence of sampled global states into a scalar budget request and a
 value assignment over nodes and arcs; the resulting per-node synthetic
 rewards are credited at the final step of the period that produced them.
 The leader is paid each period's team reward and the pair the next
-period's; every stream is derived from the per-step team rewards once the
-episode ends.  Baseline modes replace or augment the shared team signal
+period's; the episode runs as one loop over steps, and every stream is
+assembled from its record once the episode ends.  Baseline modes replace or augment the shared team signal
 instead: difference rewards via counterfactual replay, or potential-based
 shaping on top of the equal share.
 """
@@ -157,66 +157,67 @@ class Trainer:
                     frozen: bool = False) -> EpisodeRecord:
         cfg = self.config
         env = self.env
-        period_steps = env.goal_period
+        goal_period = env.goal_period
         if env_seed is None:
             env_seed = int(self._env_stream.integers(2 ** 63))
         obs = env.reset(env_seed)
 
-        # frozen episodes return before the counterfactual rows are read
+        # a frozen episode keeps no rollouts; no role acts twice in one step
+        rollouts = None if frozen else {
+            role: agent.empty_rollout(env.max_steps)
+            for role, agent in self.agents.items()}
         track_diffs = (not frozen
                        and self.mode in (RunMode.DIFF_M, RunMode.CAP_M))
         rgd_active = self.rgd_on and not frozen
-        # no role acts more than once per step
-        rollouts = {} if frozen else {
-            role: agent.empty_rollout(env.max_steps)
-            for role, agent in self.agents.items()}
 
         # the episode's record; every role's rewards are derived from it
         team_rewards = []
+        period_sums = []
         diff_rows = []
         sr_by_period = {}  # completed period -> per-node synthetic rewards
-        flow_idx = frozenset(state_flow_indices(period_steps,
+        flow_idx = frozenset(state_flow_indices(goal_period,
                                                 cfg.flow_stride))
+        flow_states = []
         goals = None
-        periods = 0
         done = False
 
         while not done:
-            if self.leader_on:
-                goals_flat = self._act("leader", np.concatenate(obs),
-                                       rollouts, periods, frozen)
-                goals = np.asarray(goals_flat, dtype=float).reshape(
-                    self.n_nodes, cfg.goal_dim)
-
-            flow_states = []
-            for d in range(1, period_steps + 1):
-                if rgd_active and d in flow_idx:
-                    flow_states.append(np.concatenate(obs))
-                actions = self._select_actions(obs, goals, rollouts,
-                                               len(team_rewards), frozen)
-                if track_diffs:
-                    obs, reward, done, diffs = counterfactual_rewards(
-                        env, actions)
-                    diff_rows.append(diffs)
-                else:
-                    obs, reward, done = env.step(actions)
-                team_rewards.append(reward)
-                if done:
-                    break
-            if rgd_active and d == period_steps:  # the period is complete
+            t = len(team_rewards)
+            period, d = divmod(t, goal_period)
+            if d == 0:
+                period_sums.append(0.0)
+                if self.leader_on:
+                    goals_flat = self._act("leader", np.concatenate(obs),
+                                           rollouts, period)
+                    goals = np.asarray(goals_flat, dtype=float).reshape(
+                        self.n_nodes, cfg.goal_dim)
+            if rgd_active and d + 1 in flow_idx:
+                flow_states.append(np.concatenate(obs))
+            actions = self._select_actions(obs, goals, rollouts, t)
+            if track_diffs:
+                obs, reward, done, diffs = counterfactual_rewards(env, actions)
+                diff_rows.append(diffs)
+            else:
+                obs, reward, done = env.step(actions)
+            team_rewards.append(reward)
+            # added one step at a time: a pairwise or compensated sum rounds
+            # differently
+            period_sums[-1] += reward
+            if rgd_active and d + 1 == goal_period:  # the period is complete
                 flow_vec = np.concatenate(flow_states + [np.concatenate(obs)])
                 if self.leader_on:
                     flow_vec = np.concatenate([flow_vec, goals_flat])
-                sr_by_period[periods] = self._rgd_act(flow_vec, rollouts,
-                                                      len(sr_by_period))
-            periods += 1
+                sr_by_period[period] = self._rgd_act(flow_vec, rollouts,
+                                                     period)
+                flow_states = []
 
         total = float(np.asarray(team_rewards, dtype=float).sum())
+        n_periods = len(period_sums)
         if frozen:
-            return EpisodeRecord(episode_index, total, periods, {}, None)
+            return EpisodeRecord(episode_index, total, n_periods, {}, None)
 
-        streams, sr_sums = self._reward_streams(team_rewards, diff_rows,
-                                                sr_by_period, rgd_active)
+        streams, sr_sums = self._reward_streams(team_rewards, period_sums,
+                                                diff_rows, sr_by_period)
         agent_rewards = {}
         diagnostics = {}
         for role, rewards in streams.items():
@@ -228,15 +229,15 @@ class Trainer:
             diagnostics[role] = self.agents[role].update(rollouts[role],
                                                          rewards)
         if rgd_active:
-            self.baseline = update_baseline(self.baseline, total, periods)
+            self.baseline = update_baseline(self.baseline, total, n_periods)
         self.last_diagnostics = diagnostics
-        return EpisodeRecord(episode_index, total, periods, agent_rewards,
+        return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
 
-    def _act(self, role, state, rollouts, t, frozen):
-        """One role's action; in training it also fills rollout row ``t``."""
+    def _act(self, role, state, rollouts, t):
+        """One role's action; with rollouts it also fills row ``t``."""
         agent = self.agents[role]
-        if frozen:
+        if rollouts is None:
             return agent.frozen_act(state)
         action, log_prob = agent.act(state)
         rows = rollouts[role]
@@ -245,25 +246,19 @@ class Trainer:
         rows.log_probs[t] = log_prob
         return action
 
-    def _select_actions(self, obs, goals, rollouts, t, frozen):
+    def _select_actions(self, obs, goals, rollouts, t):
         if self.mode is RunMode.GS:
-            pairs = [("gs", np.concatenate(obs))]
-        else:
-            pairs = []
-            for i in range(self.n_nodes):
-                state = np.asarray(obs[i], dtype=float)
-                if goals is not None:
-                    state = np.concatenate([state, goals[i]])
-                pairs.append((f"follower-{i}", state))
+            return list(self._act("gs", np.concatenate(obs), rollouts, t))
         actions = []
-        for role, state in pairs:
-            actions.extend(self._act(role, state, rollouts, t, frozen))
+        for i, state in enumerate(obs):
+            if goals is not None:
+                state = np.concatenate([state, goals[i]])
+            actions.extend(self._act(f"follower-{i}", state, rollouts, t))
         return actions
 
     def _rgd_act(self, rgd_state, rollouts, t):
-        q_vec = self._act("generator", rgd_state, rollouts, t, frozen=False)
-        values = self._act("distributor", rgd_state, rollouts, t,
-                           frozen=False)
+        q_vec = self._act("generator", rgd_state, rollouts, t)
+        values = self._act("distributor", rgd_state, rollouts, t)
         q = float(q_vec[0])
         budget = synthetic_budget(q, self.baseline)
         output = RgdOutput(q, values[:self.n_nodes],
@@ -271,8 +266,8 @@ class Trainer:
         _, sr = distribute(self.env.topology, output, budget)
         return sr
 
-    def _reward_streams(self, team_rewards, diff_rows, sr_by_period,
-                        rgd_active):
+    def _reward_streams(self, team_rewards, period_sums, diff_rows,
+                        sr_by_period):
         """Every role's reward stream and the episode's synthetic totals.
 
         The leader is paid each period's team reward.  The generator/
@@ -280,7 +275,6 @@ class Trainer:
         when no period follows.  Returns ``(streams, sr_sums)``.
         """
         n = self.n_nodes
-        goal_period = self.env.goal_period
         if self.mode is RunMode.GS:
             return {"gs": np.asarray(team_rewards, dtype=float)}, None
         if self.mode is RunMode.DIFF_M:
@@ -289,20 +283,12 @@ class Trainer:
             mat = compose_shaped_rewards(team_rewards, np.vstack(diff_rows),
                                          self.config.ppo.gamma, n)
         else:
-            mat = compose_follower_rewards(team_rewards, n, goal_period,
-                                           sr_by_period)
+            mat = compose_follower_rewards(team_rewards, n,
+                                           self.env.goal_period, sr_by_period)
         streams = {f"follower-{i}": mat[:, i] for i in range(n)}
-        # added one step at a time: a pairwise or compensated sum rounds
-        # differently
-        period_sums = []
-        for start in range(0, len(team_rewards), goal_period):
-            period_sum = 0.0
-            for reward in team_rewards[start:start + goal_period]:
-                period_sum += reward
-            period_sums.append(period_sum)
         if self.leader_on:
             streams["leader"] = np.asarray(period_sums, dtype=float)
-        if not rgd_active:
+        if not self.rgd_on:
             return streams, None
         paid = [period_sums[p + 1] if p + 1 < len(period_sums) else 0.0
                 for p in sr_by_period]

@@ -467,9 +467,12 @@ def test_prey_reward_counts_living_sinks():
     assert r == 2.0  # predators start in far corners, both sinks survive
 
 
-def test_prey_rejects_tiny_grid():
+@pytest.mark.parametrize("kwargs", [dict(grid_size=3), dict(max_steps=0),
+                                    dict(goal_period=0)],
+                         ids=["grid_size", "max_steps", "goal_period"])
+def test_prey_rejects_tiny_grid(kwargs):
     with pytest.raises(ValueError):
-        PreyEnv(grid_size=3)
+        PreyEnv(**kwargs)
 
 
 class ArrayPreyEnv(PreyEnv):
@@ -663,6 +666,14 @@ def test_micro_validation_rejects_bad_tables():
     with pytest.raises(InvalidDistribution):
         MicroDagEnv(good.topology, good.n_states, good.n_actions, bad_p0,
                     good.transitions, good.sink_rewards)
+
+
+@pytest.mark.parametrize("kwargs", [dict(horizon=0), dict(goal_period=0),
+                                    dict(horizon=-1)],
+                         ids=["horizon", "goal_period", "negative_horizon"])
+def test_micro_rejects_empty_horizon_or_period(kwargs):
+    with pytest.raises(ValueError):
+        MicroDagEnv.from_options(nodes=2, **kwargs)
 
 
 def test_sample_micro_env_is_well_formed():

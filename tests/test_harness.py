@@ -4,6 +4,7 @@ frozen evaluator against exhaustive value computation."""
 
 import json
 import os
+import re
 import xml.dom.minidom
 
 import numpy as np
@@ -124,6 +125,40 @@ def test_config_rejects_unknown_bits(tmp_path):
     bad_agent_key = CONFIG_TEXT.replace("goal_dim = 2", "goal_dims = 2")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, text=bad_agent_key))
+
+
+def config_with(section, key, value):
+    """CONFIG_TEXT with ``key = value`` in ``section``, replacing any old
+    value of the key."""
+    line = f"{key} = {value}"
+    if re.search(rf"^{key} = ", CONFIG_TEXT, flags=re.M):
+        return re.sub(rf"^{key} = .*$", line, CONFIG_TEXT, flags=re.M)
+    return CONFIG_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("agents", "disable_leader", "maybe"),
+    ("agents", "goal_dim", "2.5"),
+    ("agents", "flow_stride", "two"),
+    ("ppo", "batch_size", "2.5"),
+    ("ppo", "epochs_per_update", "1.5"),
+    ("ppo", "learning_rate", "abc"),
+    ("ppo", "hidden", "8, x"),
+    ("run", "seed", "3.5"),
+])
+def test_config_rejects_mistyped_values(tmp_path, section, key, value):
+    text = config_with(section, key, value)
+    with pytest.raises(ConfigError, match=rf"'{key}' in \[{section}\]"):
+        load_config(write_config(tmp_path, text=text))
+
+
+def test_config_reads_values_by_field_type(tmp_path):
+    text = config_with("agents", "disable_rgd", "1")
+    text = text.replace("[ppo]\n", "[ppo]\nlearning_rate = 3\n")
+    cfg = load_config(write_config(tmp_path, text=text))
+    assert cfg.disable_rgd is True
+    assert cfg.ppo.learning_rate == 3.0 and type(cfg.ppo.learning_rate) is float
+    assert type(cfg.ppo.batch_size) is int and cfg.ppo.hidden == (8, 8)
 
 
 def test_run_mode_parsing():
@@ -367,6 +402,14 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_train_rejects_empty_episodes(tmp_path, capsys):
+    cfg = tmp_path / "prey.ini"
+    cfg.write_text("[env]\nname = prey\nmax_steps = 0\n")
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: max_steps" in capsys.readouterr().err
+
+
 def test_cli_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -432,6 +475,16 @@ def test_cli_verify_theorem(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["trials"] == 4
     assert report["violations"] == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"),
+                                         ("--trials", "-2"),
+                                         ("--gamma", "1.0")])
+def test_cli_verify_theorem_rejects_empty_audit(capsys, flag, value):
+    assert main(["verify-theorem", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_cli_train_is_deterministic(tmp_path, capsys):

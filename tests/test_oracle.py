@@ -227,8 +227,9 @@ def test_enumeration_guard():
         enumerate_values(env, policy, gamma=0.9, horizon=10, guard=1000)
 
 
-def test_small_campaign_has_no_violations():
-    report = run_bound_campaign(trials=25, seed=123, gamma=0.9)
+@pytest.mark.parametrize("gamma", [0.9, 0.0])
+def test_small_campaign_has_no_violations(gamma):
+    report = run_bound_campaign(trials=25, seed=123, gamma=gamma)
     assert report.trials == 25
     assert report.violations == 0
     assert report.max_violation == 0.0

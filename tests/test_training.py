@@ -422,6 +422,50 @@ def test_leader_input_is_concatenated_observation_in_every_run():
             np.testing.assert_array_equal(state, np.concatenate(observed[t]))
 
 
+def test_rgd_input_is_sampled_states_end_state_and_goals():
+    trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=10, seed=2,
+                                   flow_stride=2))
+    env = trainer.env
+    assert state_flow_indices(env.goal_period, 2) == [1, 3]
+    observed, goals, inputs = [], [], {"generator": [], "distributor": []}
+    env_reset, env_step = env.reset, env.step
+
+    def reset(seed):
+        observed.append(env_reset(seed))
+        return observed[-1]
+
+    def step(actions):
+        obs, reward, done = env_step(actions)
+        observed.append(obs)
+        return obs, reward, done
+
+    env.reset, env.step = reset, step
+
+    def leader_act(state, original=trainer.agents["leader"].act):
+        action, log_prob = original(state)
+        goals.append(np.array(action, dtype=float))
+        return action, log_prob
+    trainer.agents["leader"].act = leader_act
+    for role in inputs:
+        def spy(state, role=role, original=trainer.agents[role].act):
+            inputs[role].append(np.array(state))
+            return original(state)
+        trainer.agents[role].act = spy
+
+    trainer.run_episode(0)
+    # periods run 4/4/2: the two complete ones each give one input
+    assert len(observed) == 11 and len(goals) == 3
+    for role, seen in inputs.items():
+        assert len(seen) == 2, role
+        for p, state in enumerate(seen):
+            start = p * env.goal_period
+            want = np.concatenate([np.concatenate(observed[start]),
+                                   np.concatenate(observed[start + 2]),
+                                   np.concatenate(observed[start + 4]),
+                                   goals[p]])
+            np.testing.assert_array_equal(state, want)
+
+
 def test_follower_transition_counts():
     env = flat_reward_env(horizon=10, goal_period=4)
     trainer = Trainer(micro_config(RunMode.SRM, horizon=10), env=env)
