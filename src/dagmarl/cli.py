@@ -17,15 +17,6 @@ from .metrics import min_max_normalize, moving_average
 from .plotting import histogram_chart, line_chart
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    data = dataclasses.asdict(config)
-    data["mode"] = config.mode.value
-    data["ppo"]["hidden"] = list(config.ppo.hidden)
-    data["env_options"] = {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in config.env_options.items()}
-    return data
-
-
 def _json_bytes(data) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
@@ -55,7 +46,9 @@ def _cmd_train(args) -> int:
 
     write_episode_csv(out / "episodes.csv", result.records)
     result.trainer.save_checkpoints(out / "checkpoints")
-    meta = {"config": _config_dict(config), "wall_seconds": wall,
+    meta = {"config": {**dataclasses.asdict(config),
+                       "mode": config.mode.value},
+            "wall_seconds": wall,
             "episodes_run": len(result.records)}
     atomic_write_bytes(out / "run_meta.json", _json_bytes(meta))
 
@@ -116,13 +109,15 @@ def _cmd_plot(args) -> int:
                 f"{path}: no column {args.column!r}; "
                 f"available: {sorted(columns)}")
         values = columns[args.column].astype(float)
-        if args.window:
+        if args.window is not None:
             values = moving_average(values, window=args.window)
         if args.normalize:
             values = min_max_normalize(values)
-        name = Path(path).stem
-        if name in series:
-            name = f"{name}-{len(series)}"
+        stem = name = Path(path).stem
+        suffix = len(series)
+        while name in series:
+            name = f"{stem}-{suffix}"
+            suffix += 1
         series[name] = values
     y_label = args.column + (" (normalized)" if args.normalize else "")
     chart = line_chart(series, y_label=y_label, title=args.title or "")

@@ -4,8 +4,9 @@ Sections: [run] (mode/seed/episodes/out), [env] (name plus environment
 options), [agents] (goal dimension, state-flow stride, leader/distributor
 switches), [ppo] (optimizer knobs), and optionally [dag] (node names and
 arcs as name pairs, consumed by the micro environment).  Unknown sections or
-keys fail loudly, and so does a value that does not parse as its field's
-type; [env] options are checked by each environment's constructor.
+keys fail loudly, and so does a value that does not parse as the type of
+its default.  An [env] key is a parameter of the named environment's
+constructor, and its default is that parameter's default.
 Command-line flags override file values.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import enum
+import inspect
 from dataclasses import dataclass, field, fields, replace
 
 from .ppo import PpoConfig
@@ -62,27 +64,11 @@ class ExperimentConfig:
             raise ConfigError("goal_dim and flow_stride must be >= 1")
 
 
-def _coerce(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def _typed(section: str, key: str, default, text: str):
-    """Parses ``text`` as the type of the field's default value."""
+    """Parses ``text`` as the type of the key's default value."""
     text = text.strip()
+    if isinstance(default, RunMode):
+        return RunMode.parse(text)
     try:
         if isinstance(default, bool):
             return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -94,7 +80,31 @@ def _typed(section: str, key: str, default, text: str):
                           f"[{section}]") from None
 
 
-_RUN_KEYS = ("mode", "seed", "episodes", "out")
+def _read(parser, section: str, defaults: dict) -> dict:
+    """The keys set in ``section``, each parsed as the type of its default."""
+    if not parser.has_section(section):
+        return {}
+    values = {}
+    for key, text in parser[section].items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key {key!r} in [{section}]")
+        values[key] = _typed(section, key, defaults[key], text)
+    return values
+
+
+def _env_defaults(name: str) -> dict:
+    """``name`` plus every int, float or str parameter of the environment's
+    constructor, with its default."""
+    from .envs import env_builder
+
+    params = inspect.signature(env_builder(name)).parameters.values()
+    return {"name": name} | {p.name: p.default for p in params
+                             if isinstance(p.default, (int, float, str))}
+
+
+# [run] out sets out_dir, whose default is None, so it parses as a string
+_RUN_DEFAULTS = {"mode": ExperimentConfig.mode, "seed": ExperimentConfig.seed,
+                 "episodes": ExperimentConfig.episodes, "out": ""}
 _AGENT_DEFAULTS = {key: getattr(ExperimentConfig, key) for key in (
     "goal_dim", "flow_stride", "disable_leader", "disable_rgd")}
 _PPO_DEFAULTS = {f.name: f.default for f in fields(PpoConfig)}
@@ -134,53 +144,23 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
 
-    kwargs = {}
-    if parser.has_section("run"):
-        sec = parser["run"]
-        for key in sec:
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [run]")
-        if "mode" in sec:
-            kwargs["mode"] = RunMode.parse(sec["mode"])
-        for key in ("seed", "episodes"):
-            if key in sec:
-                kwargs[key] = _typed("run", key, 0, sec[key])
-        if "out" in sec:
-            kwargs["out_dir"] = sec["out"].strip()
-
-    env_options = {}
-    if parser.has_section("env"):
-        sec = parser["env"]
-        kwargs["env_name"] = sec.get("name", "factory").strip()
-        env_options = {k: _coerce(v) for k, v in sec.items() if k != "name"}
+    run = _read(parser, "run", _RUN_DEFAULTS)
+    if "out" in run:
+        run["out_dir"] = run.pop("out")
+    env_name = parser.get("env", "name",
+                          fallback=ExperimentConfig.env_name).strip()
+    env_options = _read(parser, "env", _env_defaults(env_name))
+    env_options.pop("name", None)
     if parser.has_section("dag"):
         env_options.update(_parse_dag_section(parser["dag"]))
-    kwargs["env_options"] = env_options
-
-    if parser.has_section("agents"):
-        sec = parser["agents"]
-        for key in sec:
-            if key not in _AGENT_DEFAULTS:
-                raise ConfigError(f"unknown key {key!r} in [agents]")
-            kwargs[key] = _typed("agents", key, _AGENT_DEFAULTS[key],
-                                 sec[key])
-
-    if parser.has_section("ppo"):
-        sec = parser["ppo"]
-        ppo_kwargs = {}
-        for key in sec:
-            if key not in _PPO_DEFAULTS:
-                raise ConfigError(f"unknown key {key!r} in [ppo]")
-            ppo_kwargs[key] = _typed("ppo", key, _PPO_DEFAULTS[key], sec[key])
-        try:
-            kwargs["ppo"] = PpoConfig(**ppo_kwargs)
-        except ValueError as err:
-            raise ConfigError(f"bad [ppo] values: {err}") from None
-
+    agents = _read(parser, "agents", _AGENT_DEFAULTS)
+    ppo_values = _read(parser, "ppo", _PPO_DEFAULTS)
     try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(str(err)) from None
+        ppo = PpoConfig(**ppo_values)
+    except ValueError as err:
+        raise ConfigError(f"bad [ppo] values: {err}") from None
+    return ExperimentConfig(env_name=env_name, env_options=env_options,
+                            ppo=ppo, **run, **agents)
 
 
 def apply_overrides(config: ExperimentConfig, mode=None, seed=None,

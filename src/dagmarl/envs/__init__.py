@@ -1,29 +1,33 @@
 """Simulation environments, one agent per task-DAG node."""
 
+from ..config import ConfigError
 from .base import DagEnv, EnvSnapshot, InvalidAction, VersionMismatch, snapshots_equal
 from .factory import FactoryEnv
 from .logistics import LogisticsEnv
 from .micro import MicroDagEnv
 from .prey import PreyEnv
 
-ENV_NAMES = ("factory", "logistics", "prey", "micro")
+BUILDERS = {
+    "factory": FactoryEnv,
+    "logistics": LogisticsEnv,
+    "prey": PreyEnv,
+    "micro": MicroDagEnv.from_options,
+}
+ENV_NAMES = tuple(BUILDERS)
+
+
+def env_builder(name: str):
+    """The constructor of environment ``name``; unknown names fail loudly."""
+    if name not in BUILDERS:
+        raise ConfigError(f"unknown environment {name!r}; pick from {ENV_NAMES}")
+    return BUILDERS[name]
 
 
 def make_env(name: str, options: dict | None = None) -> DagEnv:
     """Builds a named environment; unknown names or option keys fail loudly."""
-    from ..config import ConfigError
-
-    options = dict(options or {})
-    builders = {
-        "factory": FactoryEnv,
-        "logistics": LogisticsEnv,
-        "prey": PreyEnv,
-        "micro": MicroDagEnv.from_options,
-    }
-    if name not in builders:
-        raise ConfigError(f"unknown environment {name!r}; pick from {ENV_NAMES}")
+    builder = env_builder(name)
     try:
-        return builders[name](**options)
+        return builder(**(options or {}))
     except TypeError as err:
         raise ConfigError(f"bad options for environment {name!r}: {err}") from None
 
@@ -39,5 +43,6 @@ __all__ = [
     "PreyEnv",
     "MicroDagEnv",
     "make_env",
+    "env_builder",
     "ENV_NAMES",
 ]

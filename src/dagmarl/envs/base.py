@@ -66,14 +66,15 @@ def _clone(value, name: str):
 class DagEnv:
     """Base class wiring the snapshot plumbing and action validation.
 
-    Subclasses set: topology, obs_dims, action_sizes, goal_period, max_steps;
-    and implement reset(seed), observe(), and _advance(actions) -> (reward,
-    done).  Mutable state must live in attributes listed in _STATE_ATTRS.
-    snapshot() and restore() copy those attributes: NumPy arrays with
-    .copy(), dicts, lists and tuples element by element, and int, float,
-    bool, str, None and NumPy scalars as they are.  Any other type (a set,
-    a subclass of dict, list or tuple, an object) raises TypeError naming
-    the attribute, so no mutable state is ever shared with a snapshot.
+    Subclasses pass goal_period and max_steps (both >= 1) to __init__, set
+    topology, obs_dims and action_sizes, and implement reset(seed),
+    observe(), and _advance(actions) -> (reward, done).  Mutable state
+    must live in attributes listed in _STATE_ATTRS.  snapshot() and
+    restore() copy those attributes: NumPy arrays with .copy(), dicts, lists
+    and tuples element by element, and int, float, bool, str, None and
+    NumPy scalars as they are.  Any other type (a set, a subclass of dict,
+    list or tuple, an object) raises TypeError naming the attribute, so no
+    mutable state is ever shared with a snapshot.
     """
 
     _STATE_ATTRS: tuple = ()
@@ -81,10 +82,13 @@ class DagEnv:
     topology = None
     obs_dims: list = []
     action_sizes: list = []
-    goal_period: int = 1
-    max_steps: int = 1
 
-    def __init__(self):
+    def __init__(self, goal_period: int, max_steps: int):
+        if max_steps < 1 or goal_period < 1:
+            raise ValueError(f"max_steps ({max_steps}) and goal_period "
+                             f"({goal_period}) must be >= 1")
+        self.goal_period = int(goal_period)
+        self.max_steps = int(max_steps)
         self.rng = np.random.default_rng(0)
         self.step_count = 0
         self._ready = False

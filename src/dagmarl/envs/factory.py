@@ -29,15 +29,10 @@ class FactoryEnv(DagEnv):
                     "surplus", "accounting")
 
     def __init__(self, goal_period: int = 40, goal_periods: int = 10):
-        super().__init__()
-        if goal_period < 1 or goal_periods < 1:
-            raise ValueError("goal_period and goal_periods must be >= 1")
+        super().__init__(goal_period, goal_period * goal_periods)
         self.topology = DagTopology(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
                                     names=("parts", "comp-b", "comp-c",
                                            "assembly"))
-        self.goal_period = int(goal_period)
-        self.goal_periods = int(goal_periods)
-        self.max_steps = self.goal_period * self.goal_periods
         self.action_sizes = [3, 2, 2, 4]
         self.obs_dims = [3, 4, 3, 9]
         self.holding_level1 = 0.3

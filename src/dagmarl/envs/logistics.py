@@ -47,15 +47,10 @@ class LogisticsEnv(DagEnv):
     _STATE_ATTRS = ("inventory", "delivered", "demand", "costs", "accounting")
 
     def __init__(self, goal_period: int = 10, goal_periods: int = 30):
-        super().__init__()
-        if goal_period < 1 or goal_periods < 1:
-            raise ValueError("goal_period and goal_periods must be >= 1")
+        super().__init__(goal_period, goal_period * goal_periods)
         self.topology = DagTopology(
             5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)],
             names=("source-a", "source-b", "mid-1", "mid-2", "top"))
-        self.goal_period = int(goal_period)
-        self.goal_periods = int(goal_periods)
-        self.max_steps = self.goal_period * self.goal_periods
         # sources: idle + one link choice per product they carry;
         # relay nodes: idle + (product, link) pairs
         self.action_sizes = [3, 3, 5, 5, 5]

@@ -48,9 +48,7 @@ class MicroDagEnv(DagEnv):
     def __init__(self, topology: DagTopology, n_states, n_actions, p0,
                  transitions, sink_rewards, horizon: int = 20,
                  goal_period: int = 5):
-        super().__init__()
-        if horizon < 1 or goal_period < 1:
-            raise ValueError("horizon and goal_period must be >= 1")
+        super().__init__(goal_period, horizon)
         self.topology = topology
         self.n_states = [int(s) for s in n_states]
         self.n_actions = [int(a) for a in n_actions]
@@ -60,8 +58,6 @@ class MicroDagEnv(DagEnv):
         self.transitions = [np.asarray(t, dtype=np.float64) for t in transitions]
         self.sink_rewards = {int(k): np.asarray(r, dtype=np.float64)
                              for k, r in sink_rewards.items()}
-        self.max_steps = int(horizon)
-        self.goal_period = int(goal_period)
         self.action_sizes = list(self.n_actions)
         self.obs_dims = list(self.n_states)
         self.delta_order = [sorted(topology.ancestors(i))

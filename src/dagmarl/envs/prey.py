@@ -31,17 +31,13 @@ class PreyEnv(DagEnv):
 
     def __init__(self, grid_size: int = 20, predators: int = 2,
                  max_steps: int = 200, goal_period: int = 10):
-        super().__init__()
+        super().__init__(goal_period, max_steps)
         if grid_size < 4 or predators < 1:
             raise ValueError("need grid_size >= 4 and predators >= 1")
-        if max_steps < 1 or goal_period < 1:
-            raise ValueError("max_steps and goal_period must be >= 1")
         self.topology = DagTopology(4, [(0, 1), (1, 2), (1, 3)],
                                     names=("root", "mid", "sink-1", "sink-2"))
         self.grid_size = int(grid_size)
         self.n_predators = int(predators)
-        self.max_steps = int(max_steps)
-        self.goal_period = int(goal_period)
         self.action_sizes = [9, 9, 9, 9]  # stay + 8 directions
         self.obs_dims = [8, 8, 8, 8]
         self.sinks = (2, 3)

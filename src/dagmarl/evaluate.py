@@ -30,6 +30,8 @@ def evaluate(config, checkpoint_dir, episodes: int = 1000, seed=None,
              bins: int = 30) -> EvalResult:
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     if seed is None:
         seed = config.seed
     stream = substream(seed, "eval-env")

@@ -45,6 +45,11 @@ class CheckpointMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _param_count(layer_dims) -> int:
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 class DenseNet:
     """Fully connected ReLU net with a linear output layer.
 
@@ -60,8 +65,7 @@ class DenseNet:
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise DimensionMismatch(f"bad layer dims {layer_dims}")
         self.layer_dims = layer_dims
-        self.flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out
-                                 in zip(layer_dims[:-1], layer_dims[1:])))
+        self.flat = np.zeros(_param_count(layer_dims))
         layers = self.layer_views(self.flat)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
@@ -184,11 +188,12 @@ class DenseNet:
         except struct.error as e:
             raise CheckpointMismatch(f"truncated dims: {e}") from None
         offset += 4 * ndims
-        net = cls.zeros(dims)
-        end = offset + 8 * net.flat.size
+        count = _param_count(dims)
+        end = offset + 8 * count
         if end > len(data):
             raise CheckpointMismatch("truncated parameter block")
-        net.flat[...] = np.frombuffer(data, dtype="<f8", count=net.flat.size,
+        net = cls.zeros(dims)
+        net.flat[...] = np.frombuffer(data, dtype="<f8", count=count,
                                       offset=offset)
         return net, end
 

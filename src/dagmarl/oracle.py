@@ -11,7 +11,7 @@ enumeration) so the implementations check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class _JointModel:
             a_sub = _sub_index(self.a_digits, env.delta_order[k], env.n_actions)
             self.sink_r[k] = table[self.s_digits[:, k][:, None],
                                    a_sub[None, :]]
-        self.team_r = sum(self.sink_r.values())
         self.r_max = float(sum(t.max() for t in env.sink_rewards.values()))
 
         # joint transition kernel per joint action
@@ -329,14 +328,7 @@ class CampaignReport:
     max_equality_gap: float
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_violation": self.max_violation,
-            "min_margin": self.min_margin,
-            "equality_trials": self.equality_trials,
-            "max_equality_gap": self.max_equality_gap,
-        }
+        return asdict(self)
 
 
 def _bound_horizon(gamma, tol, r_max):

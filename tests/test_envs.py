@@ -235,7 +235,7 @@ class _SetStateEnv(DagEnv):
     _STATE_ATTRS = ("seen",)
 
     def __init__(self):
-        super().__init__()
+        super().__init__(goal_period=1, max_steps=1)
         self.seen = {1, 2}
 
 
@@ -316,6 +316,15 @@ def test_factory_assembly_needs_components():
     _, r, _ = env.step([0, 0, 0, 2])  # product 2 needs both B and C
     assert r == 0.0
     assert env.accounting["produced"] == 0
+
+
+@pytest.mark.parametrize("env_cls", [FactoryEnv, LogisticsEnv])
+@pytest.mark.parametrize("kwargs", [dict(goal_period=0),
+                                    dict(goal_periods=0)],
+                         ids=["goal_period", "goal_periods"])
+def test_period_envs_reject_empty_periods(env_cls, kwargs):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        env_cls(**kwargs)
 
 
 # -- logistics -----------------------------------------------------------------

@@ -125,6 +125,9 @@ def test_config_rejects_unknown_bits(tmp_path):
     bad_agent_key = CONFIG_TEXT.replace("goal_dim = 2", "goal_dims = 2")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, text=bad_agent_key))
+    dag_key_in_env = CONFIG_TEXT.replace("[env]\n", "[env]\narcs = 0\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'arcs' in \[env\]"):
+        load_config(write_config(tmp_path, text=dag_key_in_env))
 
 
 def config_with(section, key, value):
@@ -145,6 +148,9 @@ def config_with(section, key, value):
     ("ppo", "learning_rate", "abc"),
     ("ppo", "hidden", "8, x"),
     ("run", "seed", "3.5"),
+    ("env", "horizon", "5.7"),
+    ("env", "goal_period", "true"),
+    ("env", "table_seed", "1e3"),
 ])
 def test_config_rejects_mistyped_values(tmp_path, section, key, value):
     text = config_with(section, key, value)
@@ -410,6 +416,16 @@ def test_cli_train_rejects_empty_episodes(tmp_path, capsys):
     assert "error: max_steps" in capsys.readouterr().err
 
 
+def test_cli_train_rejects_fractional_step_limit(tmp_path, capsys):
+    cfg = tmp_path / "prey.ini"
+    cfg.write_text("[env]\nname = prey\nmax_steps = 5.7\n")
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: bad value '5.7' for 'max_steps' in [env]\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -461,6 +477,28 @@ def test_cli_plot_unknown_column(tmp_path, capsys):
                  "--column", "bananas", "--out", str(tmp_path / "x.svg")])
     assert code == 1
     assert "bananas" in capsys.readouterr().err
+
+
+def test_cli_plot_rejects_zero_window(tmp_path, capsys):
+    log = tmp_path / "run.csv"
+    write_episode_csv(log, sample_records())
+    code = main(["plot", str(log), "--window", "0",
+                 "--out", str(tmp_path / "x.svg")])
+    assert code == 1
+    assert "error: window must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_cli_plot_draws_every_log(tmp_path, capsys):
+    logs = [tmp_path / "a" / "run.csv", tmp_path / "b" / "run-2.csv",
+            tmp_path / "c" / "run.csv"]
+    for log in logs:
+        log.parent.mkdir()
+        write_episode_csv(log, sample_records())
+    svg = tmp_path / "all.svg"
+    assert main(["plot", *map(str, logs), "--out", str(svg)]) == 0
+    assert svg.read_text().count("<polyline") == 3
+    capsys.readouterr()
 
 
 def test_cli_evaluate_missing_checkpoints(tmp_path, capsys):
@@ -516,6 +554,12 @@ def test_evaluate_is_repeatable_and_prefix_stable(tmp_path):
     short = evaluate(cfg, tmp_path, episodes=4, seed=100)
     np.testing.assert_array_equal(first.rewards[:4], short.rewards)
     np.testing.assert_array_equal(first.goal_periods[:4], short.goal_periods)
+
+
+def test_evaluate_checks_bins_before_running(tmp_path):
+    with pytest.raises(ValueError, match="bins must be >= 1"):
+        evaluate(micro_srm_config(), tmp_path / "missing", episodes=200,
+                 bins=0)
 
 
 def test_evaluate_matches_exhaustive_values(tmp_path):

@@ -3,6 +3,7 @@ a hand-rolled Adam simulation, and distribution-head statistics."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,18 @@ class TestCheckpoint:
         blob = DenseNet([2, 2], np.random.default_rng(0)).to_bytes()
         with pytest.raises(CheckpointMismatch):
             DenseNet.from_bytes(blob[:-3])
+
+    def test_truncated_block_fails_before_allocating(self):
+        # a bare header claiming 2048-wide layers: about 4.2M parameters
+        blob = struct.pack("<4sHHI4I", b"DGNT", 1, 0, 4, 1, 2048, 2048, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointMismatch, match="parameter block"):
+                DenseNet.from_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_dgnt_v1_layout(self):
         # header, dims, then each tensor as little-endian float64 in
