@@ -31,17 +31,21 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_train(args) -> int:
+    from .envs import make_env
     from .training import train
 
     config = _load(args)
     if not config.out_dir:
         raise ConfigError("train needs an output directory: "
                           "set [run] out or pass --out")
+    if config.episodes < 1:
+        raise ConfigError("train needs at least one episode")
+    started = time.monotonic()
+    env = make_env(config.env_name, config.env_options)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    started = time.monotonic()
-    result = train(config)
+    result = train(config, env)
     wall = time.monotonic() - started
 
     write_episode_csv(out / "episodes.csv", result.records)

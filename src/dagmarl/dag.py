@@ -89,39 +89,28 @@ class DagTopology:
     """
 
     def __init__(self, node_count: int, arcs, names=None):
-        self._order = topological_order(node_count, arcs)
-        self.node_count = node_count
         self.arcs = tuple(sorted(set(tuple(a) for a in arcs)))
+        self._order = topological_order(node_count, self.arcs)
+        self.node_count = node_count
         if names is not None:
             names = tuple(names)
             if len(names) != node_count:
                 raise InvalidNode(f"{len(names)} names for {node_count} nodes")
         self.names = names
 
-        self._succ = {i: [] for i in range(node_count)}
-        self._pred = {i: [] for i in range(node_count)}
+        # the arcs are sorted, so every parent and child list comes out sorted
+        self._succ = [[] for _ in range(node_count)]
+        self._pred = [[] for _ in range(node_count)]
         for u, v in self.arcs:
             self._succ[u].append(v)
             self._pred[v].append(u)
-        for i in range(node_count):
-            self._succ[i].sort()
-            self._pred[i].sort()
 
-        self._delta = [self._reach(i, self._pred) for i in range(node_count)]
+        # parents precede their children, so their closures are already built
+        self._delta = [frozenset()] * node_count
+        for i in self._order:
+            self._delta[i] = frozenset({i}).union(
+                *(self._delta[p] for p in self._pred[i]))
         self.arc_index = {a: n for n, a in enumerate(self.arcs)}
-
-    def _reach(self, start, adjacency):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in adjacency[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return frozenset(seen)
 
     # -- queries ---------------------------------------------------------
 

@@ -19,8 +19,9 @@ class InvalidDistribution(ValueError):
     pass
 
 
-def mixed_radix_index(digits, sizes) -> int:
-    """Flattens digits (most significant first) under the given radices."""
+def mixed_radix_index(digits, sizes):
+    """Flattens digits (most significant first) under the given radices;
+    elementwise when each digit is an array (one column per position)."""
     idx = 0
     for d, s in zip(digits, sizes):
         idx = idx * s + d

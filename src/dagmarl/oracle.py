@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envs.micro import MicroDagEnv, sample_micro_env
+from .envs.micro import MicroDagEnv, mixed_radix_index, sample_micro_env
 
 DP_GUARD = 1_000_000  # joint (state, action) table cells
 ENUM_GUARD = 1_000_000  # enumerated trajectories
@@ -80,12 +80,11 @@ def sample_tabular_policy(rng: np.random.Generator,
 class ContributionTable:
     """Per-sink contribution weights f over the sink's ancestor closure.
 
-    tables[k] has shape (len(members[k]), NS_k, NA_k) where NS_k / NA_k
-    enumerate the joint states / actions of members[k] = sorted ancestors(k).
+    tables[k] has shape (len(m), NS_k, NA_k) where NS_k / NA_k enumerate the
+    joint states / actions of m = env.delta_order[k], the sorted ancestors.
     """
 
     tables: dict
-    members: dict
 
 
 def validate_contribution(env: MicroDagEnv, contribution: ContributionTable):
@@ -104,30 +103,21 @@ def sample_admissible_contribution(rng: np.random.Generator, env: MicroDagEnv,
                                    row_sum=None) -> ContributionTable:
     """Random admissible weights; each (sink, joint tuple) column sums to
     u ~ U[0,1], or to the fixed `row_sum` when given."""
-    tables, members = {}, {}
+    tables = {}
     for k in env.topology.sinks:
-        m = sorted(env.topology.ancestors(k))
+        m = env.delta_order[k]
         ns = int(np.prod([env.n_states[j] for j in m]))
         na = int(np.prod([env.n_actions[j] for j in m]))
         raw = rng.random((len(m), ns, na)) + 1e-12
         u = np.full((ns, na), float(row_sum)) if row_sum is not None \
             else rng.random((ns, na))
         tables[k] = raw / raw.sum(axis=0) * u
-        members[k] = tuple(m)
-    return ContributionTable(tables, members)
+    return ContributionTable(tables)
 
 
 # ---------------------------------------------------------------------------
 # joint-space model
 # ---------------------------------------------------------------------------
-
-
-def _sub_index(digits, nodes, sizes):
-    """Flat index of the `nodes` columns of a joint digit matrix."""
-    idx = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in nodes:
-        idx = idx * sizes[j] + digits[:, j]
-    return idx
 
 
 class _JointModel:
@@ -152,7 +142,7 @@ class _JointModel:
         # sink rewards over the full joint space
         self.sink_r = {}
         for k, table in env.sink_rewards.items():
-            a_sub = _sub_index(self.a_digits, env.delta_order[k], env.n_actions)
+            a_sub = env.joint_action_index(k, self.a_digits.T)
             self.sink_r[k] = table[self.s_digits[:, k][:, None],
                                    a_sub[None, :]]
         self.r_max = float(sum(t.max() for t in env.sink_rewards.values()))
@@ -162,8 +152,7 @@ class _JointModel:
         for a in range(self.na):
             q = np.ones((self.ns, 1))
             for i in range(n):
-                ja = _sub_index(self.a_digits[a:a + 1], env.delta_order[i],
-                                env.n_actions)[0]
+                ja = env.joint_action_index(i, self.a_digits[a])
                 rows = env.transitions[i][self.s_digits[:, i], ja]
                 q = (q[:, :, None] * rows[:, None, :]).reshape(self.ns, -1)
             self.trans[a] = q
@@ -179,9 +168,10 @@ class _JointModel:
         env = self.env
         out = np.zeros((env.topology.node_count, self.ns, self.na))
         for k, f in contribution.tables.items():
-            m = contribution.members[k]
-            s_sub = _sub_index(self.s_digits, m, env.n_states)
-            a_sub = _sub_index(self.a_digits, m, env.n_actions)
+            m = env.delta_order[k]
+            s_sub = mixed_radix_index(self.s_digits[:, m].T,
+                                      [env.n_states[j] for j in m])
+            a_sub = env.joint_action_index(k, self.a_digits.T)
             for pos, i in enumerate(m):
                 out[i] += f[pos][s_sub[:, None], a_sub[None, :]] * self.sink_r[k]
         return out

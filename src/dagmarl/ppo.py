@@ -8,6 +8,7 @@ bounded-continuous Beta agents (goal vectors, budget fractions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,12 @@ class PpoConfig:
             raise ValueError(f"clip_epsilon {self.clip_epsilon} outside (0,1)")
         if not (0.0 <= self.gamma <= 1.0) or not (0.0 <= self.gae_lambda <= 1.0):
             raise ValueError("gamma and gae_lambda must lie in [0,1]")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError(
+                f"learning_rate {self.learning_rate} outside (0,inf)")
+        if not (0.0 <= self.entropy_coef < math.inf
+                and 0.0 <= self.value_coef < math.inf):
+            raise ValueError("entropy_coef and value_coef must lie in [0,inf)")
         if self.batch_size < 1 or self.epochs_per_update < 1:
             raise ValueError("batch_size and epochs_per_update must be >= 1")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):

@@ -63,6 +63,12 @@ class TestClosures:
         topo = DagTopology(3, [(0, 1)])
         assert 2 in topo.sinks and topo.predecessors(2) == []
 
+    def test_one_shot_arcs_keep_every_arc(self):
+        topo = DagTopology(3, ((u, v) for u, v in [(0, 1), (1, 2)]))
+        assert topo.arcs == ((0, 1), (1, 2))
+        assert topo.sinks == [2]
+        assert topo.ancestors(2) == frozenset({0, 1, 2})
+
 
 class TestRewardFlowNeighbors:
     def test_diamond(self):

@@ -461,6 +461,12 @@ def test_prey_rollout_invariants():
             env.step_count == env.max_steps
 
 
+def test_prey_topology_is_its_parent_chain():
+    env = PreyEnv()
+    assert env.topology.arcs == ((0, 1), (1, 2), (1, 3))
+    assert env.sinks == (2, 3)
+
+
 def test_prey_first_direction_used_once():
     env = PreyEnv(max_steps=50)
     env.reset(4)

@@ -167,6 +167,16 @@ def test_config_reads_values_by_field_type(tmp_path):
     assert type(cfg.ppo.batch_size) is int and cfg.ppo.hidden == (8, 8)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", "nan"), ("learning_rate", "-1"),
+    ("entropy_coef", "inf"), ("value_coef", "-0.5"),
+])
+def test_config_rejects_untrainable_ppo_values(tmp_path, key, value):
+    text = config_with("ppo", key, value)
+    with pytest.raises(ConfigError, match=r"bad \[ppo\] values"):
+        load_config(write_config(tmp_path, text=text))
+
+
 def test_run_mode_parsing():
     assert RunMode.parse("DIFF_M") is RunMode.DIFF_M
     assert RunMode.parse("cap-m") is RunMode.CAP_M
@@ -424,6 +434,20 @@ def test_cli_train_rejects_fractional_step_limit(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: bad value '5.7' for 'max_steps' in [env]\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, args", [
+    ("[env]\nname = factory\ngoal_periods = 0\n", []),
+    ("[env]\nname = prey\nmax_steps = 0\n", []),
+    ("[env]\nname = prey\nmax_steps = 20\n", ["--episodes", "0"]),
+], ids=["factory-no-periods", "prey-no-steps", "no-episodes"])
+def test_cli_train_rejected_run_leaves_no_output(tmp_path, capsys, text, args):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)] + args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_round_trip(tmp_path, capsys):

@@ -152,16 +152,16 @@ def test_validate_contribution_rejections():
     (sink,) = env.topology.sinks
 
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable({}, {}))
+        validate_contribution(env, ContributionTable({}))
 
     negative = {sink: good.tables[sink].copy()}
     negative[sink][0, 0, 0] = -0.01
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable(negative, good.members))
+        validate_contribution(env, ContributionTable(negative))
 
     heavy = {sink: good.tables[sink] * 0.0 + 0.9}  # columns sum to 1.8
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable(heavy, good.members))
+        validate_contribution(env, ContributionTable(heavy))
 
 
 def test_synthetic_values_scale_linearly():
@@ -169,8 +169,7 @@ def test_synthetic_values_scale_linearly():
     env = tiny_env(seed=1)
     policy = sample_tabular_policy(rng, env)
     c = sample_admissible_contribution(rng, env)
-    half = ContributionTable({k: 0.5 * f for k, f in c.tables.items()},
-                             c.members)
+    half = ContributionTable({k: 0.5 * f for k, f in c.tables.items()})
     v_full, _ = synthetic_values(env, policy, c, gamma=0.9)
     v_half, _ = synthetic_values(env, policy, half, gamma=0.9)
     np.testing.assert_allclose(v_half, 0.5 * v_full, atol=1e-12)

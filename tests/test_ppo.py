@@ -304,6 +304,14 @@ class TestConfigValidation:
             PpoConfig(batch_size=0)
         with pytest.raises(ValueError):
             PpoConfig(hidden=())
+        for bad in (dict(learning_rate=0.0), dict(learning_rate=-1.0),
+                    dict(learning_rate=float("nan")),
+                    dict(learning_rate=float("inf")),
+                    dict(entropy_coef=float("inf")),
+                    dict(entropy_coef=-0.01), dict(value_coef=-0.5),
+                    dict(value_coef=float("nan"))):
+            with pytest.raises(ValueError):
+                PpoConfig(**bad)
 
     def test_defaults(self):
         cfg = PpoConfig()
