@@ -69,6 +69,16 @@ def _cmd_evaluate(args) -> int:
     from .evaluate import evaluate
 
     config = _load(args)
+    meta_path = Path(args.checkpoints).parent / "run_meta.json"
+    if meta_path.is_file():
+        try:
+            trained = json.loads(meta_path.read_text())["config"]["mode"]
+        except (KeyError, TypeError):  # not a record that train wrote
+            trained = None
+        if trained is not None and trained != config.mode.value:
+            raise ConfigError(
+                f"{meta_path} records mode {trained!r}, but evaluate "
+                f"resolved mode {config.mode.value!r}; pass --mode {trained}")
     episodes = args.episodes if args.episodes is not None else 1000
     result = evaluate(config, args.checkpoints, episodes=episodes,
                       seed=args.seed, bins=args.bins)

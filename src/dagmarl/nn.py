@@ -1,4 +1,5 @@
-"""Dense networks, Adam, and stochastic policy heads.
+"""Dense networks, Adam, stochastic policy heads and the special functions
+of the Beta head.
 
 Everything is float64 numpy with hand-written reverse-mode gradients; there
 is deliberately no autograd framework underneath.  Two policy heads cover
@@ -9,11 +10,11 @@ segments over consecutive logits, and ``BetaHead``, a per-coordinate Beta on
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma, polygamma
 
 
 class DimensionMismatch(ValueError):
@@ -263,6 +264,89 @@ def adam_step(state: AdamState, params, grad):
 
 
 # ---------------------------------------------------------------------------
+# special functions of the Beta head, for arguments >= 1
+# ---------------------------------------------------------------------------
+# Each argument x is shifted to z = x + _SHIFT >= 9 by the recurrences
+# psi(x) = psi(x+1) - 1/x, psi1(x) = psi1(x+1) + 1/x**2 and
+# lnGamma(x) = lnGamma(x+1) - ln(x); the asymptotic series then run at z with
+# Bernoulli terms to z**-14 (z**-15 for psi1), whose first omitted term is
+# below 5e-16 at z = 9.
+
+_SHIFT = 8.0
+_STEPS = np.arange(_SHIFT)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# coefficients of w = z**-2, from w**0 up
+_PSI_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760,
+               -1 / 12)
+_PSI1_SERIES = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+                    -691 / 360360, 1 / 156)
+
+
+def _series(w, coeffs):
+    """sum(c * w**k for k, c in enumerate(coeffs)), by Horner's rule."""
+    out = coeffs[-1] * w
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= w
+    return out + coeffs[0]
+
+
+def _shifted(x):
+    """x + k for k = 0 .. _SHIFT - 1, along a new last axis."""
+    return x[..., None] + _STEPS
+
+
+def digamma(x):
+    """psi(x) = d lnGamma(x) / dx, elementwise for x >= 1."""
+    x = np.asarray(x, dtype=np.float64)
+    z = x + _SHIFT
+    w = 1.0 / (z * z)
+    return (np.log(z) - 0.5 / z + w * _series(w, _PSI_SERIES)
+            - np.sum(1.0 / _shifted(x), axis=-1))
+
+
+def trigamma(x):
+    """psi1(x) = d psi(x) / dx, elementwise for x >= 1."""
+    x = np.asarray(x, dtype=np.float64)
+    r = 1.0 / (x + _SHIFT)
+    w = r * r
+    return (r + 0.5 * w + w * r * _series(w, _PSI1_SERIES)
+            + np.sum(1.0 / _shifted(x) ** 2, axis=-1))
+
+
+def _stirling(z):
+    """lnGamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)."""
+    r = 1.0 / z
+    return r * _series(r * r, _STIRLING_SERIES)
+
+
+def betaln(a, b):
+    """ln B(a, b) = lnGamma(a) + lnGamma(b) - lnGamma(a+b), elementwise for
+    a, b >= 1.
+
+    Each lnGamma is Stirling's series at its shifted argument: p and q for
+    the larger and the smaller shape, r for a + b.  The large terms of p and
+    r combine into (p - 1/2) ln(p/r) - small ln(r), and ln(p/r) is taken as
+    log1p(-small/r), which keeps its precision when a and b are far apart;
+    the linear terms -p - q + r sum to -_SHIFT.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    small = np.minimum(a, b)
+    p = np.maximum(a, b) + _SHIFT
+    q = small + _SHIFT
+    r = a + b + _SHIFT
+    stirling = _stirling(np.stack((p, q, r)))
+    # undoes the three shifts: prod_k (a+b+k) / ((a+k) (b+k))
+    shifts = np.log(np.prod(_shifted(a + b) / (_shifted(a) * _shifted(b)),
+                            axis=-1))
+    return ((p - 0.5) * np.log1p(-small / r) - small * np.log(r)
+            + (q - 0.5) * np.log(q) + (_HALF_LOG_2PI - _SHIFT)
+            + stirling[0] + stirling[1] - stirling[2] + shifts)
+
+
+# ---------------------------------------------------------------------------
 # policy heads
 # ---------------------------------------------------------------------------
 
@@ -391,14 +475,6 @@ def _logsumexp(z, axis=-1, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _beta_entropy(alpha, beta):
-    s = alpha + beta
-    return (betaln(alpha, beta)
-            - (alpha - 1.0) * digamma(alpha)
-            - (beta - 1.0) * digamma(beta)
-            + (s - 2.0) * digamma(s))
-
-
 def categorical_stats(head: CategoricalHead, logits, actions):
     """Batched log-prob/entropy and their logit gradients.
 
@@ -438,16 +514,20 @@ def beta_stats(head: BetaHead, raw, actions):
     log_x = np.log(x)
     log_1mx = np.log1p(-x)
 
-    logp = np.sum((alpha - 1.0) * log_x + (beta - 1.0) * log_1mx
-                  - betaln(alpha, beta), axis=1)
-    entropy = np.sum(_beta_entropy(alpha, beta), axis=1)
+    ln_b = betaln(alpha, beta)
+    shapes = np.stack((alpha, beta, s))
+    psi_a, psi_b, psi_s = digamma(shapes)
+    tri_a, tri_b, tri_s = trigamma(shapes)
 
-    psi_s = digamma(s)
-    dlogp_da = log_x - digamma(alpha) + psi_s
-    dlogp_db = log_1mx - digamma(beta) + psi_s
-    tri_s = polygamma(1, s)
-    dent_da = -(alpha - 1.0) * polygamma(1, alpha) + (s - 2.0) * tri_s
-    dent_db = -(beta - 1.0) * polygamma(1, beta) + (s - 2.0) * tri_s
+    logp = np.sum((alpha - 1.0) * log_x + (beta - 1.0) * log_1mx - ln_b,
+                  axis=1)
+    entropy = np.sum(ln_b - (alpha - 1.0) * psi_a - (beta - 1.0) * psi_b
+                     + (s - 2.0) * psi_s, axis=1)
+
+    dlogp_da = log_x - psi_a + psi_s
+    dlogp_db = log_1mx - psi_b + psi_s
+    dent_da = -(alpha - 1.0) * tri_a + (s - 2.0) * tri_s
+    dent_db = -(beta - 1.0) * tri_b + (s - 2.0) * tri_s
 
     # chain through alpha = 1 + softplus(raw_a), beta = 1 + softplus(raw_b)
     sig_a = _sigmoid(raw[:, :head.dim])

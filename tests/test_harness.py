@@ -5,7 +5,10 @@ frozen evaluator against exhaustive value computation."""
 import json
 import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +479,27 @@ def test_cli_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_evaluate_names_a_mode_mismatch(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--mode", "diff_m",
+                 "--episodes", "2"]) == 0
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", str(tmp_path / "run" / "checkpoints"),
+                 "--config", str(cfg), "--episodes", "2",
+                 "--out", str(eval_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'diff-m'" in err and "'proposed'" in err
+    assert not eval_dir.exists()
+    # a run_meta.json without a mode leaves the check to the checkpoints
+    (tmp_path / "run" / "run_meta.json").write_text("[]\n")
+    assert main(["evaluate", str(tmp_path / "run" / "checkpoints"),
+                 "--config", str(cfg), "--mode", "diff-m", "--episodes", "2",
+                 "--out", str(eval_dir)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_eval_rewards_are_a_readable_log(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
@@ -530,6 +554,45 @@ def test_cli_evaluate_missing_checkpoints(tmp_path, capsys):
     code = main(["evaluate", str(tmp_path / "void"), "--config", str(cfg)])
     assert code == 1
     capsys.readouterr()
+
+
+def run_python(code, *args):
+    """Runs ``code`` in a fresh interpreter with this checkout's ``src``
+    first on the import path; returns its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_imports_no_scipy():
+    loaded = run_python(
+        "import sys\n"
+        "import dagmarl, dagmarl.cli, dagmarl.training, dagmarl.evaluate\n"
+        "import dagmarl.oracle, dagmarl.plotting\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    assert loaded == "[]\n"
+
+
+def test_beta_modes_run_without_scipy(tmp_path):
+    # proposed trains the leader and the generator/distributor, so every
+    # Beta path runs: sampling, the batched stats and the frozen mean
+    cfg = write_config(tmp_path)
+    run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dagmarl.cli import main\n"
+        "cfg, run, ev = sys.argv[1:]\n"
+        "assert main(['train', '--config', cfg, '--episodes', '2']) == 0\n"
+        "assert main(['evaluate', run + '/checkpoints', '--config', cfg,\n"
+        "             '--episodes', '3', '--out', ev]) == 0\n",
+        str(cfg), str(tmp_path / "run"), str(tmp_path / "eval"))
+    summary = json.loads((tmp_path / "eval" / "eval_summary.json").read_text())
+    assert summary["episodes"] == 3
 
 
 def test_cli_verify_theorem(capsys):
