@@ -45,17 +45,23 @@ def snapshots_equal(a: EnvSnapshot, b: EnvSnapshot) -> bool:
 
 
 _IMMUTABLE = (int, float, bool, str, type(None), np.generic)
+# scalar types a ledger dict may hold and still be copied shallowly
+_NUMBERS = frozenset({int, float, np.int64, np.float64})
 
 
 def _clone(value, name: str):
     """Copies state attribute `name` so that no mutable part is shared."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if type(value) is dict:
+    kind = type(value)
+    if kind is dict:
+        # a ledger of plain numbers: a shallow copy shares nothing mutable
+        if _NUMBERS.issuperset(map(type, value.values())):
+            return value.copy()
         return {k: _clone(v, name) for k, v in value.items()}
-    if type(value) is list:
+    if kind is list:
         return [_clone(v, name) for v in value]
-    if type(value) is tuple:
+    if kind is tuple:
         return tuple(_clone(v, name) for v in value)
     if isinstance(value, _IMMUTABLE):
         return value
@@ -68,10 +74,17 @@ class DagEnv:
 
     Subclasses pass goal_period and max_steps (both >= 1) to __init__, set
     topology, obs_dims and action_sizes, and implement reset(seed),
-    observe(), and _advance(actions) -> (reward, done).  Mutable state
-    must live in attributes listed in _STATE_ATTRS.  snapshot() and
-    restore() copy those attributes: NumPy arrays with .copy(), dicts, lists
-    and tuples element by element, and int, float, bool, str, None and
+    observe(), and _advance(actions) -> (reward, done).
+
+    step() is step_reward() followed by observe().  step_reward() validates
+    the actions (one integer in range per node), advances and counts
+    step_count exactly as step() does, and restore() rewinds it the same
+    way, but it skips observe().
+
+    Mutable state must live in attributes listed in _STATE_ATTRS.
+    snapshot() and restore() copy those attributes: NumPy arrays with
+    .copy(), dicts, lists and tuples element by element (a dict of int and
+    float values by one shallow copy), and int, float, bool, str, None and
     NumPy scalars as they are.  Any other type (a set, a subclass of dict,
     list or tuple, an object) raises TypeError naming the attribute, so no
     mutable state is ever shared with a snapshot.
@@ -113,21 +126,32 @@ class DagEnv:
 
     def step(self, actions):
         """Applies one action per node; returns (obs list, team reward, done)."""
+        reward, done = self.step_reward(actions)
+        return self.observe(), reward, done
+
+    def step_reward(self, actions):
+        """``step`` without the observation; returns (team reward, done).
+
+        It validates, advances and counts exactly as ``step`` does, and
+        ``restore`` rewinds it the same way, so a counterfactual branch that
+        is restored right after pays no ``observe()``.
+        """
         if not self._ready:
             raise RuntimeError("step() before reset()")
         actions = list(actions)
         if len(actions) != self.topology.node_count:
             raise InvalidAction(
                 f"{len(actions)} actions for {self.topology.node_count} nodes")
-        for i, a in enumerate(actions):
-            if not (0 <= int(a) < self.action_sizes[i]):
+        for i, (a, size) in enumerate(zip(actions, self.action_sizes)):
+            # an integer of any kind; a float or a string is no action
+            if not (isinstance(a, (int, np.integer)) and 0 <= a < size):
                 raise InvalidAction(
-                    f"action {a} for node {i} with {self.action_sizes[i]} choices")
+                    f"action {a!r} for node {i} with {size} choices")
         reward, done = self._advance([int(a) for a in actions])
         self.step_count += 1
         if done:
             self._ready = False
-        return self.observe(), float(reward), bool(done)
+        return float(reward), bool(done)
 
     def signature(self) -> tuple:
         return (type(self).__name__, self.topology.node_count,

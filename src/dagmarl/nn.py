@@ -46,6 +46,18 @@ class CheckpointMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _layer_spans(layer_dims) -> tuple:
+    """(weight start, bias start, bias end, weight shape) of each layer in
+    the flat parameter vector."""
+    spans = []
+    offset = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        mid = offset + fan_out * fan_in
+        spans.append((offset, mid, mid + fan_out, (fan_out, fan_in)))
+        offset = mid + fan_out
+    return tuple(spans)
+
+
 def _param_count(layer_dims) -> int:
     return sum((fan_in + 1) * fan_out
                for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
@@ -66,10 +78,13 @@ class DenseNet:
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise DimensionMismatch(f"bad layer dims {layer_dims}")
         self.layer_dims = layer_dims
-        self.flat = np.zeros(_param_count(layer_dims))
+        self._spans = _layer_spans(layer_dims)
+        self.flat = np.zeros(self._spans[-1][2])
         layers = self.layer_views(self.flat)
         self.weights = [w for w, _ in layers]
         self.biases = [b for _, b in layers]
+        # (W.T, b) views for the forward pass: ReLU layers, then the output
+        *self._relu_layers, self._output_layer = [(w.T, b) for w, b in layers]
         if rng is not None:
             for w in self.weights:
                 fan_out, fan_in = w.shape
@@ -86,32 +101,36 @@ class DenseNet:
 
     def _prep(self, x):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteInput("non-finite network input")
-        return x, single
+        return x
 
     def forward(self, x):
         y, _ = self.forward_cached(x)
         return y
 
     def forward_cached(self, x):
-        """Returns (output, cache) with activations kept for backward()."""
-        x, single = self._prep(x)
-        acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = z if l == last else np.maximum(z, 0.0)
+        """Returns (output, cache) with activations kept for backward().
+
+        A 1-D input is one row and gives a 1-D output, with the same bits
+        as the row of a 1-row batch: NumPy computes either ``h @ W.T`` as
+        one matrix-vector product.
+        """
+        h = self._prep(x)
+        acts = [h]
+        for w_t, b in self._relu_layers:
+            h = h @ w_t
+            h += b
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
-        out = acts[-1][0] if single else acts[-1]
-        return out, (acts, single)
+        w_t, b = self._output_layer
+        h = h @ w_t
+        h += b
+        acts.append(h)
+        return h, acts
 
     def backward(self, cache, output_gradient):
         """Gradient of sum(output * output_gradient) w.r.t. ``flat``.
@@ -119,19 +138,19 @@ class DenseNet:
         Returns one vector laid out like ``flat``, summed over the batch
         dimension; ``layer_views`` splits it into (dW, db) per layer.
         """
-        acts, single = cache
+        acts = cache
         g = np.asarray(output_gradient, dtype=np.float64)
-        if single:
+        if acts[0].ndim == 1:  # the cache of one row
+            acts = [a[None, :] for a in acts]
             g = g[None, :]
         if g.shape != acts[-1].shape:
             raise ShapeMismatch(
                 f"output gradient {g.shape} vs output {acts[-1].shape}")
         grad = np.empty_like(self.flat)
-        layers = self.layer_views(grad)
-        for l in range(len(self.weights) - 1, -1, -1):
-            dw, db = layers[l]
-            np.matmul(g.T, acts[l], out=dw)
-            g.sum(axis=0, out=db)
+        for l in range(len(self._spans) - 1, -1, -1):
+            lo, mid, hi, shape = self._spans[l]
+            np.matmul(g.T, acts[l], out=grad[lo:mid].reshape(shape))
+            g.sum(axis=0, out=grad[mid:hi])
             if l > 0:
                 g = (g @ self.weights[l]) * (acts[l] > 0.0)
         return grad
@@ -141,14 +160,8 @@ class DenseNet:
     def layer_views(self, vec):
         """[(W0, b0), (W1, b1), ...] as views into a vector laid out like
         ``flat``."""
-        out = []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            end = offset + fan_out * fan_in
-            out.append((vec[offset:end].reshape(fan_out, fan_in),
-                        vec[end:end + fan_out]))
-            offset = end + fan_out
-        return out
+        return [(vec[lo:mid].reshape(shape), vec[mid:hi])
+                for lo, mid, hi, shape in self._spans]
 
     def copy_parameters(self):
         return self.flat.copy()
@@ -425,7 +438,7 @@ _X_EDGE = 1e-12  # keep samples strictly inside (0,1)
 
 
 def _check_params(params):
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise NonFiniteParams("non-finite head parameters")
 
 
@@ -440,10 +453,10 @@ def sample_and_logprob(head, params, rng: np.random.Generator):
         action, logp = [], 0.0
         for lo, hi in head.bounds:
             seg = params[lo:hi]
-            logp_all = seg - _logsumexp(seg)
-            p = np.exp(logp_all)
-            a = min(int(p.cumsum().searchsorted(rng.random(), side="right")),
-                    hi - lo - 1)
+            m = seg.max()
+            logp_all = seg - (m + np.log(np.exp(seg - m).sum()))
+            a = min(int(np.exp(logp_all).cumsum().searchsorted(
+                rng.random(), side="right")), hi - lo - 1)
             action.append(a)
             logp += float(logp_all[a])
         return tuple(action), logp
@@ -469,12 +482,6 @@ def frozen_action(head, params):
     raise TypeError(f"unknown head {head!r}")
 
 
-def _logsumexp(z, axis=-1, keepdims=False):
-    m = np.max(z, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))
-    return out if keepdims else np.squeeze(out, axis=axis)
-
-
 def categorical_stats(head: CategoricalHead, logits, actions):
     """Batched log-prob/entropy and their logit gradients.
 
@@ -485,21 +492,23 @@ def categorical_stats(head: CategoricalHead, logits, actions):
     actions = np.asarray(actions)
     idx = np.arange(logits.shape[0])
     logp = entropy = 0.0
-    dlogp, dentropy = [], []
+    dlogp = np.empty_like(logits)
+    dentropy = np.empty_like(logits)
     for k, (lo, hi) in enumerate(head.bounds):
         seg = logits[:, lo:hi]
         a = actions[:, k]
-        logp_all = seg - _logsumexp(seg, keepdims=True)
+        m = seg.max(axis=1, keepdims=True)
+        logp_all = seg - (m + np.log(np.exp(seg - m).sum(axis=1,
+                                                           keepdims=True)))
         p = np.exp(logp_all)
-        ent = -np.sum(p * logp_all, axis=1)
+        ent = -(p * logp_all).sum(axis=1)
         logp = logp + logp_all[idx, a]
         entropy = entropy + ent
-        dl = -p
+        dl = dlogp[:, lo:hi]
+        np.negative(p, out=dl)
         dl[idx, a] += 1.0
-        dlogp.append(dl)
-        dentropy.append(-p * (logp_all + ent[:, None]))
-    return (logp, entropy, np.concatenate(dlogp, axis=1),
-            np.concatenate(dentropy, axis=1))
+        np.multiply(-p, logp_all + ent[:, None], out=dentropy[:, lo:hi])
+    return logp, entropy, dlogp, dentropy
 
 
 def beta_stats(head: BetaHead, raw, actions):

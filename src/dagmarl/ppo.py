@@ -18,6 +18,10 @@ from .logio import atomic_write_bytes
 from .nn import BetaHead, DenseNet
 
 
+# what PpoLearner.update averages over its minibatch steps, in this order
+_DIAGNOSTICS = ("policy_loss", "value_loss", "entropy", "clip_fraction")
+
+
 class EmptyBatch(ValueError):
     pass
 
@@ -151,7 +155,7 @@ class PpoLearner:
                                      rollout.log_probs[:n])
         adv, returns = compute_gae(rewards, self.value.forward(states)[:, 0],
                                    cfg.gamma, cfg.gae_lambda)
-        if not (np.all(np.isfinite(adv)) and np.all(np.isfinite(returns))):
+        if not (np.isfinite(adv).all() and np.isfinite(returns).all()):
             raise NonFiniteLoss("non-finite advantages or returns")
         std = adv.std()
         if std >= 1e-8:
@@ -159,27 +163,38 @@ class PpoLearner:
 
         saved = (self.policy.copy_parameters(), self.value.copy_parameters(),
                  self.opt_policy.snapshot(), self.opt_value.snapshot())
-        diags = {"policy_loss": [], "value_loss": [], "entropy": [],
-                 "clip_fraction": []}
+        starts = range(0, n, cfg.batch_size)
+        # one column per minibatch step, one row per entry of _DIAGNOSTICS
+        diags = np.empty((len(_DIAGNOSTICS),
+                          cfg.epochs_per_update * len(starts)))
+        step = 0
         try:
             for _ in range(cfg.epochs_per_update):
                 perm = self.rng.permutation(n)
-                for lo in range(0, n, cfg.batch_size):
+                for lo in starts:
                     idx = perm[lo:lo + cfg.batch_size]
-                    self._minibatch_step(states[idx], actions[idx],
-                                         old_logp[idx], adv[idx],
-                                         returns[idx], diags)
+                    diags[:, step] = self._minibatch_step(
+                        states[idx], actions[idx], old_logp[idx], adv[idx],
+                        returns[idx])
+                    step += 1
         except (NonFiniteLoss, nn.NonFiniteGradient) as err:
             self.policy.load_parameters(saved[0])
             self.value.load_parameters(saved[1])
             self.opt_policy.restore(saved[2])
             self.opt_value.restore(saved[3])
             raise NonFiniteLoss(str(err)) from None
-        out = {k: float(np.mean(v)) for k, v in diags.items()}
+        # each row's sum over its contiguous axis, divided by the count, is
+        # bit for bit np.mean of that row
+        out = dict(zip(_DIAGNOSTICS,
+                       (np.add.reduce(diags, axis=1) / step).tolist()))
         out["transitions"] = n
         return out
 
-    def _minibatch_step(self, states, actions, old_logp, adv, returns, diags):
+    def _minibatch_step(self, states, actions, old_logp, adv, returns):
+        """One gradient step on a minibatch; returns its _DIAGNOSTICS.
+
+        Means are np.add.reduce(x) / m, which is bit for bit np.mean(x).
+        """
         cfg = self.config
         m = len(states)
 
@@ -189,20 +204,22 @@ class PpoLearner:
         logp, entropy, dlogp, dentropy = stats(self.head, params, actions)
         ratio = np.exp(logp - old_logp)
         unclipped = ratio * adv
-        clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon,
-                          1.0 + cfg.clip_epsilon) * adv
+        clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_epsilon),
+                             1.0 + cfg.clip_epsilon) * adv
         surrogate = np.minimum(unclipped, clipped)
-        policy_loss = -np.mean(surrogate) - cfg.entropy_coef * np.mean(entropy)
+        mean_entropy = np.add.reduce(entropy) / m
+        policy_loss = (-(np.add.reduce(surrogate) / m)
+                       - cfg.entropy_coef * mean_entropy)
 
         # gradient flows through the ratio only where the unclipped branch
         # is the active minimum
-        dsurr_dlogp = np.where(unclipped <= clipped, ratio * adv, 0.0)
+        dsurr_dlogp = np.where(unclipped <= clipped, unclipped, 0.0)
         gout = -(dsurr_dlogp[:, None] * dlogp
                  + cfg.entropy_coef * dentropy) / m
 
         values, vcache = self.value.forward_cached(states)
         verr = values[:, 0] - returns
-        value_loss = cfg.value_coef * np.mean(verr ** 2)
+        value_loss = cfg.value_coef * (np.add.reduce(verr ** 2) / m)
         gval = (2.0 * cfg.value_coef * verr / m)[:, None]
 
         if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
@@ -214,11 +231,9 @@ class PpoLearner:
         nn.adam_step(self.opt_value, self.value.flat,
                      self.value.backward(vcache, gval))
 
-        diags["policy_loss"].append(policy_loss)
-        diags["value_loss"].append(value_loss)
-        diags["entropy"].append(np.mean(entropy))
-        diags["clip_fraction"].append(
-            np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
+        clip_fraction = np.count_nonzero(
+            np.abs(ratio - 1.0) > cfg.clip_epsilon) / m
+        return policy_loss, value_loss, mean_entropy, clip_fraction
 
     # -- checkpointing -------------------------------------------------------
 

@@ -74,9 +74,10 @@ def counterfactual_rewards(env, joint_action):
     """Difference rewards for every agent in one sweep.
 
     Each agent's counterfactual replaces its action with 0, which the
-    environment contract fixes as idle.  Each counterfactual branch steps
-    and then restores the snapshot taken before the sweep; the true step runs
-    last so the environment ends at the real successor state.  Returns
+    environment contract fixes as idle.  Each counterfactual branch takes
+    only its reward (``step_reward``, no observation) and then restores the
+    snapshot taken before the sweep; the true step runs last so the
+    environment ends at the real successor state.  Returns
     ``(obs, team_reward, done, diffs)``.
     """
     snap = env.snapshot()
@@ -85,9 +86,8 @@ def counterfactual_rewards(env, joint_action):
     for i in range(n):
         alt = list(joint_action)
         alt[i] = 0
-        _, r_cf, _ = env.step(alt)
+        counter[i], _ = env.step_reward(alt)
         env.restore(snap)
-        counter[i] = r_cf
     obs, r_true, done = env.step(list(joint_action))
     return obs, r_true, done, r_true - counter
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl.config import ConfigError
+from dagmarl.dag import DagTopology
 from dagmarl.envs import (
     ENV_NAMES,
     EnvSnapshot,
@@ -110,6 +111,48 @@ def test_invalid_actions(env):
         env.step(bad)
     with pytest.raises(InvalidAction):
         env.step([-1] + [0] * (n - 1))
+
+
+@pytest.mark.parametrize("action", (1.7, 2.0, np.float64(8.99), "3", None),
+                         ids=("float", "integral-float", "numpy-float",
+                              "string", "none"))
+@pytest.mark.parametrize("method", ("step", "step_reward"))
+def test_non_integer_actions_are_rejected(action, method):
+    env = PreyEnv()
+    env.reset(0)
+    before = env.snapshot()
+    with pytest.raises(InvalidAction):
+        getattr(env, method)([0, 0, 0, action])
+    assert snapshots_equal(env.snapshot(), before)
+
+
+@pytest.mark.parametrize("action", (3, np.int64(3), np.int8(3), np.uint16(3)))
+def test_integer_actions_of_any_kind_are_accepted(action):
+    env, twin = PreyEnv(), PreyEnv()
+    env.reset(0)
+    twin.reset(0)
+    got = env.step([0, action, 0, 0])
+    want = twin.step([0, 3, 0, 0])
+    assert got[1:] == want[1:]
+    assert all((a == b).all() for a, b in zip(got[0], want[0]))
+
+
+@pytest.mark.parametrize("env", small_envs(), ids=lambda e: type(e).__name__)
+def test_step_reward_is_step_without_the_observation(env):
+    twin = copy.deepcopy(env)
+    env.reset(4)
+    twin.reset(4)
+    rng = np.random.default_rng(11)
+    done = False
+    while not done:
+        actions = random_actions(env, rng)
+        obs, reward, done = env.step(actions)
+        assert twin.step_reward(actions) == (reward, done)
+        assert twin.step_count == env.step_count
+        assert snapshots_equal(twin.snapshot(), env.snapshot())
+        assert all((a == b).all() for a, b in zip(twin.observe(), obs))
+    with pytest.raises(RuntimeError):
+        twin.step_reward(actions)
 
 
 @pytest.mark.parametrize("env", small_envs(), ids=lambda e: type(e).__name__)
@@ -242,6 +285,33 @@ class _SetStateEnv(DagEnv):
 def test_snapshot_rejects_uncopyable_state():
     with pytest.raises(TypeError, match="seen"):
         _SetStateEnv().snapshot()
+
+
+class _LedgerEnv(DagEnv):
+    _STATE_ATTRS = ("ledger", "nested")
+
+    def __init__(self):
+        super().__init__(goal_period=1, max_steps=1)
+        self.topology = DagTopology(1, [])
+        self.ledger = {"cost": 0.5, "count": 2, "price": np.float64(1.5)}
+        self.nested = {"rows": [1, 2], "last": None}
+
+
+def test_snapshot_copies_ledgers_and_nested_dicts():
+    env = _LedgerEnv()
+    snap = env.snapshot()
+    env.ledger["cost"] += 1.0
+    env.nested["rows"].append(3)
+    assert snap.payload["ledger"] == {"cost": 0.5, "count": 2, "price": 1.5}
+    assert snap.payload["nested"]["rows"] == [1, 2]
+    env.restore(snap)
+    env.ledger["count"] += 1
+    env.nested["rows"].append(4)
+    assert snap.payload["ledger"]["count"] == 2
+    assert snap.payload["nested"]["rows"] == [1, 2]
+    env.nested["last"] = {"seen": {1}}
+    with pytest.raises(TypeError, match="nested"):
+        env.snapshot()
 
 
 # -- factory -----------------------------------------------------------------

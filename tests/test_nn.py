@@ -16,7 +16,8 @@ from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         adam_step, beta_shapes, beta_stats, betaln,
                         categorical_stats, digamma, frozen_action,
                         sample_and_logprob, trigamma)
-from helpers import n_params, parameters
+from helpers import (n_params, parameters, reference_categorical_stats,
+                     reference_sample_and_logprob)
 
 
 def forward_oracle(net, x):
@@ -364,6 +365,35 @@ class TestCategoricalHead:
             dlogp, np.concatenate([part[2] for part in parts], axis=1))
         np.testing.assert_array_equal(
             dent, np.concatenate([part[3] for part in parts], axis=1))
+
+    # NumPy sums fewer than 8 values in order and 8 or more pairwise, so
+    # segment sizes on both sides of 8, and a multi-segment head
+    HEADS = [CategoricalHead(s) for s in
+             ((2,), (5,), (7,), (8,), (9,), (33,), (3, 9, 8, 5, 1, 16))]
+
+    @pytest.mark.parametrize("head", HEADS, ids=lambda h: str(h.sizes))
+    def test_sampler_is_bit_identical_to_reference(self, head):
+        data = np.random.default_rng(17)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for scale in (0.1, 1.0, 30.0):
+            for _ in range(200):
+                params = scale * data.standard_normal(head.param_dim)
+                action, logp = sample_and_logprob(head, params, rng)
+                assert (action, logp) == reference_sample_and_logprob(
+                    head, params, ref_rng)
+
+    @pytest.mark.parametrize("head", HEADS, ids=lambda h: str(h.sizes))
+    @pytest.mark.parametrize("rows", (1, 12, 300))
+    def test_stats_are_bit_identical_to_reference(self, head, rows):
+        data = np.random.default_rng(rows)
+        logits = 3.0 * data.standard_normal((rows, head.param_dim))
+        actions = np.stack([data.integers(k, size=rows) for k in head.sizes],
+                           axis=1)
+        got = categorical_stats(head, logits, actions)
+        want = reference_categorical_stats(head, logits, actions)
+        for ours, reference in zip(got, want):
+            assert ours.shape == reference.shape
+            assert (ours == reference).all()
 
     def test_rejects_bad_segments(self):
         for sizes in ((), (3, 0)):

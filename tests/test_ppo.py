@@ -9,7 +9,7 @@ from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch
 from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
                          Rollout, compute_gae)
-from helpers import parameters
+from helpers import parameters, reference_update
 
 
 def episode_of(rows):
@@ -177,6 +177,33 @@ class TestLearner:
                     "transitions"):
             assert key in diags
         assert diags["transitions"] == 20
+
+    @pytest.mark.parametrize("head", (CategoricalHead((3,)),
+                                      CategoricalHead((2, 9)), BetaHead(2)),
+                             ids=("categorical", "segments", "beta"))
+    @pytest.mark.parametrize("rows,batch_size", ((1, 1), (12, 12),
+                                                 (300, 300), (300, 8)))
+    def test_update_is_bit_identical_to_reference(self, head, rows,
+                                                  batch_size):
+        # (300, 8) makes 76 minibatch steps, so each diagnostic is averaged
+        # over 8 or more values, which NumPy sums pairwise
+        cfg = small_config(batch_size=batch_size)
+        agent, twin = (PpoLearner(3, head, cfg, np.random.default_rng(4))
+                       for _ in range(2))
+        data = np.random.default_rng(rows)
+        rollout = agent.empty_rollout(rows)
+        for t in range(rows):
+            rollout.states[t] = data.standard_normal(3)
+            rollout.actions[t], rollout.log_probs[t] = agent.act(
+                rollout.states[t])
+        twin.rng.bit_generator.state = agent.rng.bit_generator.state
+        rewards = data.standard_normal(rows)
+        got = agent.update(rollout, rewards)
+        want = reference_update(twin, rollout, rewards)
+        assert got == want
+        assert list(got) == list(want)
+        assert (agent.policy.flat == twin.policy.flat).all()
+        assert (agent.value.flat == twin.value.flat).all()
 
     def test_first_epoch_ratio_is_one(self):
         # fresh batch, single minibatch, epochs=1: before any step the ratio

@@ -193,15 +193,16 @@ def test_counterfactual_sweep_restores_once_per_branch():
     env = FactoryEnv(goal_period=8, goal_periods=3)
     env.reset(5)
     calls = []
-    for name in ("snapshot", "restore", "step"):
+    for name in ("snapshot", "restore", "step", "step_reward", "observe"):
         method = getattr(env, name)
         setattr(env, name, lambda *a, name=name, method=method:
                 calls.append(name) or method(*a))
     counterfactual_rewards(env, [1, 0, 1, 0])
     n = env.topology.node_count
-    assert calls.count("snapshot") == 1
-    assert calls.count("restore") == n
-    assert calls.count("step") == n + 1
+    # each branch takes only its reward and is restored; the real step,
+    # last, is the only full step and the only observe()
+    assert calls == (["snapshot"] + ["step_reward", "restore"] * n
+                     + ["step", "step_reward", "observe"])
 
 
 def test_frozen_diff_episode_skips_counterfactual_replay():
