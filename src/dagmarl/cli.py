@@ -15,6 +15,7 @@ from .logio import (SchemaMismatch, atomic_write_bytes, read_episode_csv,
                     write_episode_csv, write_log)
 from .metrics import min_max_normalize, moving_average
 from .plotting import histogram_chart, line_chart
+from .ppo import NonFiniteLoss
 
 
 def _json_bytes(data) -> bytes:
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, NonFiniteLoss) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Simulation environments, one agent per task-DAG node."""
 
 from ..config import ConfigError
-from .base import DagEnv, EnvSnapshot, InvalidAction, VersionMismatch, snapshots_equal
+from .base import DagEnv, EnvSnapshot, InvalidAction, VersionMismatch
 from .factory import FactoryEnv
 from .logistics import LogisticsEnv
 from .micro import MicroDagEnv
@@ -37,7 +37,6 @@ __all__ = [
     "EnvSnapshot",
     "InvalidAction",
     "VersionMismatch",
-    "snapshots_equal",
     "FactoryEnv",
     "LogisticsEnv",
     "PreyEnv",

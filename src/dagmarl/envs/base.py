@@ -27,23 +27,6 @@ class EnvSnapshot:
     payload: dict
 
 
-def _equal(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.shape == b.shape and a.dtype == b.dtype
-                and np.array_equal(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return (type(a) is type(b) and len(a) == len(b)
-                and all(_equal(x, y) for x, y in zip(a, b)))
-    return type(a) is type(b) and a == b
-
-
-def snapshots_equal(a: EnvSnapshot, b: EnvSnapshot) -> bool:
-    return a.signature == b.signature and _equal(a.payload, b.payload)
-
-
 _IMMUTABLE = (int, float, bool, str, type(None), np.generic)
 # scalar types a ledger dict may hold and still be copied shallowly
 _NUMBERS = frozenset({int, float, np.int64, np.float64})
@@ -143,8 +126,9 @@ class DagEnv:
             raise InvalidAction(
                 f"{len(actions)} actions for {self.topology.node_count} nodes")
         for i, (a, size) in enumerate(zip(actions, self.action_sizes)):
-            # an integer of any kind; a float or a string is no action
-            if not (isinstance(a, (int, np.integer)) and 0 <= a < size):
+            # an integer of any kind; a bool, a float or a string is no action
+            if not (isinstance(a, (int, np.integer)) and type(a) is not bool
+                    and 0 <= a < size):
                 raise InvalidAction(
                     f"action {a!r} for node {i} with {size} choices")
         reward, done = self._advance([int(a) for a in actions])

@@ -19,23 +19,6 @@ class InvalidDistribution(ValueError):
     pass
 
 
-def mixed_radix_index(digits, sizes):
-    """Flattens digits (most significant first) under the given radices;
-    elementwise when each digit is an array (one column per position)."""
-    idx = 0
-    for d, s in zip(digits, sizes):
-        idx = idx * s + d
-    return idx
-
-
-def mixed_radix_digits(index, sizes) -> list:
-    digits = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        digits[pos] = index % sizes[pos]
-        index //= sizes[pos]
-    return digits
-
-
 class MicroDagEnv(DagEnv):
     """Playable wrapper around the tables.
 
@@ -98,9 +81,11 @@ class MicroDagEnv(DagEnv):
     # -- play ------------------------------------------------------------
 
     def joint_action_index(self, node, actions):
-        digits = [actions[j] for j in self.delta_order[node]]
-        sizes = [self.n_actions[j] for j in self.delta_order[node]]
-        return mixed_radix_index(digits, sizes)
+        """Row-major index of the actions of ``node``'s ancestor closure,
+        lowest node first; elementwise when each action is an array."""
+        order = self.delta_order[node]
+        return np.ravel_multi_index([actions[j] for j in order],
+                                    [self.n_actions[j] for j in order])
 
     def reset(self, seed: int):
         self._start(seed)

@@ -28,15 +28,19 @@ class SchemaMismatch(ValueError):
 def atomic_write_bytes(path, data: bytes) -> None:
     """Writes `data` to `path` so readers see the old file or the new one.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces the target in one `os.replace`; on any failure the temporary
-    file is removed and the target is left as it was.
+    The bytes go to a temporary file in the same directory and are fsynced
+    there, so a power loss after the rename cannot leave an empty target;
+    the temporary file then replaces the target in one `os.replace`.  On
+    any failure the temporary file is removed and the target is left as it
+    was.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

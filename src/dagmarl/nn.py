@@ -48,7 +48,9 @@ class CheckpointMismatch(ValueError):
 
 def _layer_spans(layer_dims) -> tuple:
     """(weight start, bias start, bias end, weight shape) of each layer in
-    the flat parameter vector."""
+    the flat parameter vector; at least two dims, each at least 1."""
+    if len(layer_dims) < 2 or min(layer_dims) < 1:
+        raise DimensionMismatch(f"bad layer dims {layer_dims}")
     spans = []
     offset = 0
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -58,52 +60,34 @@ def _layer_spans(layer_dims) -> tuple:
     return tuple(spans)
 
 
-def _param_count(layer_dims) -> int:
-    return sum((fan_in + 1) * fan_out
-               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
-
-
 class DenseNet:
     """Fully connected ReLU net with a linear output layer.
 
     layer_dims = (in, h1, ..., out).  Weights init uniform over
-    +-sqrt(6/(fan_in+fan_out)), biases zero.  All parameters live in one
-    contiguous float64 vector ``flat``, laid out row-major as
-    (W0, b0, W1, b1, ...); ``weights[l]`` (fan_out, fan_in) and
-    ``biases[l]`` are views into it.
+    +-sqrt(6/(fan_in+fan_out)), biases zero; without an rng every parameter
+    is zero.  All parameters live in one contiguous float64 vector ``flat``,
+    laid out row-major as (W0, b0, W1, b1, ...), each W (fan_out, fan_in);
+    ``layer_views`` splits it.
     """
 
     def __init__(self, layer_dims, rng: np.random.Generator | None = None):
-        layer_dims = tuple(int(d) for d in layer_dims)
-        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-            raise DimensionMismatch(f"bad layer dims {layer_dims}")
-        self.layer_dims = layer_dims
-        self._spans = _layer_spans(layer_dims)
+        self.layer_dims = tuple(int(d) for d in layer_dims)
+        self._spans = _layer_spans(self.layer_dims)
         self.flat = np.zeros(self._spans[-1][2])
         layers = self.layer_views(self.flat)
-        self.weights = [w for w, _ in layers]
-        self.biases = [b for _, b in layers]
         # (W.T, b) views for the forward pass: ReLU layers, then the output
         *self._relu_layers, self._output_layer = [(w.T, b) for w, b in layers]
         if rng is not None:
-            for w in self.weights:
+            for w, _ in layers:
                 fan_out, fan_in = w.shape
                 limit = np.sqrt(6.0 / (fan_in + fan_out))
                 w[...] = rng.uniform(-limit, limit, size=w.shape)
 
-    @classmethod
-    def zeros(cls, layer_dims):
-        return cls(layer_dims, rng=None)
-
-    @property
-    def in_dim(self):
-        return self.layer_dims[0]
-
     def _prep(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
-            raise DimensionMismatch(
-                f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_dims[0]:
+            raise DimensionMismatch(f"input shape {x.shape} incompatible "
+                                    f"with input width {self.layer_dims[0]}")
         if not np.isfinite(x).all():
             raise NonFiniteInput("non-finite network input")
         return x
@@ -152,7 +136,7 @@ class DenseNet:
             np.matmul(g.T, acts[l], out=grad[lo:mid].reshape(shape))
             g.sum(axis=0, out=grad[mid:hi])
             if l > 0:
-                g = (g @ self.weights[l]) * (acts[l] > 0.0)
+                g = (g @ self.flat[lo:mid].reshape(shape)) * (acts[l] > 0.0)
         return grad
 
     # -- parameter plumbing ------------------------------------------------
@@ -162,15 +146,6 @@ class DenseNet:
         ``flat``."""
         return [(vec[lo:mid].reshape(shape), vec[mid:hi])
                 for lo, mid, hi, shape in self._spans]
-
-    def copy_parameters(self):
-        return self.flat.copy()
-
-    def load_parameters(self, flat):
-        if flat.shape != self.flat.shape:
-            raise ShapeMismatch(
-                f"{flat.shape} parameters into {self.flat.shape}")
-        self.flat[...] = flat
 
     # -- serialization -------------------------------------------------------
     # flat binary record: magic, version, layer dims, then parameters
@@ -202,11 +177,11 @@ class DenseNet:
         except struct.error as e:
             raise CheckpointMismatch(f"truncated dims: {e}") from None
         offset += 4 * ndims
-        count = _param_count(dims)
+        count = _layer_spans(dims)[-1][2]
         end = offset + 8 * count
         if end > len(data):
             raise CheckpointMismatch("truncated parameter block")
-        net = cls.zeros(dims)
+        net = cls(dims)
         net.flat[...] = np.frombuffer(data, dtype="<f8", count=count,
                                       offset=offset)
         return net, end
@@ -217,22 +192,20 @@ class DenseNet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# Adam's decay rates and denominator epsilon
+ADAM_B1 = 0.9
+ADAM_B2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Optimizer moments for one net, laid out like its ``flat`` vector."""
 
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @classmethod
-    def for_net(cls, net: DenseNet, learning_rate: float):
-        return cls(learning_rate=learning_rate, m=np.zeros_like(net.flat),
-                   v=np.zeros_like(net.flat))
+    def __init__(self, net: DenseNet, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.step = 0
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
     def snapshot(self):
         return (self.step, self.m.copy(), self.v.copy())
@@ -257,7 +230,7 @@ def adam_step(state: AdamState, params, grad):
         raise NonFiniteGradient("non-finite gradient")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_B1, ADAM_B2
     m, v = state.m, state.v
     tmp = grad * (1.0 - b1)
     m *= b1
@@ -269,7 +242,7 @@ def adam_step(state: AdamState, params, grad):
     # tmp becomes sqrt(v_hat) + eps, upd becomes lr * m_hat / tmp
     np.divide(v, 1.0 - b2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += ADAM_EPS
     upd = m / (1.0 - b1 ** t)
     upd *= state.learning_rate
     upd /= tmp

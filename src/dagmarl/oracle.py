@@ -3,9 +3,9 @@
 Verifies the budget-soundness property of synthetic rewards: whenever the
 per-sink contribution weights are non-negative and sum to at most 1 over the
 sink's ancestor closure, the summed discounted synthetic values can never
-exceed the summed discounted sink values.  Values are computed two
-independent ways (distribution dynamic programming and raw trajectory
-enumeration) so the implementations check each other.
+exceed the summed discounted sink values.  Values come from a dynamic
+program over the joint state distribution; the tests cross-check it against
+raw trajectory enumeration on tiny instances.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envs.micro import MicroDagEnv, mixed_radix_index, sample_micro_env
+from .envs.micro import MicroDagEnv, sample_micro_env
 
 DP_GUARD = 1_000_000  # joint (state, action) table cells
-ENUM_GUARD = 1_000_000  # enumerated trajectories
 
 
 class StateSpaceTooLarge(ValueError):
@@ -169,8 +168,8 @@ class _JointModel:
         out = np.zeros((env.topology.node_count, self.ns, self.na))
         for k, f in contribution.tables.items():
             m = env.delta_order[k]
-            s_sub = mixed_radix_index(self.s_digits[:, m].T,
-                                      [env.n_states[j] for j in m])
+            s_sub = np.ravel_multi_index(self.s_digits[:, m].T,
+                                         [env.n_states[j] for j in m])
             a_sub = env.joint_action_index(k, self.a_digits.T)
             for pos, i in enumerate(m):
                 out[i] += f[pos][s_sub[:, None], a_sub[None, :]] * self.sink_r[k]
@@ -186,6 +185,8 @@ def _tail_bound(env, gamma, horizon, r_max):
 
 
 def _dp(env, policy, gamma, horizon, contribution):
+    """(per-sink values, per-node synthetic values or zeros without a
+    contribution, truncation tail bound, horizon used)."""
     model = _JointModel(env)
     pol = model.policy_matrix(policy)
     horizon = (env.max_steps if horizon is None
@@ -207,68 +208,6 @@ def _dp(env, policy, gamma, horizon, contribution):
         disc *= gamma
     tail = _tail_bound(env, gamma, horizon, model.r_max)
     return sink_v, synth_v, tail, horizon
-
-
-def exact_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
-                 horizon: int | None = None):
-    """Per-sink discounted values and the truncation tail bound."""
-    sink_v, _, tail, _ = _dp(env, policy, gamma, horizon, None)
-    return sink_v, tail
-
-
-def synthetic_values(env: MicroDagEnv, policy: TabularJointPolicy,
-                     contribution: ContributionTable, gamma: float,
-                     horizon: int | None = None):
-    """Per-node discounted synthetic values under the contribution weights."""
-    validate_contribution(env, contribution)
-    _, synth_v, tail, _ = _dp(env, policy, gamma, horizon, contribution)
-    return synth_v, tail
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: raw trajectory enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
-                     horizon: int, contribution: ContributionTable | None = None,
-                     guard: int = ENUM_GUARD):
-    """Sums over every trajectory explicitly.  Exponentially expensive; only
-    for cross-checking the DP on tiny instances."""
-    model = _JointModel(env)
-    horizon = min(int(horizon), env.max_steps)
-    predicted = model.ns * (model.na * model.ns) ** max(horizon - 1, 0) * model.na
-    if predicted > guard:
-        raise StateSpaceTooLarge(f"about {predicted} trajectories")
-
-    pol = model.policy_matrix(policy)
-    sr = model.synthetic_r(contribution) if contribution is not None else None
-    sink_v = {k: 0.0 for k in model.sink_r}
-    synth_v = np.zeros(env.topology.node_count)
-
-    def walk(state, t, prob):
-        if t == horizon:
-            return
-        disc = gamma ** t
-        for a in range(model.na):
-            pa = prob * pol[state, a]
-            if pa == 0.0:
-                continue
-            for k, r in model.sink_r.items():
-                sink_v[k] += disc * pa * r[state, a]
-            if sr is not None:
-                for i in range(env.topology.node_count):
-                    synth_v[i] += disc * pa * sr[i, state, a]
-            for nxt in range(model.ns):
-                pn = pa * model.trans[a, state, nxt]
-                if pn > 0.0:
-                    walk(nxt, t + 1, pn)
-
-    for s0 in range(model.ns):
-        if model.mu0[s0] > 0.0:
-            walk(s0, 0, model.mu0[s0])
-    tail = _tail_bound(env, gamma, horizon, model.r_max)
-    return sink_v, synth_v, tail
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ class PpoLearner:
         dims = (self.obs_dim, *config.hidden)
         self.policy = DenseNet(dims + (head.param_dim,), rng)
         self.value = DenseNet(dims + (1,), rng)
-        self.opt_policy = nn.AdamState.for_net(self.policy, config.learning_rate)
-        self.opt_value = nn.AdamState.for_net(self.value, config.learning_rate)
+        self.opt_policy = nn.AdamState(self.policy, config.learning_rate)
+        self.opt_value = nn.AdamState(self.value, config.learning_rate)
 
     # -- acting ------------------------------------------------------------
 
@@ -161,8 +161,8 @@ class PpoLearner:
         if std >= 1e-8:
             adv = (adv - adv.mean()) / std
 
-        saved = (self.policy.copy_parameters(), self.value.copy_parameters(),
-                 self.opt_policy.snapshot(), self.opt_value.snapshot())
+        pairs = ((self.policy, self.opt_policy), (self.value, self.opt_value))
+        saved = [(net.flat.copy(), opt.snapshot()) for net, opt in pairs]
         starts = range(0, n, cfg.batch_size)
         # one column per minibatch step, one row per entry of _DIAGNOSTICS
         diags = np.empty((len(_DIAGNOSTICS),
@@ -178,10 +178,9 @@ class PpoLearner:
                         returns[idx])
                     step += 1
         except (NonFiniteLoss, nn.NonFiniteGradient) as err:
-            self.policy.load_parameters(saved[0])
-            self.value.load_parameters(saved[1])
-            self.opt_policy.restore(saved[2])
-            self.opt_value.restore(saved[3])
+            for (net, opt), (flat, snap) in zip(pairs, saved):
+                net.flat[...] = flat
+                opt.restore(snap)
             raise NonFiniteLoss(str(err)) from None
         # each row's sum over its contiguous axis, divided by the count, is
         # bit for bit np.mean of that row
@@ -245,14 +244,13 @@ class PpoLearner:
         value, end = DenseNet.from_bytes(data, offset)
         if end != len(data):
             raise nn.CheckpointMismatch(f"{len(data) - end} trailing bytes")
-        if policy.layer_dims != self.policy.layer_dims:
-            raise nn.CheckpointMismatch(
-                f"policy dims {policy.layer_dims} != {self.policy.layer_dims}")
-        if value.layer_dims != self.value.layer_dims:
-            raise nn.CheckpointMismatch(
-                f"value dims {value.layer_dims} != {self.value.layer_dims}")
-        self.policy.load_parameters(policy.flat)
-        self.value.load_parameters(value.flat)
+        pairs = (("policy", self.policy, policy), ("value", self.value, value))
+        for name, net, loaded in pairs:
+            if loaded.layer_dims != net.layer_dims:
+                raise nn.CheckpointMismatch(
+                    f"{name} dims {loaded.layer_dims} != {net.layer_dims}")
+        for _, net, loaded in pairs:
+            net.flat[...] = loaded.flat
 
     def save(self, path):
         atomic_write_bytes(path, self.to_bytes())

@@ -1,12 +1,27 @@
 """Small test-side views of library objects that the library itself does not
-need."""
+need, and the exhaustive oracles that only tests run."""
 
 import numpy as np
+
+from dagmarl.envs.micro import MicroDagEnv
+from dagmarl.oracle import (ContributionTable, StateSpaceTooLarge,
+                            TabularJointPolicy, _dp, _JointModel, _tail_bound,
+                            validate_contribution)
+
+
+def weights(net):
+    """Live (fan_out, fan_in) weight views into ``net.flat``, one per layer."""
+    return [w for w, _ in net.layer_views(net.flat)]
+
+
+def biases(net):
+    """Live bias views into ``net.flat``, one per layer."""
+    return [b for _, b in net.layer_views(net.flat)]
 
 
 def parameters(net):
     """Live views into ``net.flat``, ordered (W0, b0, W1, b1, ...)."""
-    return [p for w, b in zip(net.weights, net.biases) for p in (w, b)]
+    return [p for pair in net.layer_views(net.flat) for p in pair]
 
 
 def n_params(net):
@@ -122,3 +137,87 @@ def reference_update(learner, rollout, rewards):
     out = {k: float(np.mean(v)) for k, v in diags.items()}
     out["transitions"] = n
     return out
+
+
+# -- environment snapshots ------------------------------------------------------
+
+
+def _equal(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.shape == b.shape and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_equal(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+def snapshots_equal(a, b) -> bool:
+    """Two EnvSnapshots hold the same signature and the same state, with
+    arrays compared by shape, dtype and value and containers by type."""
+    return a.signature == b.signature and _equal(a.payload, b.payload)
+
+
+# -- exhaustive values on micro environments ------------------------------------
+
+ENUM_GUARD = 1_000_000  # enumerated trajectories
+
+
+def exact_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
+                 horizon: int | None = None):
+    """Per-sink discounted values and the truncation tail bound."""
+    sink_v, _, tail, _ = _dp(env, policy, gamma, horizon, None)
+    return sink_v, tail
+
+
+def synthetic_values(env: MicroDagEnv, policy: TabularJointPolicy,
+                     contribution: ContributionTable, gamma: float,
+                     horizon: int | None = None):
+    """Per-node discounted synthetic values under the contribution weights."""
+    validate_contribution(env, contribution)
+    _, synth_v, tail, _ = _dp(env, policy, gamma, horizon, contribution)
+    return synth_v, tail
+
+
+def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
+                     horizon: int, contribution: ContributionTable | None = None,
+                     guard: int = ENUM_GUARD):
+    """Sums over every trajectory explicitly.  Exponentially expensive; only
+    for cross-checking the DP on tiny instances."""
+    model = _JointModel(env)
+    horizon = min(int(horizon), env.max_steps)
+    predicted = model.ns * (model.na * model.ns) ** max(horizon - 1, 0) * model.na
+    if predicted > guard:
+        raise StateSpaceTooLarge(f"about {predicted} trajectories")
+
+    pol = model.policy_matrix(policy)
+    sr = model.synthetic_r(contribution) if contribution is not None else None
+    sink_v = {k: 0.0 for k in model.sink_r}
+    synth_v = np.zeros(env.topology.node_count)
+
+    def walk(state, t, prob):
+        if t == horizon:
+            return
+        disc = gamma ** t
+        for a in range(model.na):
+            pa = prob * pol[state, a]
+            if pa == 0.0:
+                continue
+            for k, r in model.sink_r.items():
+                sink_v[k] += disc * pa * r[state, a]
+            if sr is not None:
+                for i in range(env.topology.node_count):
+                    synth_v[i] += disc * pa * sr[i, state, a]
+            for nxt in range(model.ns):
+                pn = pa * model.trans[a, state, nxt]
+                if pn > 0.0:
+                    walk(nxt, t + 1, pn)
+
+    for s0 in range(model.ns):
+        if model.mu0[s0] > 0.0:
+            walk(s0, 0, model.mu0[s0])
+    tail = _tail_bound(env, gamma, horizon, model.r_max)
+    return sink_v, synth_v, tail

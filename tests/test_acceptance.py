@@ -21,12 +21,7 @@ import pytest
 from dagmarl.cli import main
 from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.dag import random_topology
-from dagmarl.envs import (
-    FactoryEnv,
-    LogisticsEnv,
-    PreyEnv,
-    snapshots_equal,
-)
+from dagmarl.envs import FactoryEnv, LogisticsEnv, PreyEnv
 from dagmarl.envs.prey import LEASH, PARENT
 from dagmarl.logio import write_episode_csv
 from dagmarl.nn import DenseNet
@@ -38,6 +33,7 @@ from dagmarl.training import (
     state_flow_indices,
     train,
 )
+from helpers import biases, snapshots_equal, weights
 
 SEEDS = (0, 1, 2)
 EPISODES = 500
@@ -107,9 +103,9 @@ def test_criterion_2_value_bound_campaign():
 
 def _away_from_relu_kink(net, x, margin=1e-3):
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for layer, (w, b) in enumerate(zip(weights(net), biases(net))):
         z = h @ w.T + b
-        if layer < len(net.weights) - 1:
+        if layer < len(weights(net)) - 1:
             if np.any(np.abs(z) < margin):
                 return False
             h = np.maximum(z, 0.0)
@@ -118,7 +114,7 @@ def _away_from_relu_kink(net, x, margin=1e-3):
 
 def _numeric_grads(net, x, out_grad, h=1e-5):
     grads = []
-    for w, b in zip(net.weights, net.biases):
+    for w, b in zip(weights(net), biases(net)):
         gw, gb = np.zeros_like(w), np.zeros_like(b)
         for arr, g in ((w, gw), (b, gb)):
             it = np.nditer(arr, flags=["multi_index"])

@@ -9,8 +9,6 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dagmarl.config import ConfigError
 from dagmarl.dag import DagTopology
@@ -24,18 +22,12 @@ from dagmarl.envs import (
     PreyEnv,
     VersionMismatch,
     make_env,
-    snapshots_equal,
 )
 from dagmarl.envs.logistics import DEMAND_BOUNDS
-from dagmarl.envs.micro import (
-    InvalidDistribution,
-    mixed_radix_digits,
-    mixed_radix_index,
-    sample_micro_env,
-)
+from dagmarl.envs.micro import InvalidDistribution, sample_micro_env
 from dagmarl.envs.base import DagEnv
 from dagmarl.envs.prey import DIRS, LEASH, PARENT
-from helpers import global_state
+from helpers import global_state, snapshots_equal
 
 
 def small_envs():
@@ -113,9 +105,10 @@ def test_invalid_actions(env):
         env.step([-1] + [0] * (n - 1))
 
 
-@pytest.mark.parametrize("action", (1.7, 2.0, np.float64(8.99), "3", None),
+@pytest.mark.parametrize("action", (1.7, 2.0, np.float64(8.99), "3", None,
+                                    True, False),
                          ids=("float", "integral-float", "numpy-float",
-                              "string", "none"))
+                              "string", "none", "true", "false"))
 @pytest.mark.parametrize("method", ("step", "step_reward"))
 def test_non_integer_actions_are_rejected(action, method):
     env = PreyEnv()
@@ -672,27 +665,24 @@ def test_prey_matches_array_reference(grid_size, predators):
 # -- micro ---------------------------------------------------------------------
 
 
-@given(st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=5)
-       .flatmap(lambda sizes: st.tuples(
-           st.just(sizes),
-           st.tuples(*[st.integers(min_value=0, max_value=s - 1)
-                       for s in sizes]))))
-@settings(max_examples=60, deadline=None)
-def test_mixed_radix_round_trip(case):
-    sizes, digits = case
-    idx = mixed_radix_index(list(digits), sizes)
-    assert 0 <= idx < int(np.prod(sizes)) if sizes else idx == 0
-    assert mixed_radix_digits(idx, sizes) == list(digits)
-
-
 def test_micro_joint_action_index_uses_sorted_ancestors():
     env = MicroDagEnv.from_options(nodes=3, arcs=((0, 2), (1, 2)), actions=3)
     env.reset(0)
     actions = [2, 1, 0]
     assert env.delta_order[2] == [0, 1, 2]
-    want = mixed_radix_index([2, 1, 0], [3, 3, 3])
+    want = (2 * 3 + 1) * 3 + 0  # row-major over nodes 0, 1, 2
     assert env.joint_action_index(2, actions) == want
     assert env.joint_action_index(0, actions) == 2
+
+
+def test_micro_joint_action_index_inverts_unravel_index():
+    # the oracle decodes joint indices with np.unravel_index
+    env = MicroDagEnv.from_options(nodes=3, arcs=((0, 2), (1, 2)), actions=3)
+    sizes = [env.n_actions[j] for j in env.delta_order[2]]
+    for index in range(int(np.prod(sizes))):
+        digits = np.unravel_index(index, sizes)
+        actions = dict(zip(env.delta_order[2], digits))
+        assert env.joint_action_index(2, actions) == index
 
 
 def test_micro_reward_matches_tables():

@@ -36,10 +36,11 @@ from dagmarl.metrics import (
     moving_average,
 )
 from dagmarl.nn import CategoricalHead
-from dagmarl.oracle import TabularJointPolicy, exact_values
+from dagmarl.oracle import TabularJointPolicy
 from dagmarl.plotting import histogram_chart, line_chart
 from dagmarl.ppo import PpoConfig, PpoLearner
 from dagmarl.training import EpisodeRecord, Trainer
+from helpers import exact_values
 
 CONFIG_TEXT = """
 [run]
@@ -238,6 +239,26 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_bytes(path, b"second")
     assert path.read_bytes() == b"second"
     assert os.listdir(tmp_path) == ["blob.bin"]
+
+
+def test_atomic_write_fsyncs_the_whole_file_before_replace(tmp_path,
+                                                          monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    atomic_write_bytes(tmp_path / "blob.bin", b"payload")
+    assert calls == [("fsync", len(b"payload")), ("replace", "blob.bin")]
+    assert (tmp_path / "blob.bin").read_bytes() == b"payload"
 
 
 def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
@@ -451,6 +472,21 @@ def test_cli_train_rejected_run_leaves_no_output(tmp_path, capsys, text, args):
     assert main(["train", "--config", str(cfg), "--out", str(out)] + args) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_train_reports_a_diverging_run_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "diverge.ini"
+    cfg.write_text("[run]\nmode = srm\nseed = 1\nepisodes = 3\n"
+                   "[env]\nname = micro\n"
+                   "[ppo]\nhidden = 8, 8\nbatch_size = 4\n"
+                   "epochs_per_update = 2\nlearning_rate = 1e300\n")
+    with np.errstate(all="ignore"):
+        code = main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_round_trip(tmp_path, capsys):

@@ -16,16 +16,17 @@ from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         adam_step, beta_shapes, beta_stats, betaln,
                         categorical_stats, digamma, frozen_action,
                         sample_and_logprob, trigamma)
-from helpers import (n_params, parameters, reference_categorical_stats,
-                     reference_sample_and_logprob)
+from helpers import (biases, n_params, parameters,
+                     reference_categorical_stats, reference_sample_and_logprob,
+                     weights)
 
 
 def forward_oracle(net, x):
     """Plain triple-loop evaluation, no matrix ops.  Weights are stored
     (fan_out, fan_in)."""
     h = list(np.atleast_2d(x)[0])
-    last = len(net.weights) - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+    last = len(weights(net)) - 1
+    for layer, (w, b) in enumerate(zip(weights(net), biases(net))):
         out = []
         for j in range(w.shape[0]):
             acc = b[j]
@@ -42,9 +43,9 @@ def away_from_relu_kink(net, x, margin=1e-3):
     """True when no hidden preactivation sits near 0, where the true
     gradient jumps and finite differences are meaningless."""
     h = np.atleast_2d(np.asarray(x, dtype=float))
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for l, (w, b) in enumerate(zip(weights(net), biases(net))):
         z = h @ w.T + b
-        if l < len(net.weights) - 1:
+        if l < len(weights(net)) - 1:
             if np.any(np.abs(z) < margin):
                 return False
             h = np.maximum(z, 0.0)
@@ -54,7 +55,7 @@ def away_from_relu_kink(net, x, margin=1e-3):
 def numeric_grads(net, x, out_grad, h=1e-5):
     """Central finite differences of sum(out * out_grad) wrt every param."""
     grads = []
-    for w, b in zip(net.weights, net.biases):
+    for w, b in zip(weights(net), biases(net)):
         gw = np.zeros_like(w)
         gb = np.zeros_like(b)
         for arr, g in ((w, gw), (b, gb)):
@@ -83,8 +84,8 @@ class TestForward:
                                        rtol=0, atol=1e-12)
 
     def test_identity_single_layer(self):
-        net = DenseNet.zeros([3, 3])
-        net.weights[0][:] = np.eye(3)
+        net = DenseNet([3, 3])
+        weights(net)[0][:] = np.eye(3)
         x = np.array([0.3, -1.2, 7.0])
         np.testing.assert_array_equal(net.forward(x), x)
 
@@ -107,8 +108,8 @@ class TestForward:
     def test_init_bounds(self):
         net = DenseNet([10, 20], np.random.default_rng(3))
         limit = math.sqrt(6.0 / 30.0)
-        assert np.all(np.abs(net.weights[0]) <= limit)
-        assert np.all(net.biases[0] == 0.0)
+        assert np.all(np.abs(weights(net)[0]) <= limit)
+        assert np.all(biases(net)[0] == 0.0)
 
 
 class TestBackward:
@@ -136,7 +137,7 @@ class TestBackward:
         net = DenseNet([3, 5, 2], np.random.default_rng(7))
         out, cache = net.forward_cached(np.ones((4, 3)))
         grads = net.layer_views(net.backward(cache, np.ones((4, 2))))
-        for w, b, (gw, gb) in zip(net.weights, net.biases, grads):
+        for w, b, (gw, gb) in zip(weights(net), biases(net), grads):
             assert gw.shape == w.shape and gb.shape == b.shape
 
     def test_rejects_wrong_grad_shape(self):
@@ -178,7 +179,7 @@ class TestAdam:
     def test_zero_grad_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
         before = [p.copy() for p in parameters(net)]
-        state = AdamState.for_net(net, learning_rate=0.1)
+        state = AdamState(net, learning_rate=0.1)
         zero = np.zeros_like(net.flat)
         adam_step(state, net.flat, zero)
         for p0, p1 in zip(before, parameters(net)):
@@ -187,7 +188,7 @@ class TestAdam:
     def test_zero_lr_keeps_params(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
         before = [p.copy() for p in parameters(net)]
-        state = AdamState.for_net(net, learning_rate=0.0)
+        state = AdamState(net, learning_rate=0.0)
         grads = np.ones_like(net.flat)
         adam_step(state, net.flat, grads)
         for p0, p1 in zip(before, parameters(net)):
@@ -195,10 +196,10 @@ class TestAdam:
 
     def test_matches_scalar_simulation_on_square(self):
         # minimize f(w) = w^2 from w = 1 with lr = 0.1
-        net = DenseNet.zeros([1, 1])
-        w, b = net.weights[0], net.biases[0]
+        net = DenseNet([1, 1])
+        w, b = weights(net)[0], biases(net)[0]
         w[0, 0] = 1.0
-        state = AdamState.for_net(net, learning_rate=0.1)
+        state = AdamState(net, learning_rate=0.1)
         trace = [float(w[0, 0])]
         for _ in range(100):
             g = 2.0 * w[0, 0]
@@ -213,10 +214,10 @@ class TestAdam:
 
     def test_first_step_size_is_lr(self):
         # with bias correction the very first Adam step is exactly lr
-        net = DenseNet.zeros([1, 1])
-        w = net.weights[0]
+        net = DenseNet([1, 1])
+        w = weights(net)[0]
         w[0, 0] = 5.0
-        state = AdamState.for_net(net, learning_rate=0.1)
+        state = AdamState(net, learning_rate=0.1)
         adam_step(state, net.flat, np.array([4.0, 0.0]))  # (dW, db)
         assert abs(w[0, 0] - (5.0 - 0.1 * (1.0 - 1e-8 / (2.0 + 1e-8)))) < 1e-9
 
@@ -226,7 +227,7 @@ class TestAdam:
         ref_params = [p.copy() for p in parameters(net)]
         ref_m = [np.zeros_like(p) for p in ref_params]
         ref_v = [np.zeros_like(p) for p in ref_params]
-        state = AdamState.for_net(net, learning_rate=1e-3)
+        state = AdamState(net, learning_rate=1e-3)
         rng = np.random.default_rng(6)
         for t in range(1, 201):
             grad = rng.standard_normal(net.flat.size)
@@ -242,7 +243,7 @@ class TestAdam:
 
     def test_rejects_bad_gradients(self):
         net = DenseNet([2, 3], np.random.default_rng(1))
-        state = AdamState.for_net(net, learning_rate=0.1)
+        state = AdamState(net, learning_rate=0.1)
         before = net.flat.copy()
         with pytest.raises(ShapeMismatch):
             adam_step(state, net.flat, np.zeros(net.flat.size + 1))
@@ -263,7 +264,7 @@ class TestFlatParameters:
         for p in parameters(loaded):
             assert np.shares_memory(p, loaded.flat)
         other = DenseNet([4, 6, 5, 2], np.random.default_rng(4))
-        other.load_parameters(net.copy_parameters())
+        other.flat[...] = net.flat
         for p in parameters(other):
             assert np.shares_memory(p, other.flat)
         np.testing.assert_array_equal(other.flat, net.flat)
@@ -273,11 +274,6 @@ class TestFlatParameters:
         np.testing.assert_array_equal(
             net.flat, np.concatenate([p.ravel() for p in parameters(net)]))
         assert n_params(net) == net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
-
-    def test_load_parameters_rejects_wrong_size(self):
-        net = DenseNet([3, 4, 2], np.random.default_rng(8))
-        with pytest.raises(ShapeMismatch):
-            net.load_parameters(np.zeros(net.flat.size - 1))
 
 
 class TestCategoricalHead:
@@ -522,7 +518,7 @@ class TestCheckpoint:
         a2, off = DenseNet.from_bytes(blob)
         b2, off = DenseNet.from_bytes(blob, off)
         assert off == len(blob)
-        np.testing.assert_array_equal(b.weights[0], b2.weights[0])
+        np.testing.assert_array_equal(weights(b)[0], weights(b2)[0])
 
     def test_corrupt_magic(self):
         blob = bytearray(DenseNet([2, 2], np.random.default_rng(0)).to_bytes())
@@ -553,13 +549,29 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dims", ((), (2048,), (3, 0, 2), (2048, 0)),
+                             ids=("no-dims", "one-dim", "zero-hidden",
+                                  "zero-output"))
+    def test_bad_dims_fail_before_allocating(self, dims):
+        # a header whose dims describe no net, followed by some payload
+        blob = struct.pack(f"<4sHHI{len(dims)}I", b"DGNT", 1, 0, len(dims),
+                           *dims) + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                DenseNet.from_bytes(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_dgnt_v1_layout(self):
         # header, dims, then each tensor as little-endian float64 in
         # (W0, b0, W1, b1, ...) order, W row-major (fan_out, fan_in)
         net = DenseNet([5, 7, 3], np.random.default_rng(12))
         want = struct.pack("<4sHHI", b"DGNT", 1, 0, 3)
         want += struct.pack("<3I", 5, 7, 3)
-        for w, b in zip(net.weights, net.biases):
+        for w, b in zip(weights(net), biases(net)):
             want += np.ascontiguousarray(w, dtype="<f8").tobytes()
             want += np.ascontiguousarray(b, dtype="<f8").tobytes()
         assert net.to_bytes() == want

@@ -16,15 +16,13 @@ from dagmarl.oracle import (
     InadmissibleContribution,
     StateSpaceTooLarge,
     TabularJointPolicy,
-    enumerate_values,
-    exact_values,
     run_bound_campaign,
     sample_admissible_contribution,
     sample_tabular_policy,
-    synthetic_values,
     validate_contribution,
     verify_bound,
 )
+from helpers import enumerate_values, exact_values, synthetic_values
 
 
 def tiny_env(seed=0, horizon=3):

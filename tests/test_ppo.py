@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl import nn, ppo
-from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch
+from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch, DenseNet
 from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
                          Rollout, compute_gae)
 from helpers import parameters, reference_update
@@ -319,6 +319,17 @@ class TestLearnerCheckpoint:
                            np.random.default_rng(11))
         with pytest.raises(CheckpointMismatch):
             other.load_bytes(agent.to_bytes())
+
+    def test_value_mismatch_loads_neither_net(self):
+        agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
+                           np.random.default_rng(11))
+        other = PpoLearner(3, CategoricalHead((4,)), small_config(),
+                           np.random.default_rng(12))
+        before = other.to_bytes()
+        wrong_value = DenseNet((3, 5, 1), np.random.default_rng(13))
+        with pytest.raises(CheckpointMismatch, match="value dims"):
+            other.load_bytes(agent.policy.to_bytes() + wrong_value.to_bytes())
+        assert other.to_bytes() == before
 
 
 class TestConfigValidation:

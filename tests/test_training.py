@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl.config import ExperimentConfig, RunMode
-from dagmarl.envs import FactoryEnv, snapshots_equal
+from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl.ppo import PpoConfig
 from dagmarl.training import (
@@ -18,7 +18,7 @@ from dagmarl.training import (
     state_flow_indices,
     train,
 )
-from helpers import parameters
+from helpers import parameters, snapshots_equal
 
 
 def tiny_ppo(**kw):
