@@ -3,7 +3,8 @@
 Sections: [run] (mode/seed/episodes/out), [env] (name plus environment
 options), [agents] (goal dimension, state-flow stride, leader/distributor
 switches), [ppo] (optimizer knobs), and optionally [dag] (node names and
-arcs as name pairs, consumed by the micro environment).  Unknown sections or
+arcs as name pairs, consumed by the micro environment as a node count and
+index arcs; the names serve only to resolve the arcs).  Unknown sections or
 keys fail loudly, and so does a value that does not parse as the type of
 its default.  An [env] key is a parameter of the named environment's
 constructor, and its default is that parameter's default.
@@ -131,7 +132,7 @@ def _parse_dag_section(section) -> dict:
     for key in section:
         if key not in ("nodes", "arcs"):
             raise ConfigError(f"unknown key {key!r} in [dag]")
-    return {"nodes": len(names), "arcs": tuple(arcs), "names": tuple(names)}
+    return {"nodes": len(names), "arcs": tuple(arcs)}
 
 
 def load_config(path) -> ExperimentConfig:

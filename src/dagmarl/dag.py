@@ -88,15 +88,10 @@ class DagTopology:
     safe for concurrent reads.
     """
 
-    def __init__(self, node_count: int, arcs, names=None):
+    def __init__(self, node_count: int, arcs):
         self.arcs = tuple(sorted(set(tuple(a) for a in arcs)))
         self._order = topological_order(node_count, self.arcs)
         self.node_count = node_count
-        if names is not None:
-            names = tuple(names)
-            if len(names) != node_count:
-                raise InvalidNode(f"{len(names)} names for {node_count} nodes")
-        self.names = names
 
         # the arcs are sorted, so every parent and child list comes out sorted
         self._succ = [[] for _ in range(node_count)]

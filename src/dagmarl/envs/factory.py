@@ -30,9 +30,7 @@ class FactoryEnv(DagEnv):
 
     def __init__(self, goal_period: int = 40, goal_periods: int = 10):
         super().__init__(goal_period, goal_period * goal_periods)
-        self.topology = DagTopology(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
-                                    names=("parts", "comp-b", "comp-c",
-                                           "assembly"))
+        self.topology = DagTopology(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         self.action_sizes = [3, 2, 2, 4]
         self.obs_dims = [3, 4, 3, 9]
         self.holding_level1 = 0.3

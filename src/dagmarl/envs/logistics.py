@@ -49,8 +49,7 @@ class LogisticsEnv(DagEnv):
     def __init__(self, goal_period: int = 10, goal_periods: int = 30):
         super().__init__(goal_period, goal_period * goal_periods)
         self.topology = DagTopology(
-            5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)],
-            names=("source-a", "source-b", "mid-1", "mid-2", "top"))
+            5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
         # sources: idle + one link choice per product they carry;
         # relay nodes: idle + (product, link) pairs
         self.action_sizes = [3, 3, 5, 5, 5]

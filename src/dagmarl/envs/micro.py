@@ -118,10 +118,10 @@ class MicroDagEnv(DagEnv):
 
     @classmethod
     def from_options(cls, nodes=2, arcs=((0, 1),), states=2, actions=2,
-                     horizon=20, goal_period=5, table_seed=0, names=None):
+                     horizon=20, goal_period=5, table_seed=0):
         """Deterministic random tables for a fixed topology (config entry)."""
         n = int(nodes)
-        topology = DagTopology(n, [tuple(a) for a in arcs], names=names)
+        topology = DagTopology(n, [tuple(a) for a in arcs])
         rng = np.random.default_rng(int(table_seed))
         return sample_micro_env(
             rng, topology=topology,
@@ -131,8 +131,7 @@ class MicroDagEnv(DagEnv):
 
 def sample_micro_env(rng: np.random.Generator, topology: DagTopology | None = None,
                      max_nodes: int = 3, n_states=None, n_actions=None,
-                     horizon: int = 20, goal_period: int = 5,
-                     min_actions: int = 1) -> MicroDagEnv:
+                     horizon: int = 20, goal_period: int = 5) -> MicroDagEnv:
     """Random instance: random small DAG, stochastic rows, rewards in [0,1)."""
     if topology is None:
         count = int(rng.integers(1, max_nodes + 1))
@@ -141,7 +140,7 @@ def sample_micro_env(rng: np.random.Generator, topology: DagTopology | None = No
     if n_states is None:
         n_states = [int(rng.integers(2, 4)) for _ in range(n)]
     if n_actions is None:
-        n_actions = [int(rng.integers(min_actions, 3)) for _ in range(n)]
+        n_actions = [int(rng.integers(1, 3)) for _ in range(n)]
 
     p0, transitions = [], []
     for i in range(n):

@@ -34,8 +34,7 @@ class PreyEnv(DagEnv):
         super().__init__(goal_period, max_steps)
         if grid_size < 4 or predators < 1:
             raise ValueError("need grid_size >= 4 and predators >= 1")
-        self.topology = DagTopology(4, [(p, c) for c, p in PARENT.items()],
-                                    names=("root", "mid", "sink-1", "sink-2"))
+        self.topology = DagTopology(4, [(p, c) for c, p in PARENT.items()])
         self.grid_size = int(grid_size)
         self.n_predators = int(predators)
         self.action_sizes = [9, 9, 9, 9]  # stay + 8 directions

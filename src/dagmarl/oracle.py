@@ -18,6 +18,8 @@ import numpy as np
 from .envs.micro import MicroDagEnv, sample_micro_env
 
 DP_GUARD = 1_000_000  # joint (state, action) table cells
+BOUND_SLACK = 1e-9  # float rounding allowed between the two value sums
+CAMPAIGN_TOL = 1e-6  # discounted value a campaign's horizon may leave out
 
 
 class StateSpaceTooLarge(ValueError):
@@ -144,7 +146,6 @@ class _JointModel:
             a_sub = env.joint_action_index(k, self.a_digits.T)
             self.sink_r[k] = table[self.s_digits[:, k][:, None],
                                    a_sub[None, :]]
-        self.r_max = float(sum(t.max() for t in env.sink_rewards.values()))
 
         # joint transition kernel per joint action
         self.trans = np.empty((self.na, self.ns, self.ns))
@@ -176,28 +177,18 @@ class _JointModel:
         return out
 
 
-def _tail_bound(env, gamma, horizon, r_max):
-    if horizon >= env.max_steps:
-        return 0.0
-    if gamma >= 1.0:
-        return (env.max_steps - horizon) * r_max
-    return gamma ** horizon * r_max / (1.0 - gamma)
-
-
-def _dp(env, policy, gamma, horizon, contribution):
+def _dp(env, policy, gamma, contribution):
     """(per-sink values, per-node synthetic values or zeros without a
-    contribution, truncation tail bound, horizon used)."""
+    contribution) over all ``env.max_steps`` steps."""
     model = _JointModel(env)
     pol = model.policy_matrix(policy)
-    horizon = (env.max_steps if horizon is None
-               else min(int(horizon), env.max_steps))
     sr = model.synthetic_r(contribution) if contribution is not None else None
 
     sink_v = {k: 0.0 for k in model.sink_r}
     synth_v = np.zeros(env.topology.node_count)
     mu = model.mu0.copy()
     disc = 1.0
-    for _ in range(horizon):
+    for _ in range(env.max_steps):
         w = mu[:, None] * pol
         for k, r in model.sink_r.items():
             sink_v[k] += disc * float(np.sum(w * r))
@@ -206,8 +197,7 @@ def _dp(env, policy, gamma, horizon, contribution):
                 synth_v[i] += disc * float(np.sum(w * sr[i]))
         mu = np.einsum("sa,asn->n", w, model.trans)
         disc *= gamma
-    tail = _tail_bound(env, gamma, horizon, model.r_max)
-    return sink_v, synth_v, tail, horizon
+    return sink_v, synth_v
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +209,6 @@ def _dp(env, policy, gamma, horizon, contribution):
 class BoundReport:
     total_synthetic: float
     total_sink: float
-    tail_bound: float
-    horizon: int
     ok: bool
 
     @property
@@ -229,22 +217,17 @@ class BoundReport:
 
 
 def verify_bound(env: MicroDagEnv, policy: TabularJointPolicy,
-                 contribution: ContributionTable, gamma: float,
-                 horizon: int | None = None, slack: float = 1e-9) -> BoundReport:
-    """Checks sum of synthetic values <= sum of sink values.
-
-    Truncation can only remove non-negative mass from both sides, so the
-    comparison allows twice the tail bound plus the float slack.
-    """
+                 contribution: ContributionTable, gamma: float) -> BoundReport:
+    """Checks sum of synthetic values <= sum of sink values, up to float
+    rounding, over all ``env.max_steps`` steps."""
     for k, table in env.sink_rewards.items():
         if np.any(table < 0.0):
             raise HypothesisViolated(f"sink {k} has negative rewards")
     validate_contribution(env, contribution)
-    sink_v, synth_v, tail, used = _dp(env, policy, gamma, horizon, contribution)
+    sink_v, synth_v = _dp(env, policy, gamma, contribution)
     lhs = float(synth_v.sum())
     rhs = float(sum(sink_v.values()))
-    return BoundReport(lhs, rhs, tail, used,
-                       ok=lhs <= rhs + 2.0 * tail + slack)
+    return BoundReport(lhs, rhs, ok=lhs <= rhs + BOUND_SLACK)
 
 
 @dataclass(frozen=True)
@@ -260,16 +243,17 @@ class CampaignReport:
         return asdict(self)
 
 
-def _bound_horizon(gamma, tol, r_max):
-    """Steps after which the discounted tail is below ``tol``; gamma < 1."""
-    if r_max <= 0.0 or gamma == 0.0:  # nothing after the first step counts
+def _bound_horizon(gamma, max_reward):
+    """Steps after which the discounted tail is below CAMPAIGN_TOL when no
+    step pays more than ``max_reward``; gamma < 1."""
+    if max_reward <= 0.0 or gamma == 0.0:  # nothing after step one counts
         return 1
-    return max(1, math.ceil(math.log(tol * (1.0 - gamma) / r_max)
-                            / math.log(gamma)))
+    return max(1, math.ceil(math.log(CAMPAIGN_TOL * (1.0 - gamma)
+                                     / max_reward) / math.log(gamma)))
 
 
-def run_bound_campaign(trials: int, seed: int, gamma: float = 0.9,
-                       tol: float = 1e-6, max_nodes: int = 3) -> CampaignReport:
+def run_bound_campaign(trials: int, seed: int,
+                       gamma: float = 0.9) -> CampaignReport:
     """Random (env, policy, contribution) triples; checks the bound on each.
 
     Single-sink instances additionally get a saturated contribution (columns
@@ -279,6 +263,8 @@ def run_bound_campaign(trials: int, seed: int, gamma: float = 0.9,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma {gamma} outside [0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     violations = 0
     max_violation = 0.0
@@ -286,9 +272,9 @@ def run_bound_campaign(trials: int, seed: int, gamma: float = 0.9,
     equality_trials = 0
     max_equality_gap = 0.0
     for _ in range(trials):
-        env = sample_micro_env(rng, max_nodes=max_nodes, horizon=10 ** 9)
-        horizon = _bound_horizon(gamma, tol, 1.0 * len(env.topology.sinks))
-        env.max_steps = horizon  # enumerate everything the bound needs
+        env = sample_micro_env(rng, horizon=10 ** 9)  # up to three nodes
+        # enumerate everything the bound needs
+        env.max_steps = _bound_horizon(gamma, 1.0 * len(env.topology.sinks))
         policy = sample_tabular_policy(rng, env)
         contribution = sample_admissible_contribution(rng, env)
         report = verify_bound(env, policy, contribution, gamma)

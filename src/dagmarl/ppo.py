@@ -169,14 +169,16 @@ class PpoLearner:
                           cfg.epochs_per_update * len(starts)))
         step = 0
         try:
-            for _ in range(cfg.epochs_per_update):
-                perm = self.rng.permutation(n)
-                for lo in starts:
-                    idx = perm[lo:lo + cfg.batch_size]
-                    diags[:, step] = self._minibatch_step(
-                        states[idx], actions[idx], old_logp[idx], adv[idx],
-                        returns[idx])
-                    step += 1
+            # an overflow or nan ends as NonFiniteLoss, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(cfg.epochs_per_update):
+                    perm = self.rng.permutation(n)
+                    for lo in starts:
+                        idx = perm[lo:lo + cfg.batch_size]
+                        diags[:, step] = self._minibatch_step(
+                            states[idx], actions[idx], old_logp[idx],
+                            adv[idx], returns[idx])
+                        step += 1
         except (NonFiniteLoss, nn.NonFiniteGradient) as err:
             for (net, opt), (flat, snap) in zip(pairs, saved):
                 net.flat[...] = flat

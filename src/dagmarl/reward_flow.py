@@ -10,7 +10,7 @@ out exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,10 @@ class RewardBaseline:
     total_reward: float = 0.0
     goal_periods: float = 1.0
 
-
-def update_baseline(baseline: RewardBaseline, episode_total: float,
-                    episode_goal_periods: int) -> RewardBaseline:
-    """Only the immediately preceding episode survives."""
-    if episode_goal_periods < 1:
-        raise ValueError(f"goal periods must be >= 1, got {episode_goal_periods}")
-    return replace(baseline, total_reward=float(episode_total),
-                   goal_periods=float(episode_goal_periods))
+    def __post_init__(self):
+        if not self.goal_periods >= 1:  # NaN fails too
+            raise ValueError(
+                f"goal_periods must be >= 1, got {self.goal_periods}")
 
 
 def synthetic_budget(q: float, baseline: RewardBaseline) -> float:
@@ -42,8 +38,6 @@ def synthetic_budget(q: float, baseline: RewardBaseline) -> float:
     """
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q={q} outside [0,1]")
-    if baseline.goal_periods < 1.0:
-        raise ValueError("baseline goal_periods must be >= 1")
     return max(0.0, q * baseline.total_reward / baseline.goal_periods)
 
 
@@ -72,13 +66,12 @@ class RgdOutput:
 
 @dataclass(frozen=True)
 class ShareTable:
-    """Final budget shares: per node, per reward arc, and the pre-split
-    accumulation per node.  arc_share keys are (sender, receiver) in reward
-    orientation, i.e. (v, u) for task arc (u, v)."""
+    """Final budget shares, per node and per reward arc.  arc_share keys are
+    (sender, receiver) in reward orientation, i.e. (v, u) for task arc
+    (u, v)."""
 
     node_share: np.ndarray
     arc_share: dict
-    initial_share: np.ndarray
 
 
 def sink_initial_shares(topology: DagTopology, node_values) -> dict:
@@ -143,6 +136,4 @@ def distribute(topology: DagTopology, output: RgdOutput,
         for j, share in zip(parents, sent):
             arc_share[(i, j)] = share
 
-    table = ShareTable(node_share=node_share, arc_share=arc_share,
-                       initial_share=initial)
-    return table, node_share * budget
+    return ShareTable(node_share, arc_share), node_share * budget

@@ -24,9 +24,9 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch
-from .ppo import PpoLearner
+from .ppo import NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
-                          synthetic_budget, update_baseline)
+                          synthetic_budget)
 from .seeding import substream
 
 
@@ -226,10 +226,14 @@ class Trainer:
                 continue
             # rollout rows were written at the same indices the reward
             # streams count, so the first len(rewards) rows are this episode's
-            diagnostics[role] = self.agents[role].update(rollouts[role],
-                                                         rewards)
+            try:
+                diagnostics[role] = self.agents[role].update(rollouts[role],
+                                                             rewards)
+            except NonFiniteLoss as err:
+                raise NonFiniteLoss(f"{role} update in episode "
+                                    f"{episode_index}: {err}") from None
         if rgd_active:
-            self.baseline = update_baseline(self.baseline, total, n_periods)
+            self.baseline = RewardBaseline(total, n_periods)
         self.last_diagnostics = diagnostics
         return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
@@ -320,12 +324,7 @@ class TrainResult:
     trainer: Trainer
 
 
-def train(config: ExperimentConfig, env=None, on_episode=None) -> TrainResult:
+def train(config: ExperimentConfig, env=None) -> TrainResult:
     trainer = Trainer(config, env)
-    records = []
-    for index in range(config.episodes):
-        record = trainer.run_episode(index)
-        records.append(record)
-        if on_episode is not None:
-            on_episode(record)
+    records = [trainer.run_episode(index) for index in range(config.episodes)]
     return TrainResult(records, trainer)

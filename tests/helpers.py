@@ -5,7 +5,7 @@ import numpy as np
 
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl.oracle import (ContributionTable, StateSpaceTooLarge,
-                            TabularJointPolicy, _dp, _JointModel, _tail_bound,
+                            TabularJointPolicy, _dp, _JointModel,
                             validate_contribution)
 
 
@@ -166,29 +166,28 @@ def snapshots_equal(a, b) -> bool:
 ENUM_GUARD = 1_000_000  # enumerated trajectories
 
 
-def exact_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
-                 horizon: int | None = None):
-    """Per-sink discounted values and the truncation tail bound."""
-    sink_v, _, tail, _ = _dp(env, policy, gamma, horizon, None)
-    return sink_v, tail
+def exact_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float):
+    """Per-sink discounted values over all ``env.max_steps`` steps."""
+    sink_v, _ = _dp(env, policy, gamma, None)
+    return sink_v
 
 
 def synthetic_values(env: MicroDagEnv, policy: TabularJointPolicy,
-                     contribution: ContributionTable, gamma: float,
-                     horizon: int | None = None):
+                     contribution: ContributionTable, gamma: float):
     """Per-node discounted synthetic values under the contribution weights."""
     validate_contribution(env, contribution)
-    _, synth_v, tail, _ = _dp(env, policy, gamma, horizon, contribution)
-    return synth_v, tail
+    _, synth_v = _dp(env, policy, gamma, contribution)
+    return synth_v
 
 
 def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
-                     horizon: int, contribution: ContributionTable | None = None,
+                     contribution: ContributionTable | None = None,
                      guard: int = ENUM_GUARD):
-    """Sums over every trajectory explicitly.  Exponentially expensive; only
-    for cross-checking the DP on tiny instances."""
+    """Sums over every trajectory of ``env.max_steps`` steps explicitly.
+    Exponentially expensive; only for cross-checking the DP on tiny
+    instances."""
     model = _JointModel(env)
-    horizon = min(int(horizon), env.max_steps)
+    horizon = env.max_steps
     predicted = model.ns * (model.na * model.ns) ** max(horizon - 1, 0) * model.na
     if predicted > guard:
         raise StateSpaceTooLarge(f"about {predicted} trajectories")
@@ -219,5 +218,4 @@ def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
     for s0 in range(model.ns):
         if model.mu0[s0] > 0.0:
             walk(s0, 0, model.mu0[s0])
-    tail = _tail_bound(env, gamma, horizon, model.r_max)
-    return sink_v, synth_v, tail
+    return sink_v, synth_v

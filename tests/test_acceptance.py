@@ -84,7 +84,7 @@ def test_criterion_1_share_conservation():
 
 def test_criterion_2_value_bound_campaign():
     start = time.perf_counter()
-    report = run_bound_campaign(trials=200, seed=20240819, gamma=0.9, tol=1e-6)
+    report = run_bound_campaign(trials=200, seed=20240819, gamma=0.9)
     elapsed = time.perf_counter() - start
     ok = (report.violations == 0
           and report.min_margin >= -2e-6

@@ -63,8 +63,7 @@ def test_dp_matches_hand_computed_chain():
         transitions=[np.array([[[0.0, 1.0]], [[0.0, 1.0]]])],
         sink_rewards={0: np.array([[1.0], [0.5]])}, horizon=3)
     policy = TabularJointPolicy.uniform(env)
-    sink_v, tail = exact_values(env, policy, gamma=0.5)
-    assert tail == 0.0
+    sink_v = exact_values(env, policy, gamma=0.5)
     assert sink_v[0] == pytest.approx(1.0 + 0.5 * 0.5 + 0.25 * 0.5, abs=1e-12)
 
 
@@ -76,11 +75,10 @@ def test_dp_matches_enumeration():
         contribution = sample_admissible_contribution(rng, env)
         gamma = 0.9
 
-        sink_v, _ = exact_values(env, policy, gamma)
-        synth_v, _ = synthetic_values(env, policy, contribution, gamma)
-        e_sink, e_synth, _ = enumerate_values(env, policy, gamma,
-                                              horizon=3,
-                                              contribution=contribution)
+        sink_v = exact_values(env, policy, gamma)
+        synth_v = synthetic_values(env, policy, contribution, gamma)
+        e_sink, e_synth = enumerate_values(env, policy, gamma,
+                                           contribution=contribution)
         for k in sink_v:
             assert sink_v[k] == pytest.approx(e_sink[k], abs=1e-9)
         np.testing.assert_allclose(synth_v, e_synth, atol=1e-9)
@@ -90,8 +88,7 @@ def test_dp_matches_monte_carlo_rollouts():
     # independent path: the DP kernel vs the env's own stepping code
     env = tiny_env(seed=3, horizon=6)
     policy = TabularJointPolicy.uniform(env)
-    sink_v, tail = exact_values(env, policy, gamma=1.0)
-    assert tail == 0.0
+    sink_v = exact_values(env, policy, gamma=1.0)
     expected = sum(sink_v.values())
 
     rng = np.random.default_rng(77)
@@ -107,18 +104,6 @@ def test_dp_matches_monte_carlo_rollouts():
     totals = np.array(totals)
     sem = totals.std(ddof=1) / np.sqrt(len(totals))
     assert abs(totals.mean() - expected) <= 4.0 * sem
-
-
-def test_truncated_horizon_within_tail_bound():
-    env = tiny_env(seed=5, horizon=12)
-    policy = TabularJointPolicy.uniform(env)
-    gamma = 0.8
-    full, _ = exact_values(env, policy, gamma)
-    for horizon in (2, 5, 9):
-        part, tail = exact_values(env, policy, gamma, horizon=horizon)
-        assert tail > 0.0
-        gap = sum(full.values()) - sum(part.values())
-        assert 0.0 <= gap <= tail + 1e-12
 
 
 # -- contribution weights -------------------------------------------------------
@@ -168,8 +153,8 @@ def test_synthetic_values_scale_linearly():
     policy = sample_tabular_policy(rng, env)
     c = sample_admissible_contribution(rng, env)
     half = ContributionTable({k: 0.5 * f for k, f in c.tables.items()})
-    v_full, _ = synthetic_values(env, policy, c, gamma=0.9)
-    v_half, _ = synthetic_values(env, policy, half, gamma=0.9)
+    v_full = synthetic_values(env, policy, c, gamma=0.9)
+    v_half = synthetic_values(env, policy, half, gamma=0.9)
     np.testing.assert_allclose(v_half, 0.5 * v_full, atol=1e-12)
 
 
@@ -221,7 +206,7 @@ def test_enumeration_guard():
     env = tiny_env(horizon=10)
     policy = TabularJointPolicy.uniform(env)
     with pytest.raises(StateSpaceTooLarge):
-        enumerate_values(env, policy, gamma=0.9, horizon=10, guard=1000)
+        enumerate_values(env, policy, gamma=0.9, guard=1000)
 
 
 @pytest.mark.parametrize("gamma", [0.9, 0.0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dagmarl.dag import DagTopology
 from dagmarl.reward_flow import (RewardBaseline, RgdOutput, ShareTable,
                                  distribute, sink_initial_shares, split_share,
-                                 synthetic_budget, update_baseline)
+                                 synthetic_budget)
 
 FAN = DagTopology(3, [(0, 1), (0, 2)])  # node 0 feeds sinks 1 and 2
 
@@ -50,17 +50,10 @@ class TestBudget:
         with pytest.raises(ValueError):
             synthetic_budget(-0.1, RewardBaseline(10.0, 1.0))
 
-    def test_update_baseline_replaces_wholesale(self):
-        b0 = RewardBaseline()
-        b1 = update_baseline(b0, 120.0, 6)
-        assert b1.total_reward == 120.0 and b1.goal_periods == 6.0
-        b2 = update_baseline(b1, -30.0, 3)
-        # only the previous episode counts, no running average
-        assert b2.total_reward == -30.0 and b2.goal_periods == 3.0
-
-    def test_update_baseline_needs_periods(self):
-        with pytest.raises(ValueError):
-            update_baseline(RewardBaseline(), 1.0, 0)
+    @pytest.mark.parametrize("periods", [0, 0.5, float("nan")])
+    def test_baseline_needs_a_whole_period(self, periods):
+        with pytest.raises(ValueError, match="goal_periods"):
+            RewardBaseline(1.0, periods)
 
 
 class TestRgdOutput:

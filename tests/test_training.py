@@ -10,6 +10,7 @@ from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl.ppo import PpoConfig
+from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
     Trainer,
     compose_follower_rewards,
@@ -342,6 +343,22 @@ def test_first_episode_budget_is_zero():
     assert second.sr_sums.sum() > 0.0  # baseline now set, budget positive
 
 
+def test_baseline_is_the_last_training_episodes_totals():
+    trainer = Trainer(micro_config(RunMode.RFM, horizon=10, seed=5))
+    assert trainer.baseline == RewardBaseline()
+    first = trainer.run_episode(0)
+    assert trainer.baseline == RewardBaseline(first.team_reward,
+                                              first.goal_periods)
+    trainer.run_episode(1, frozen=True)
+    assert trainer.baseline == RewardBaseline(first.team_reward,
+                                              first.goal_periods)
+    second = trainer.run_episode(2)
+    assert second.team_reward != first.team_reward
+    # only the previous episode counts, no running average
+    assert trainer.baseline == RewardBaseline(second.team_reward,
+                                              second.goal_periods)
+
+
 def sequential_period_sums(team, goal_period):
     sums = []
     for start in range(0, len(team), goal_period):
@@ -481,10 +498,8 @@ def test_follower_transition_counts():
 def test_train_returns_one_record_per_episode():
     cfg = micro_config(RunMode.SRM)
     cfg = ExperimentConfig(**{**cfg.__dict__, "episodes": 4})
-    seen = []
-    result = train(cfg, on_episode=lambda r: seen.append(r.episode))
+    result = train(cfg)
     assert [r.episode for r in result.records] == [0, 1, 2, 3]
-    assert seen == [0, 1, 2, 3]
 
 
 def test_identical_configs_replay_identically():
