@@ -43,11 +43,11 @@ def _cmd_train(args) -> int:
         raise ConfigError("train needs at least one episode")
     started = time.monotonic()
     env = make_env(config.env_name, config.env_options)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     result = train(config, env)
     wall = time.monotonic() - started
+    # only a finished run makes the output directory
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     write_episode_csv(out / "episodes.csv", result.records)
     result.trainer.save_checkpoints(out / "checkpoints")

@@ -1,5 +1,5 @@
-"""Dense networks, Adam, stochastic policy heads and the special functions
-of the Beta head.
+"""Dense networks, Adam, stochastic policy heads, the special functions
+of the Beta head and the allocator limits their temporaries need.
 
 Everything is float64 numpy with hand-written reverse-mode gradients; there
 is deliberately no autograd framework underneath.  Two policy heads cover
@@ -10,8 +10,10 @@ segments over consecutive logits, and ``BetaHead``, a per-coordinate Beta on
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,37 @@ class NonFiniteParams(ValueError):
 
 class CheckpointMismatch(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# allocator limits
+# ---------------------------------------------------------------------------
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap():
+    """Keeps freed NumPy temporaries in the process heap (Linux/glibc).
+
+    glibc serves each block of 128 KiB or more by its own ``mmap`` and
+    hands it back on ``free``, and trims free heap above a limit that
+    follows that threshold, so every 256-wide batch temporary is faulted
+    in afresh on the next update.  This raises the mmap threshold to
+    32 MiB and the trim limit to 64 MiB for the whole process; both are
+    needed, since either alone still returns the memory.  Results are
+    unchanged.  Elsewhere (not Linux, or a C library without ``mallopt``)
+    it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 # ---------------------------------------------------------------------------

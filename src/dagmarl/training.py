@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
-from .nn import BetaHead, CategoricalHead, CheckpointMismatch
+from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
 from .ppo import NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
@@ -77,19 +77,23 @@ def counterfactual_rewards(env, joint_action):
     environment contract fixes as idle.  Each counterfactual branch takes
     only its reward (``step_reward``, no observation) and then restores the
     snapshot taken before the sweep; the true step runs last so the
-    environment ends at the real successor state.  Returns
-    ``(obs, team_reward, done, diffs)``.
+    environment ends at the real successor state.  An agent already idle
+    has a branch identical to the true step, so it is not replayed and its
+    difference is 0.0.  Returns ``(obs, team_reward, done, diffs)``.
     """
     snap = env.snapshot()
     n = env.topology.node_count
-    counter = np.empty(n)
-    for i in range(n):
+    active = [i for i in range(n) if joint_action[i] != 0]
+    counter = np.empty(len(active))
+    for k, i in enumerate(active):
         alt = list(joint_action)
         alt[i] = 0
-        counter[i], _ = env.step_reward(alt)
+        counter[k], _ = env.step_reward(alt)
         env.restore(snap)
     obs, r_true, done = env.step(list(joint_action))
-    return obs, r_true, done, r_true - counter
+    diffs = np.zeros(n)
+    diffs[active] = r_true - counter
+    return obs, r_true, done, diffs
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,7 @@ class Trainer:
     """Builds the agent set for a mode and runs training episodes."""
 
     def __init__(self, config: ExperimentConfig, env=None):
+        keep_freed_heap()  # for training and evaluate() alike
         self.config = config
         self.env = env if env is not None else make_env(
             config.env_name, config.env_options)

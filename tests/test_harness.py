@@ -488,6 +488,7 @@ def test_cli_train_reports_a_diverging_run_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: follower-0 update in episode 0: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_round_trip(tmp_path, capsys):

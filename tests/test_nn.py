@@ -1,21 +1,29 @@
 """Network tests: loop-based forward oracle, finite-difference gradients,
-a hand-rolled Adam simulation, and distribution-head statistics."""
+a hand-rolled Adam simulation, distribution-head statistics and the
+allocator limits."""
 
+import ctypes
 import math
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import dagmarl
 from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         CheckpointMismatch, DenseNet, DimensionMismatch,
                         NonFiniteGradient, NonFiniteInput, ShapeMismatch,
                         adam_step, beta_shapes, beta_stats, betaln,
                         categorical_stats, digamma, frozen_action,
-                        sample_and_logprob, trigamma)
+                        keep_freed_heap, sample_and_logprob, trigamma)
 from helpers import (biases, n_params, parameters,
                      reference_categorical_stats, reference_sample_and_logprob,
                      weights)
@@ -575,3 +583,57 @@ class TestCheckpoint:
             want += np.ascontiguousarray(w, dtype="<f8").tobytes()
             want += np.ascontiguousarray(b, dtype="<f8").tobytes()
         assert net.to_bytes() == want
+
+
+# -- allocator limits ----------------------------------------------------------
+
+# 30 steps of a 256-wide net on 256 rows after one warm-up step; prints the
+# minor page faults the 30 steps took
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from dagmarl.nn import AdamState, DenseNet, adam_step, keep_freed_heap
+if sys.argv[1] == "keep":
+    keep_freed_heap()
+rng = np.random.default_rng(0)
+net = DenseNet((9, 256, 256, 4), rng)
+adam = AdamState(net, 1e-3)
+x = rng.standard_normal((256, 9))
+g = rng.standard_normal((256, 4))
+
+def step():
+    _, cache = net.forward_cached(x)
+    adam_step(adam, net.flat, net.backward(cache, g))
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _probe_faults(mode):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dagmarl.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE, mode],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the limits are glibc mallopt parameters")
+def test_kept_heap_stops_update_page_faults():
+    plain = _probe_faults("plain")
+    kept = _probe_faults("keep")
+    assert kept < 0.1 * plain, (kept, plain)
+
+
+def test_keep_freed_heap_is_a_no_op_off_linux(monkeypatch):
+    def no_library(*args):
+        raise AssertionError("loaded a C library")
+
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    keep_freed_heap()

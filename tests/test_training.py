@@ -198,12 +198,17 @@ def test_counterfactual_sweep_restores_once_per_branch():
         method = getattr(env, name)
         setattr(env, name, lambda *a, name=name, method=method:
                 calls.append(name) or method(*a))
-    counterfactual_rewards(env, [1, 0, 1, 0])
     n = env.topology.node_count
-    # each branch takes only its reward and is restored; the real step,
-    # last, is the only full step and the only observe()
-    assert calls == (["snapshot"] + ["step_reward", "restore"] * n
-                     + ["step", "step_reward", "observe"])
+    # each agent not already idle gets a branch that takes only its reward
+    # and is restored; an idle agent's difference is 0.0 without one.  The
+    # real step, last, is the only full step and the only observe()
+    for joint, branches in (([1, 0, 1, 0], 2), ([1, 1, 1, 1], n)):
+        calls.clear()
+        _, _, _, diffs = counterfactual_rewards(env, joint)
+        assert calls == (["snapshot"] + ["step_reward", "restore"] * branches
+                         + ["step", "step_reward", "observe"])
+        assert [d for a, d in zip(joint, diffs) if a == 0] == [0.0] * (
+            n - branches)
 
 
 def test_frozen_diff_episode_skips_counterfactual_replay():
