@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
-                     load_config)
+                     load_config, read_run_config)
 from .logio import (SchemaMismatch, atomic_write_bytes, read_episode_csv,
                     write_episode_csv, write_log)
 from .metrics import min_max_normalize, moving_average
@@ -22,28 +22,19 @@ def _json_bytes(data) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _load(args) -> ExperimentConfig:
-    config = (load_config(args.config) if args.config
-              else ExperimentConfig())
-    return apply_overrides(config, mode=getattr(args, "mode", None),
-                           seed=getattr(args, "seed", None),
-                           episodes=getattr(args, "episodes", None),
-                           out=getattr(args, "out", None))
-
-
 def _cmd_train(args) -> int:
-    from .envs import make_env
     from .training import train
 
-    config = _load(args)
+    config = apply_overrides(
+        load_config(args.config) if args.config else ExperimentConfig(),
+        mode=args.mode, seed=args.seed, episodes=args.episodes, out=args.out)
     if not config.out_dir:
         raise ConfigError("train needs an output directory: "
                           "set [run] out or pass --out")
     if config.episodes < 1:
         raise ConfigError("train needs at least one episode")
     started = time.monotonic()
-    env = make_env(config.env_name, config.env_options)
-    result = train(config, env)
+    result = train(config)
     wall = time.monotonic() - started
     # only a finished run makes the output directory
     out = Path(config.out_dir)
@@ -69,21 +60,10 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .evaluate import evaluate
 
-    config = _load(args)
-    meta_path = Path(args.checkpoints).parent / "run_meta.json"
-    if meta_path.is_file():
-        try:
-            trained = json.loads(meta_path.read_text())["config"]["mode"]
-        except (KeyError, TypeError):  # not a record that train wrote
-            trained = None
-        if trained is not None and trained != config.mode.value:
-            raise ConfigError(
-                f"{meta_path} records mode {trained!r}, but evaluate "
-                f"resolved mode {config.mode.value!r}; pass --mode {trained}")
-    episodes = args.episodes if args.episodes is not None else 1000
-    result = evaluate(config, args.checkpoints, episodes=episodes,
-                      seed=args.seed, bins=args.bins)
-    out = Path(args.out) if args.out else Path(args.checkpoints)
+    config = read_run_config(args.run_dir / "run_meta.json")
+    result = evaluate(config, args.run_dir / "checkpoints",
+                      episodes=args.episodes, seed=args.seed, bins=args.bins)
+    out = Path(args.out or args.run_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     atomic_write_bytes(out / "eval_summary.json", _json_bytes(result.summary))
@@ -93,11 +73,11 @@ def _cmd_evaluate(args) -> int:
     chart = histogram_chart(result.counts, result.edges,
                             x_label="episode team reward",
                             title=f"{config.mode.value}/{config.env_name} "
-                                  f"({episodes} frozen episodes)")
+                                  f"({args.episodes} frozen episodes)")
     atomic_write_bytes(out / "eval_histogram.svg", chart.encode())
 
     s = result.summary
-    print(f"evaluated {episodes} episodes: mean {s['mean']:.3f}, "
+    print(f"evaluated {args.episodes} episodes: mean {s['mean']:.3f}, "
           f"median {s['median']:.3f}, std {s['std']:.3f}")
     print(f"wrote {out / 'eval_summary.json'}")
     return 0
@@ -156,12 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(handler=_cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="run frozen policies")
-    p_eval.add_argument("checkpoints", help="checkpoint directory")
-    p_eval.add_argument("--config", help="experiment config file")
-    p_eval.add_argument("--mode", help="override the run mode")
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--episodes", type=int)
-    p_eval.add_argument("--out", help="output directory")
+    p_eval.add_argument("run_dir", type=Path, help="a run that train wrote")
+    p_eval.add_argument("--seed", type=int, help="default: the run's seed")
+    p_eval.add_argument("--episodes", type=int, default=1000)
+    p_eval.add_argument("--out", help="output directory (default: run_dir)")
     p_eval.add_argument("--bins", type=int, default=30)
     p_eval.set_defaults(handler=_cmd_evaluate)
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 import configparser
 import enum
 import inspect
+import json
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 from .ppo import PpoConfig
 
@@ -177,3 +179,26 @@ def apply_overrides(config: ExperimentConfig, mode=None, seed=None,
     if out is not None:
         updates["out_dir"] = str(out)
     return replace(config, **updates) if updates else config
+
+
+def _tuples(value):
+    """``value`` with every JSON list in it, at any depth, made a tuple."""
+    if isinstance(value, dict):
+        return {key: _tuples(item) for key, item in value.items()}
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def read_run_config(path) -> ExperimentConfig:
+    """The config that ``dagmarl train`` recorded in the ``config`` block of
+    ``path``, a run's ``run_meta.json``.  A missing or unknown key fails."""
+    try:
+        values = _tuples(json.loads(Path(path).read_text())["config"])
+        for where, cls, got in (("config", ExperimentConfig, values), (
+                "config.ppo", PpoConfig, values.get("ppo", {}))):
+            for key in sorted(got.keys() ^ {f.name for f in fields(cls)}):
+                state = "unknown" if key in got else "missing"
+                raise ConfigError(f"{where}: {state} key {key!r}")
+        ppo, mode = PpoConfig(**values["ppo"]), RunMode.parse(values["mode"])
+        return ExperimentConfig(**values | {"ppo": ppo, "mode": mode})
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path} is not a run record: {err}") from None

@@ -51,22 +51,6 @@ class TabularJointPolicy:
             if np.any(t < 0.0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError(f"node {i}: policy rows must sum to 1")
 
-    @classmethod
-    def uniform(cls, env: MicroDagEnv):
-        return cls(tuple(np.full((s, a), 1.0 / a)
-                         for s, a in zip(env.n_states, env.n_actions)))
-
-    @classmethod
-    def deterministic(cls, env: MicroDagEnv, choice):
-        """choice[i][s] = the action node i takes in state s."""
-        tables = []
-        for i, (s, a) in enumerate(zip(env.n_states, env.n_actions)):
-            t = np.zeros((s, a))
-            for state in range(s):
-                t[state, choice[i][state]] = 1.0
-            tables.append(t)
-        return cls(tuple(tables))
-
 
 def sample_tabular_policy(rng: np.random.Generator,
                           env: MicroDagEnv) -> TabularJointPolicy:

@@ -316,6 +316,11 @@ class Trainer:
 
     def load_checkpoints(self, directory):
         directory = Path(directory)
+        extra = sorted(path.name for path in directory.glob("*.ckpt")
+                       if path.stem not in self.agents)
+        if extra:
+            raise CheckpointMismatch(f"{directory} holds checkpoints of roles "
+                                     f"this run does not have: {extra}")
         for role, agent in self.agents.items():
             path = directory / f"{role}.ckpt"
             if not path.exists():
@@ -329,7 +334,7 @@ class TrainResult:
     trainer: Trainer
 
 
-def train(config: ExperimentConfig, env=None) -> TrainResult:
-    trainer = Trainer(config, env)
+def train(config: ExperimentConfig) -> TrainResult:
+    trainer = Trainer(config)
     records = [trainer.run_episode(index) for index in range(config.episodes)]
     return TrainResult(records, trainer)

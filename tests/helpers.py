@@ -34,6 +34,24 @@ def global_state(env):
     return np.concatenate(env.observe())
 
 
+def uniform_policy(env: MicroDagEnv) -> TabularJointPolicy:
+    """Every node picks each of its actions with equal probability."""
+    return TabularJointPolicy(tuple(np.full((s, a), 1.0 / a)
+                                    for s, a in zip(env.n_states,
+                                                    env.n_actions)))
+
+
+def deterministic_policy(env: MicroDagEnv, choice) -> TabularJointPolicy:
+    """choice[i][s] = the action node i takes in state s."""
+    tables = []
+    for i, (s, a) in enumerate(zip(env.n_states, env.n_actions)):
+        t = np.zeros((s, a))
+        for state in range(s):
+            t[state, choice[i][state]] = 1.0
+        tables.append(t)
+    return TabularJointPolicy(tuple(tables))
+
+
 # -- references: the earlier, plainer forms of optimised library code ----------
 # Each is the code the library ran before its per-call costs were cut; tests
 # assert the library gives exactly the same bits.

@@ -5,6 +5,7 @@ frozen evaluator against exhaustive value computation."""
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from dagmarl.config import (
     RunMode,
     apply_overrides,
     load_config,
+    read_run_config,
 )
 from dagmarl.evaluate import evaluate
 from dagmarl.logio import (
@@ -37,11 +39,10 @@ from dagmarl.metrics import (
     moving_average,
 )
 from dagmarl.nn import CategoricalHead
-from dagmarl.oracle import TabularJointPolicy
 from dagmarl.plotting import histogram_chart, line_chart
 from dagmarl.ppo import PpoConfig, PpoLearner
 from dagmarl.training import EpisodeRecord, Trainer
-from helpers import exact_values
+from helpers import deterministic_policy, exact_values
 
 CONFIG_TEXT = """
 [run]
@@ -292,8 +293,7 @@ def test_failed_replace_keeps_old_evaluation_files(tmp_path, monkeypatch,
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
     eval_dir = tmp_path / "eval"
-    evaluate_args = ["evaluate", str(tmp_path / "run" / "checkpoints"),
-                     "--config", str(cfg), "--episodes", "5",
+    evaluate_args = ["evaluate", str(tmp_path / "run"), "--episodes", "5",
                      "--out", str(eval_dir)]
     assert main(evaluate_args + ["--seed", "1"]) == 0
     names = ["eval_histogram.svg", "eval_rewards.csv", "eval_summary.json"]
@@ -503,12 +503,15 @@ def test_cli_round_trip(tmp_path, capsys):
     assert meta["episodes_run"] == 6
 
     eval_dir = tmp_path / "eval"
-    assert main(["evaluate", str(run_dir / "checkpoints"),
-                 "--config", str(cfg), "--episodes", "5",
+    assert main(["evaluate", str(run_dir), "--episodes", "5",
                  "--out", str(eval_dir)]) == 0
     summary = json.loads((eval_dir / "eval_summary.json").read_text())
     assert summary["episodes"] == 5
     assert (eval_dir / "eval_histogram.svg").exists()
+    # without --out the outputs land in the run directory
+    assert main(["evaluate", str(run_dir), "--episodes", "5"]) == 0
+    assert (run_dir / "eval_summary.json").read_bytes() == \
+        (eval_dir / "eval_summary.json").read_bytes()
 
     svg_path = tmp_path / "curve.svg"
     assert main(["plot", str(run_dir / "episodes.csv"), "--window", "3",
@@ -517,25 +520,58 @@ def test_cli_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_evaluate_names_a_mode_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("env_name, options", [
+    ("factory", "goal_period = 2\ngoal_periods = 1"),
+    ("logistics", "goal_period = 2\ngoal_periods = 1"),
+    ("prey", "grid_size = 5\nmax_steps = 3\ngoal_period = 2"),
+    ("micro", "horizon = 3\ngoal_period = 2\ntable_seed = 4\n"
+              "[dag]\nnodes = a, b, c\narcs = a->b, a->c"),
+])
+@pytest.mark.parametrize("mode", [m.value for m in RunMode])
+def test_run_record_round_trips(tmp_path, capsys, env_name, options, mode):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nmode = {mode}\nseed = 4\nepisodes = 1\n"
+                   f"[agents]\ngoal_dim = 2\nflow_stride = 2\n"
+                   f"[ppo]\nhidden = 4, 4\nbatch_size = 8\n"
+                   f"[env]\nname = {env_name}\n{options}\n")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    recorded = read_run_config(run_dir / "run_meta.json")
+    assert recorded == apply_overrides(load_config(cfg), out=run_dir)
+    assert isinstance(recorded.ppo.hidden, tuple)
+
+
+def test_cli_evaluate_refuses_a_bad_run_record(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["train", "--config", str(cfg), "--mode", "diff_m",
-                 "--episodes", "2"]) == 0
-    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+    meta_path = run_dir / "run_meta.json"
+    meta = json.loads(meta_path.read_text())
+    unknown = {**meta, "config": {**meta["config"], "horizon": 40}}
+    ppo = {k: v for k, v in meta["config"]["ppo"].items() if k != "gamma"}
+    missing = {**meta, "config": {**meta["config"], "ppo": ppo}}
     eval_dir = tmp_path / "eval"
-    assert main(["evaluate", str(tmp_path / "run" / "checkpoints"),
-                 "--config", str(cfg), "--episodes", "2",
-                 "--out", str(eval_dir)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'diff-m'" in err and "'proposed'" in err
-    assert not eval_dir.exists()
-    # a run_meta.json without a mode leaves the check to the checkpoints
-    (tmp_path / "run" / "run_meta.json").write_text("[]\n")
-    assert main(["evaluate", str(tmp_path / "run" / "checkpoints"),
-                 "--config", str(cfg), "--mode", "diff-m", "--episodes", "2",
-                 "--out", str(eval_dir)]) == 0
-    capsys.readouterr()
+    for text, names in [(None, "No such file"),
+                        ("{\"config\": ", "is not a run record"),
+                        ("[]\n", "is not a run record"),
+                        (json.dumps(unknown), "config: unknown key 'horizon'"),
+                        (json.dumps(missing),
+                         "config.ppo: missing key 'gamma'")]:
+        if text is None:
+            meta_path.unlink()
+        else:
+            meta_path.write_text(text)
+        capsys.readouterr()
+        assert main(["evaluate", str(run_dir), "--episodes", "2",
+                     "--out", str(eval_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(meta_path) in err and names in err
+        assert not eval_dir.exists()
+        if text is not None:
+            with pytest.raises(ConfigError, match=re.escape(names)):
+                read_run_config(meta_path)
 
 
 def test_cli_eval_rewards_are_a_readable_log(tmp_path, capsys):
@@ -543,7 +579,7 @@ def test_cli_eval_rewards_are_a_readable_log(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
     checkpoints = tmp_path / "run" / "checkpoints"
     eval_dir = tmp_path / "eval"
-    assert main(["evaluate", str(checkpoints), "--config", str(cfg),
+    assert main(["evaluate", str(tmp_path / "run"),
                  "--episodes", "5", "--seed", "3",
                  "--out", str(eval_dir)]) == 0
     want = evaluate(load_config(cfg), checkpoints, episodes=5, seed=3)
@@ -589,9 +625,12 @@ def test_cli_plot_draws_every_log(tmp_path, capsys):
 
 def test_cli_evaluate_missing_checkpoints(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    code = main(["evaluate", str(tmp_path / "void"), "--config", str(cfg)])
-    assert code == 1
+    assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+    shutil.rmtree(tmp_path / "run" / "checkpoints")
     capsys.readouterr()
+    code = main(["evaluate", str(tmp_path / "run")])
+    assert code == 1
+    assert "error: missing checkpoint" in capsys.readouterr().err
 
 
 def run_python(code, *args):
@@ -626,8 +665,7 @@ def test_beta_modes_run_without_scipy(tmp_path):
         "from dagmarl.cli import main\n"
         "cfg, run, ev = sys.argv[1:]\n"
         "assert main(['train', '--config', cfg, '--episodes', '2']) == 0\n"
-        "assert main(['evaluate', run + '/checkpoints', '--config', cfg,\n"
-        "             '--episodes', '3', '--out', ev]) == 0\n",
+        "assert main(['evaluate', run, '--episodes', '3', '--out', ev]) == 0\n",
         str(cfg), str(tmp_path / "run"), str(tmp_path / "eval"))
     summary = json.loads((tmp_path / "eval" / "eval_summary.json").read_text())
     assert summary["episodes"] == 3
@@ -710,7 +748,7 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
             (action,) = trainer.agents[f"follower-{i}"].frozen_act(onehot)
             per_state.append(action)
         choice.append(per_state)
-    policy = TabularJointPolicy.deterministic(env, choice)
+    policy = deterministic_policy(env, choice)
     sink_v = exact_values(env, policy, gamma=1.0)
     expected = sum(sink_v.values())
 

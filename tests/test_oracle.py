@@ -22,7 +22,8 @@ from dagmarl.oracle import (
     validate_contribution,
     verify_bound,
 )
-from helpers import enumerate_values, exact_values, synthetic_values
+from helpers import (deterministic_policy, enumerate_values, exact_values,
+                     synthetic_values, uniform_policy)
 
 
 def tiny_env(seed=0, horizon=3):
@@ -44,10 +45,10 @@ def test_policy_rows_must_sum_to_one():
 
 def test_uniform_and_deterministic_policies():
     env = tiny_env()
-    uni = TabularJointPolicy.uniform(env)
+    uni = uniform_policy(env)
     for t in uni.tables:
         np.testing.assert_allclose(t, 0.5)  # two actions per node
-    det = TabularJointPolicy.deterministic(env, choice=[[1, 0], [0, 1]])
+    det = deterministic_policy(env, choice=[[1, 0], [0, 1]])
     assert det.tables[0][0, 1] == 1.0 and det.tables[0][1, 0] == 1.0
     assert det.tables[1][0, 0] == 1.0 and det.tables[1][1, 1] == 1.0
 
@@ -62,7 +63,7 @@ def test_dp_matches_hand_computed_chain():
         topology, n_states=[2], n_actions=[1], p0=[np.array([1.0, 0.0])],
         transitions=[np.array([[[0.0, 1.0]], [[0.0, 1.0]]])],
         sink_rewards={0: np.array([[1.0], [0.5]])}, horizon=3)
-    policy = TabularJointPolicy.uniform(env)
+    policy = uniform_policy(env)
     sink_v = exact_values(env, policy, gamma=0.5)
     assert sink_v[0] == pytest.approx(1.0 + 0.5 * 0.5 + 0.25 * 0.5, abs=1e-12)
 
@@ -87,7 +88,7 @@ def test_dp_matches_enumeration():
 def test_dp_matches_monte_carlo_rollouts():
     # independent path: the DP kernel vs the env's own stepping code
     env = tiny_env(seed=3, horizon=6)
-    policy = TabularJointPolicy.uniform(env)
+    policy = uniform_policy(env)
     sink_v = exact_values(env, policy, gamma=1.0)
     expected = sum(sink_v.values())
 
@@ -197,14 +198,14 @@ def test_verify_bound_rejects_negative_rewards():
 def test_state_space_guard():
     env = MicroDagEnv.from_options(nodes=4, arcs=((0, 1), (1, 2), (2, 3)),
                                    states=6, actions=6)
-    policy = TabularJointPolicy.uniform(env)
+    policy = uniform_policy(env)
     with pytest.raises(StateSpaceTooLarge):
         exact_values(env, policy, gamma=0.9)
 
 
 def test_enumeration_guard():
     env = tiny_env(horizon=10)
-    policy = TabularJointPolicy.uniform(env)
+    policy = uniform_policy(env)
     with pytest.raises(StateSpaceTooLarge):
         enumerate_values(env, policy, gamma=0.9, guard=1000)
 

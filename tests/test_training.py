@@ -558,3 +558,8 @@ def test_load_checkpoints_requires_every_role(tmp_path):
     (tmp_path / "follower-1.ckpt").unlink()
     with pytest.raises(CheckpointMismatch):
         Trainer(cfg).load_checkpoints(tmp_path)
+    # checkpoints of roles the trainer does not have are refused by name
+    Trainer(micro_config(RunMode.PROPOSED, seed=2)).save_checkpoints(tmp_path)
+    with pytest.raises(CheckpointMismatch, match="distributor.ckpt") as err:
+        Trainer(micro_config(RunMode.LFM, seed=2)).load_checkpoints(tmp_path)
+    assert "generator.ckpt" in str(err.value)
