@@ -76,7 +76,7 @@ def _typed(section: str, key: str, default, text: str):
         if isinstance(default, bool):
             return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
         if isinstance(default, tuple):
-            return tuple(int(h) for h in text.split(",") if h.strip())
+            return tuple(int(h) for h in text.split(","))
         return type(default)(text)
     except (KeyError, ValueError):
         raise ConfigError(f"bad value {text!r} for {key!r} in "

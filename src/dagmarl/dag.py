@@ -27,85 +27,73 @@ class CycleDetected(ValueError):
         super().__init__("cycle: " + " -> ".join(str(v) for v in self.cycle))
 
 
-def _check_arcs(node_count, arcs):
-    for u, v in arcs:
-        if not (0 <= u < node_count) or not (0 <= v < node_count):
-            raise InvalidNode(f"arc ({u}, {v}) outside 0..{node_count - 1}")
-        if u == v:
-            raise CycleDetected([u, u])
-
-
 def topological_order(node_count: int, arcs) -> list[int]:
     """Kahn's algorithm with an ascending-index tie-break.
 
     Raises EmptyGraph for node_count < 1 and CycleDetected (carrying one
     offending cycle) when the arcs admit no topological order.
     """
-    if node_count < 1:
-        raise EmptyGraph(f"node_count must be >= 1, got {node_count}")
-    arcs = sorted(set(tuple(a) for a in arcs))
-    _check_arcs(node_count, arcs)
-
-    succ = {i: [] for i in range(node_count)}
-    indeg = [0] * node_count
-    for u, v in arcs:
-        succ[u].append(v)
-        indeg[v] += 1
-
-    ready = [i for i in range(node_count) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-
-    if len(order) < node_count:
-        remaining = set(range(node_count)) - set(order)
-        raise CycleDetected(_find_cycle(succ, remaining))
-    return order
+    return DagTopology(node_count, arcs).topological_order
 
 
-def _find_cycle(succ, remaining):
-    # every remaining node lies on or leads into a cycle; walk until a repeat
-    start = min(remaining)
+def _find_cycle(pred, remaining):
+    # Kahn's algorithm freed none of these nodes, so each keeps a parent among
+    # them: a walk up the parents repeats, and the repeat closes a cycle
     path, seen = [], {}
-    node = start
+    node = min(remaining)
     while node not in seen:
         seen[node] = len(path)
         path.append(node)
-        node = min(j for j in succ[node] if j in remaining)
-    return path[seen[node]:] + [node]
+        node = min(j for j in pred[node] if j in remaining)
+    return [node] + path[seen[node]:][::-1]
 
 
 class DagTopology:
-    """Validated DAG with cached ancestor closures.
+    """Validated DAG: sorted arcs, parent and child lists, a topological
+    order and ascending ancestor closures, all built once.
 
     Immutable after construction; all query methods are side-effect free and
     safe for concurrent reads.
     """
 
     def __init__(self, node_count: int, arcs):
-        self.arcs = tuple(sorted(set(tuple(a) for a in arcs)))
-        self._order = topological_order(node_count, self.arcs)
+        if node_count < 1:
+            raise EmptyGraph(f"node_count must be >= 1, got {node_count}")
         self.node_count = node_count
+        self.arcs = tuple(sorted(set(tuple(a) for a in arcs)))
+        self.arc_index = {a: n for n, a in enumerate(self.arcs)}
 
         # the arcs are sorted, so every parent and child list comes out sorted
         self._succ = [[] for _ in range(node_count)]
         self._pred = [[] for _ in range(node_count)]
         for u, v in self.arcs:
+            if not (0 <= u < node_count) or not (0 <= v < node_count):
+                raise InvalidNode(f"arc ({u}, {v}) outside 0..{node_count - 1}")
+            if u == v:
+                raise CycleDetected([u, u])
             self._succ[u].append(v)
             self._pred[v].append(u)
 
+        # Kahn's algorithm; the ready list starts ascending, so it is a heap
+        indeg = [len(p) for p in self._pred]
+        ready = [i for i in range(node_count) if not indeg[i]]
+        self._order = []
+        while ready:
+            i = heapq.heappop(ready)
+            self._order.append(i)
+            for j in self._succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, j)
+        if len(self._order) < node_count:
+            remaining = set(range(node_count)) - set(self._order)
+            raise CycleDetected(_find_cycle(self._pred, remaining))
+
         # parents precede their children, so their closures are already built
-        self._delta = [frozenset()] * node_count
+        self._delta = [()] * node_count
         for i in self._order:
-            self._delta[i] = frozenset({i}).union(
-                *(self._delta[p] for p in self._pred[i]))
-        self.arc_index = {a: n for n, a in enumerate(self.arcs)}
+            self._delta[i] = tuple(sorted(set().union(
+                (i,), *(self._delta[p] for p in self._pred[i]))))
 
     # -- queries ---------------------------------------------------------
 
@@ -125,18 +113,15 @@ class DagTopology:
         self._check_node(i)
         return list(self._succ[i])
 
-    def ancestors(self, i) -> frozenset:
-        """All nodes with a directed path to i, including i itself."""
+    def ancestors(self, i) -> tuple:
+        """All nodes with a directed path to i, including i itself, in
+        ascending order."""
         self._check_node(i)
         return self._delta[i]
 
     @property
     def sinks(self) -> list[int]:
         return [i for i in range(self.node_count) if not self._succ[i]]
-
-    def is_sink(self, i) -> bool:
-        self._check_node(i)
-        return not self._succ[i]
 
     def __repr__(self):
         return f"DagTopology(node_count={self.node_count}, arcs={self.arcs})"

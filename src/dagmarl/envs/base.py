@@ -27,9 +27,9 @@ class EnvSnapshot:
     payload: dict
 
 
-_IMMUTABLE = (int, float, bool, str, type(None), np.generic)
-# scalar types a ledger dict may hold and still be copied shallowly
-_NUMBERS = frozenset({int, float, np.int64, np.float64})
+# the scalar types a snapshot keeps as they are, since none can be mutated
+_SCALARS = frozenset({int, float, bool, str, type(None),
+                      np.int64, np.float64, np.bool_})
 
 
 def _clone(value, name: str):
@@ -37,19 +37,14 @@ def _clone(value, name: str):
     if isinstance(value, np.ndarray):
         return value.copy()
     kind = type(value)
-    if kind is dict:
-        # a ledger of plain numbers: a shallow copy shares nothing mutable
-        if _NUMBERS.issuperset(map(type, value.values())):
-            return value.copy()
-        return {k: _clone(v, name) for k, v in value.items()}
-    if kind is list:
-        return [_clone(v, name) for v in value]
-    if kind is tuple:
-        return tuple(_clone(v, name) for v in value)
-    if isinstance(value, _IMMUTABLE):
+    if kind in _SCALARS:
         return value
+    # a flat dict or list of scalars: a shallow copy shares nothing mutable
+    if (kind is dict and _SCALARS.issuperset(map(type, value.values()))
+            or kind is list and _SCALARS.issuperset(map(type, value))):
+        return value.copy()
     raise TypeError(f"state attribute {name!r} holds a "
-                    f"{type(value).__name__}, which snapshot() cannot copy")
+                    f"{kind.__name__}, which snapshot() cannot copy")
 
 
 class DagEnv:
@@ -66,11 +61,11 @@ class DagEnv:
 
     Mutable state must live in attributes listed in _STATE_ATTRS.
     snapshot() and restore() copy those attributes: NumPy arrays with
-    .copy(), dicts, lists and tuples element by element (a dict of int and
-    float values by one shallow copy), and int, float, bool, str, None and
-    NumPy scalars as they are.  Any other type (a set, a subclass of dict,
-    list or tuple, an object) raises TypeError naming the attribute, so no
-    mutable state is ever shared with a snapshot.
+    .copy(), scalars (int, float, bool, str, None, np.int64, np.float64 and
+    np.bool_) as they are, and a dict or list that holds only such scalars
+    by one shallow copy.  Any other value (a nested container, a tuple, a
+    set, an object) raises TypeError naming the attribute, so no mutable
+    state is ever shared with a snapshot.
     """
 
     _STATE_ATTRS: tuple = ()

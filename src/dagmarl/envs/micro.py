@@ -23,7 +23,7 @@ class MicroDagEnv(DagEnv):
     """Playable wrapper around the tables.
 
     transitions[i] has shape (S_i, JA_i, S_i) where JA_i enumerates the
-    joint actions of sorted(ancestors(i)); sink_rewards[k] has shape
+    joint actions of ancestors(i); sink_rewards[k] has shape
     (S_k, JA_k).  Observations are one-hot own states.
     """
 
@@ -44,14 +44,12 @@ class MicroDagEnv(DagEnv):
                              for k, r in sink_rewards.items()}
         self.action_sizes = list(self.n_actions)
         self.obs_dims = list(self.n_states)
-        self.delta_order = [sorted(topology.ancestors(i))
-                            for i in range(topology.node_count)]
         self._validate()
 
     def _validate(self):
         topo = self.topology
         for i in range(topo.node_count):
-            sizes = [self.n_actions[j] for j in self.delta_order[i]]
+            sizes = [self.n_actions[j] for j in topo.ancestors(i)]
             ja = int(np.prod(sizes))
             want = (self.n_states[i], ja, self.n_states[i])
             if self.transitions[i].shape != want:
@@ -70,7 +68,7 @@ class MicroDagEnv(DagEnv):
                 f"reward tables for {sorted(self.sink_rewards)}, "
                 f"sinks are {topo.sinks}")
         for k, table in self.sink_rewards.items():
-            sizes = [self.n_actions[j] for j in self.delta_order[k]]
+            sizes = [self.n_actions[j] for j in topo.ancestors(k)]
             want = (self.n_states[k], int(np.prod(sizes)))
             if table.shape != want:
                 raise InvalidDistribution(
@@ -83,7 +81,7 @@ class MicroDagEnv(DagEnv):
     def joint_action_index(self, node, actions):
         """Row-major index of the actions of ``node``'s ancestor closure,
         lowest node first; elementwise when each action is an array."""
-        order = self.delta_order[node]
+        order = self.topology.ancestors(node)
         return np.ravel_multi_index([actions[j] for j in order],
                                     [self.n_actions[j] for j in order])
 
@@ -146,14 +144,14 @@ def sample_micro_env(rng: np.random.Generator, topology: DagTopology | None = No
     for i in range(n):
         raw = rng.random(n_states[i]) + 1e-3
         p0.append(raw / raw.sum())
-        sizes = [n_actions[j] for j in sorted(topology.ancestors(i))]
+        sizes = [n_actions[j] for j in topology.ancestors(i)]
         ja = int(np.prod(sizes))
         t = rng.random((n_states[i], ja, n_states[i])) + 1e-3
         transitions.append(t / t.sum(axis=-1, keepdims=True))
 
     sink_rewards = {}
     for k in topology.sinks:
-        sizes = [n_actions[j] for j in sorted(topology.ancestors(k))]
+        sizes = [n_actions[j] for j in topology.ancestors(k)]
         ja = int(np.prod(sizes))
         sink_rewards[k] = rng.random((n_states[k], ja))
 

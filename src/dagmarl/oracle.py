@@ -66,7 +66,7 @@ class ContributionTable:
     """Per-sink contribution weights f over the sink's ancestor closure.
 
     tables[k] has shape (len(m), NS_k, NA_k) where NS_k / NA_k enumerate the
-    joint states / actions of m = env.delta_order[k], the sorted ancestors.
+    joint states / actions of m = env.topology.ancestors(k), ascending.
     """
 
     tables: dict
@@ -90,7 +90,7 @@ def sample_admissible_contribution(rng: np.random.Generator, env: MicroDagEnv,
     u ~ U[0,1], or to the fixed `row_sum` when given."""
     tables = {}
     for k in env.topology.sinks:
-        m = env.delta_order[k]
+        m = env.topology.ancestors(k)
         ns = int(np.prod([env.n_states[j] for j in m]))
         na = int(np.prod([env.n_actions[j] for j in m]))
         raw = rng.random((len(m), ns, na)) + 1e-12
@@ -152,7 +152,7 @@ class _JointModel:
         env = self.env
         out = np.zeros((env.topology.node_count, self.ns, self.na))
         for k, f in contribution.tables.items():
-            m = env.delta_order[k]
+            m = env.topology.ancestors(k)
             s_sub = np.ravel_multi_index(self.s_digits[:, m].T,
                                          [env.n_states[j] for j in m])
             a_sub = env.joint_action_index(k, self.a_digits.T)

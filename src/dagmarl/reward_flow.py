@@ -66,12 +66,12 @@ class RgdOutput:
 
 @dataclass(frozen=True)
 class ShareTable:
-    """Final budget shares, per node and per reward arc.  arc_share keys are
-    (sender, receiver) in reward orientation, i.e. (v, u) for task arc
-    (u, v)."""
+    """Final budget shares, per node and per arc.  arc_share aligns with
+    topology.arcs; entry k is the share that arcs[k] = (u, v) carried from v
+    back to u."""
 
     node_share: np.ndarray
-    arc_share: dict
+    arc_share: np.ndarray
 
 
 def sink_initial_shares(topology: DagTopology, node_values) -> dict:
@@ -124,16 +124,15 @@ def distribute(topology: DagTopology, output: RgdOutput,
         initial[k] = share
 
     node_share = np.zeros(n)
-    arc_share = {}
+    arc_share = np.zeros(len(topology.arcs))
     for i in reversed(topology.topological_order):
-        if not topology.is_sink(i):
+        children = topology.successors(i)
+        if children:
             # every task-successor has already split and deposited its piece
-            initial[i] = sum(arc_share[(k, i)] for k in topology.successors(i))
-        parents = topology.predecessors(i)
-        e_row = [output.arc_values[topology.arc_index[(j, i)]] for j in parents]
-        self_share, sent = split_share(initial[i], output.node_values[i], e_row)
-        node_share[i] = self_share
-        for j, share in zip(parents, sent):
-            arc_share[(i, j)] = share
+            initial[i] = sum(arc_share[topology.arc_index[(i, k)]]
+                             for k in children)
+        into = [topology.arc_index[(j, i)] for j in topology.predecessors(i)]
+        node_share[i], arc_share[into] = split_share(
+            initial[i], output.node_values[i], output.arc_values[into])
 
     return ShareTable(node_share, arc_share), node_share * budget

@@ -12,13 +12,13 @@ import hashlib
 import numpy as np
 
 
-def stream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
-    """Seed sequence for the stream `name` under `master_seed`."""
+def substream(master_seed: int, name: str) -> np.random.Generator:
+    """Independent generator for the stream `name` under `master_seed`.
+
+    The seed is used whole, so no two seeds share a stream.
+    """
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     tag = int.from_bytes(digest[:8], "little")
-    return np.random.SeedSequence([master_seed & 0xFFFFFFFFFFFFFFFF, tag])
-
-
-def substream(master_seed: int, name: str) -> np.random.Generator:
-    """Independent generator for the named stream."""
-    return np.random.default_rng(stream_seed(master_seed, name))
+    return np.random.default_rng([master_seed, tag])

@@ -157,6 +157,29 @@ def reference_update(learner, rollout, rewards):
     return out
 
 
+def reference_distribute(topology, output, budget):
+    """distribute with the arc shares in a dict keyed (sender, receiver) in
+    reward orientation, i.e. (v, u) for task arc (u, v); returns
+    (node_share, arc_share dict, paid)."""
+    from dagmarl.reward_flow import sink_initial_shares, split_share
+
+    initial = np.zeros(topology.node_count)
+    for k, share in sink_initial_shares(topology, output.node_values).items():
+        initial[k] = share
+    node_share = np.zeros(topology.node_count)
+    arc_share = {}
+    for i in reversed(topology.topological_order):
+        if topology.successors(i):
+            initial[i] = sum(arc_share[(k, i)] for k in topology.successors(i))
+        parents = topology.predecessors(i)
+        e_row = [output.arc_values[topology.arc_index[(j, i)]] for j in parents]
+        self_share, sent = split_share(initial[i], output.node_values[i], e_row)
+        node_share[i] = self_share
+        for j, share in zip(parents, sent):
+            arc_share[(i, j)] = share
+    return node_share, arc_share, node_share * budget
+
+
 # -- environment snapshots ------------------------------------------------------
 
 

@@ -281,30 +281,32 @@ def test_snapshot_rejects_uncopyable_state():
 
 
 class _LedgerEnv(DagEnv):
-    _STATE_ATTRS = ("ledger", "nested")
+    _STATE_ATTRS = ("ledger", "rows")
 
     def __init__(self):
         super().__init__(goal_period=1, max_steps=1)
         self.topology = DagTopology(1, [])
         self.ledger = {"cost": 0.5, "count": 2, "price": np.float64(1.5)}
-        self.nested = {"rows": [1, 2], "last": None}
+        self.rows = [1, 2, None, True]
 
 
-def test_snapshot_copies_ledgers_and_nested_dicts():
+def test_snapshot_copies_ledgers_and_lists_and_refuses_nesting():
     env = _LedgerEnv()
     snap = env.snapshot()
     env.ledger["cost"] += 1.0
-    env.nested["rows"].append(3)
+    env.rows.append(3)
     assert snap.payload["ledger"] == {"cost": 0.5, "count": 2, "price": 1.5}
-    assert snap.payload["nested"]["rows"] == [1, 2]
+    assert snap.payload["rows"] == [1, 2, None, True]
     env.restore(snap)
     env.ledger["count"] += 1
-    env.nested["rows"].append(4)
+    env.rows.append(4)
     assert snap.payload["ledger"]["count"] == 2
-    assert snap.payload["nested"]["rows"] == [1, 2]
-    env.nested["last"] = {"seen": {1}}
-    with pytest.raises(TypeError, match="nested"):
-        env.snapshot()
+    assert snap.payload["rows"] == [1, 2, None, True]
+    # a snapshot copies one level deep, so nesting of any kind is refused
+    for nested in ({"rows": [1, 2]}, [[1], [2]], (1, 2)):
+        env.rows = nested
+        with pytest.raises(TypeError, match="'rows'"):
+            env.snapshot()
 
 
 # -- factory -----------------------------------------------------------------
@@ -669,7 +671,7 @@ def test_micro_joint_action_index_uses_sorted_ancestors():
     env = MicroDagEnv.from_options(nodes=3, arcs=((0, 2), (1, 2)), actions=3)
     env.reset(0)
     actions = [2, 1, 0]
-    assert env.delta_order[2] == [0, 1, 2]
+    assert env.topology.ancestors(2) == (0, 1, 2)
     want = (2 * 3 + 1) * 3 + 0  # row-major over nodes 0, 1, 2
     assert env.joint_action_index(2, actions) == want
     assert env.joint_action_index(0, actions) == 2
@@ -678,10 +680,10 @@ def test_micro_joint_action_index_uses_sorted_ancestors():
 def test_micro_joint_action_index_inverts_unravel_index():
     # the oracle decodes joint indices with np.unravel_index
     env = MicroDagEnv.from_options(nodes=3, arcs=((0, 2), (1, 2)), actions=3)
-    sizes = [env.n_actions[j] for j in env.delta_order[2]]
+    sizes = [env.n_actions[j] for j in env.topology.ancestors(2)]
     for index in range(int(np.prod(sizes))):
         digits = np.unravel_index(index, sizes)
-        actions = dict(zip(env.delta_order[2], digits))
+        actions = dict(zip(env.topology.ancestors(2), digits))
         assert env.joint_action_index(2, actions) == index
 
 

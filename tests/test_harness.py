@@ -41,6 +41,7 @@ from dagmarl.metrics import (
 from dagmarl.nn import CategoricalHead
 from dagmarl.plotting import histogram_chart, line_chart
 from dagmarl.ppo import PpoConfig, PpoLearner
+from dagmarl.seeding import substream
 from dagmarl.training import EpisodeRecord, Trainer
 from helpers import deterministic_policy, exact_values
 
@@ -152,6 +153,7 @@ def config_with(section, key, value):
     ("ppo", "epochs_per_update", "1.5"),
     ("ppo", "learning_rate", "abc"),
     ("ppo", "hidden", "8, x"),
+    ("ppo", "hidden", "8,,8"),
     ("run", "seed", "3.5"),
     ("env", "horizon", "5.7"),
     ("env", "goal_period", "true"),
@@ -721,6 +723,35 @@ def test_evaluate_is_repeatable_and_prefix_stable(tmp_path):
     short = evaluate(cfg, tmp_path, episodes=4, seed=100)
     np.testing.assert_array_equal(first.rewards[:4], short.rewards)
     np.testing.assert_array_equal(first.goal_periods[:4], short.goal_periods)
+
+
+def test_substream_uses_the_whole_seed():
+    def draws(seed):
+        return substream(seed, "env").integers(2 ** 63, size=4)
+
+    assert not np.array_equal(draws(3), draws(3 + 2 ** 64))
+    assert not np.array_equal(draws(0), draws(2 ** 70))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        substream(-1, "env")
+
+
+def test_evaluate_rejects_a_negative_seed(tmp_path):
+    cfg = micro_srm_config()
+    Trainer(cfg).save_checkpoints(tmp_path)
+    with pytest.raises(ValueError, match="seed"):
+        evaluate(cfg, tmp_path, episodes=1, seed=-1)
+
+
+def test_cli_evaluate_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+    capsys.readouterr()
+    eval_dir = tmp_path / "eval"
+    assert main(["evaluate", str(tmp_path / "run"), "--seed", "-1",
+                 "--out", str(eval_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not eval_dir.exists()
 
 
 def test_evaluate_checks_bins_before_running(tmp_path):

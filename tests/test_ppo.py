@@ -121,6 +121,17 @@ class TestLearner:
         agent.value.forward(np.zeros(3))
         assert calls == [1], "the counter must see value-net calls"
 
+    @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
+                             ids=["categorical", "beta"])
+    def test_nan_policy_refuses_to_act(self, head):
+        agent = PpoLearner(3, head, small_config(), np.random.default_rng(0))
+        agent.policy.flat[-1] = np.nan  # one output bias, as a bad load
+        state = np.ones(3)
+        with pytest.raises(nn.NonFiniteParams):
+            agent.act(state)
+        with pytest.raises(nn.NonFiniteParams):
+            agent.frozen_act(state)
+
     def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
         agent = PpoLearner(5, CategoricalHead((3,)),
                            small_config(hidden=(64, 64)),

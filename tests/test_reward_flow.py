@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl.dag import DagTopology
+from helpers import reference_distribute
 from dagmarl.reward_flow import (RewardBaseline, RgdOutput, ShareTable,
                                  distribute, sink_initial_shares, split_share,
                                  synthetic_budget)
@@ -163,13 +164,40 @@ class TestDistribute:
         assert abs(table.node_share.sum() - 1.0) <= 1e-9
         assert abs(sr.sum() - 10.0) <= 1e-8
 
-    def test_arc_share_keys_reward_oriented(self):
+    def test_arc_share_aligns_with_arcs(self):
         output = RgdOutput(1.0, np.array([0.4, 0.6, 0.2]),
                            np.array([0.2, 0.2]))
         table, _ = distribute(FAN, output, 1.0)
-        # reward flows sink -> source, so keys are (sender, receiver)
-        assert (1, 0) in table.arc_share
-        assert (2, 0) in table.arc_share
+        # sinks 1 and 2 start at 0.75 and 0.25; entry k is what the sink of
+        # arcs[k] sent back to node 0, and node 0 keeps all it receives
+        assert FAN.arcs == ((0, 1), (0, 2))
+        assert table.arc_share == pytest.approx([0.1875, 0.125], abs=1e-15)
+        assert table.node_share[0] == pytest.approx(0.3125, abs=1e-15)
+
+    def test_matches_reference_distribute(self):
+        rng = np.random.default_rng(17)
+        star = [(0, j) for j in range(1, 6)] + [(1, 5), (2, 5), (3, 4)]
+        topologies = [DagTopology(6, star)] + [
+            DagTopology(int(n), random_dag(rng, int(n)))
+            for n in rng.integers(2, 11, size=40)]
+        assert any(len(t.successors(i)) >= 3 for t in topologies
+                   for i in range(t.node_count))
+        for topo in topologies:
+            for zeros in (False, True):
+                values = rng.uniform(0, 1, size=topo.node_count)
+                arc_values = rng.uniform(0, 1, size=len(topo.arcs))
+                if zeros:  # all-zero rows take the uniform split
+                    values[rng.random(topo.node_count) < 0.5] = 0.0
+                    arc_values[rng.random(len(topo.arcs)) < 0.5] = 0.0
+                output = RgdOutput(0.5, values, arc_values)
+                table, paid = distribute(topo, output, 3.7)
+                node_share, arc_share, want = reference_distribute(
+                    topo, output, 3.7)
+                assert np.array_equal(table.node_share, node_share)
+                assert np.array_equal(paid, want)
+                assert table.arc_share.shape == (len(topo.arcs),)
+                for k, (u, v) in enumerate(topo.arcs):
+                    assert table.arc_share[k] == arc_share[(v, u)]
 
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
