@@ -116,20 +116,24 @@ _PPO_DEFAULTS = {f.name: f.default for f in fields(PpoConfig)}
 def _parse_dag_section(section) -> dict:
     if "nodes" not in section:
         raise ConfigError("[dag] needs a nodes entry")
-    names = [n.strip() for n in section["nodes"].split(",") if n.strip()]
+    names = [n.strip() for n in section["nodes"].split(",")]
+    if "" in names:
+        raise ConfigError(f"[dag] nodes {section['nodes']!r} has an empty "
+                          f"name at entry {names.index('') + 1}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ConfigError("[dag] node names must be unique")
     arcs = []
-    for pair in section.get("arcs", "").split(","):
+    text = section.get("arcs", "")
+    for pair in (text.split(",") if text.strip() else []):
         pair = pair.strip()
-        if not pair:
-            continue
         if "->" not in pair:
             raise ConfigError(f"[dag] arc {pair!r} must look like a->b")
         a, b = (p.strip() for p in pair.split("->", 1))
         if a not in index or b not in index:
             raise ConfigError(f"[dag] arc {pair!r} references unknown node")
+        if (index[a], index[b]) in arcs:
+            raise ConfigError(f"[dag] arc {pair!r} is listed twice")
         arcs.append((index[a], index[b]))
     for key in section:
         if key not in ("nodes", "arcs"):

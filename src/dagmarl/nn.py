@@ -10,6 +10,7 @@ segments over consecutive logits, and ``BetaHead``, a per-coordinate Beta on
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 import struct
@@ -106,19 +107,33 @@ class DenseNet:
     def __init__(self, layer_dims, rng: np.random.Generator | None = None):
         self.layer_dims = tuple(int(d) for d in layer_dims)
         self._spans = _layer_spans(self.layer_dims)
-        self.flat = np.zeros(self._spans[-1][2])
-        layers = self.layer_views(self.flat)
-        # (W.T, b) views for the forward pass: ReLU layers, then the output
-        *self._relu_layers, self._output_layer = [(w.T, b) for w, b in layers]
+        self._bind(np.zeros(self._spans[-1][2]))
         if rng is not None:
-            for w, _ in layers:
+            for w, _ in self.layer_views(self.flat):
                 fan_out, fan_in = w.shape
                 limit = np.sqrt(6.0 / (fan_in + fan_out))
                 w[...] = rng.uniform(-limit, limit, size=w.shape)
 
+    @classmethod
+    def stack(cls, nets):
+        """A copy of nets of one shape as one whose ``flat`` is (G, P); it
+        maps (G, n, in) to (G, n, out) by one BLAS call per member."""
+        net = copy.copy(nets[0])
+        net._bind(np.stack([member.flat for member in nets]))
+        return net
+
+    def _bind(self, flat):
+        self.flat = flat
+        # (W.T, b) views for the forward pass: ReLU layers, then the output;
+        # a stacked bias broadcasts over each member's rows
+        *self._relu_layers, self._output_layer = [
+            (w.swapaxes(-1, -2), b if flat.ndim == 1 else b[:, None, :])
+            for w, b in self.layer_views(flat)]
+
     def _prep(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.layer_dims[0]:
+        if (x.shape[-1:] != self.layer_dims[:1]
+                or x.shape[:-2] != self.flat.shape[:-1]):
             raise DimensionMismatch(f"input shape {x.shape} incompatible "
                                     f"with input width {self.layer_dims[0]}")
         if not np.isfinite(x).all():
@@ -164,20 +179,21 @@ class DenseNet:
             raise ShapeMismatch(
                 f"output gradient {g.shape} vs output {acts[-1].shape}")
         grad = np.empty_like(self.flat)
-        for l in range(len(self._spans) - 1, -1, -1):
-            lo, mid, hi, shape = self._spans[l]
-            np.matmul(g.T, acts[l], out=grad[lo:mid].reshape(shape))
-            g.sum(axis=0, out=grad[mid:hi])
+        layers = self.layer_views(self.flat)
+        for l, (dw, db) in reversed(list(enumerate(self.layer_views(grad)))):
+            np.matmul(g.swapaxes(-1, -2), acts[l], out=dw)
+            g.sum(axis=-2, out=db)
             if l > 0:
-                g = (g @ self.flat[lo:mid].reshape(shape)) * (acts[l] > 0.0)
+                g = (g @ layers[l][0]) * (acts[l] > 0.0)
         return grad
 
     # -- parameter plumbing ------------------------------------------------
 
     def layer_views(self, vec):
         """[(W0, b0), (W1, b1), ...] as views into a vector laid out like
-        ``flat``."""
-        return [(vec[lo:mid].reshape(shape), vec[mid:hi])
+        ``flat``; a stack axis of ``vec`` leads each view."""
+        lead = vec.shape[:-1]
+        return [(vec[..., lo:mid].reshape(lead + shape), vec[..., mid:hi])
                 for lo, mid, hi, shape in self._spans]
 
     # -- serialization -------------------------------------------------------
@@ -240,6 +256,16 @@ class AdamState:
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
 
+    @classmethod
+    def stack(cls, states):
+        """A copy of states at one step as the state of their nets' stack."""
+        if len({s.step for s in states}) != 1:
+            raise ValueError("cannot stack Adam states at different steps")
+        state = copy.copy(states[0])
+        state.m = np.stack([s.m for s in states])
+        state.v = np.stack([s.v for s in states])
+        return state
+
     def snapshot(self):
         return (self.step, self.m.copy(), self.v.copy())
 
@@ -254,7 +280,8 @@ def adam_step(state: AdamState, params, grad):
 
     Elementwise this is the textbook update in its usual op order
     (m, v, bias-corrected m_hat / (sqrt(v_hat) + eps)), so it is bit for
-    bit the same as a per-tensor loop over the same values.
+    bit the same as a per-tensor loop over the same values, or over the
+    members of a stack.
     """
     if params.shape != state.m.shape or grad.shape != state.m.shape:
         raise ShapeMismatch(f"grad {grad.shape} for params {params.shape} "

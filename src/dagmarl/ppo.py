@@ -8,6 +8,7 @@ bounded-continuous Beta agents (goal vectors, budget fractions).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,11 @@ class EmptyBatch(ValueError):
 
 
 class NonFiniteLoss(RuntimeError):
-    pass
+    """``member`` indexes the learner at fault in a stack (0 for one)."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -147,48 +152,61 @@ class PpoLearner:
         V_old is the value net on all the episode's states in one pass, taken
         before any step.  On any non-finite loss or gradient the pre-update
         parameters and optimizer state are restored before NonFiniteLoss is
-        raised.
+        raised.  On a stack (``update_group``) the rollout and rewards have
+        the members along a leading axis, each diagnostic is a list over
+        members and ``transitions`` counts all their rows; GAE runs per
+        member and each member's rng draws its own permutation in turn.
         """
         cfg = self.config
-        n = len(rewards)
-        states, actions, old_logp = (rollout.states[:n], rollout.actions[:n],
-                                     rollout.log_probs[:n])
-        adv, returns = compute_gae(rewards, self.value.forward(states)[:, 0],
-                                   cfg.gamma, cfg.gae_lambda)
-        if not (np.isfinite(adv).all() and np.isfinite(returns).all()):
-            raise NonFiniteLoss("non-finite advantages or returns")
-        std = adv.std()
-        if std >= 1e-8:
-            adv = (adv - adv.mean()) / std
+        lead = self.policy.flat.shape[:-1]  # () or (G,) for a stack of G
+        rngs = self.rng if lead else (self.rng,)
+        n = rewards.shape[-1]
+        states, actions, old_logp = (rollout.states[..., :n, :],
+                                     rollout.actions[..., :n, :],
+                                     rollout.log_probs[..., :n])
+        values = self.value.forward(states)[..., 0].reshape(len(rngs), n)
+        adv, returns = np.empty((2, len(rngs), n))
+        for k, member_rewards in enumerate(rewards.reshape(len(rngs), n)):
+            adv[k], returns[k] = compute_gae(member_rewards, values[k],
+                                             cfg.gamma, cfg.gae_lambda)
+            if not np.isfinite([adv[k], returns[k]]).all():
+                raise NonFiniteLoss("non-finite advantages or returns", k)
+            std = adv[k].std()
+            if std >= 1e-8:
+                adv[k] = (adv[k] - adv[k].mean()) / std
+        adv, returns = (x.reshape(rewards.shape) for x in (adv, returns))
 
         pairs = ((self.policy, self.opt_policy), (self.value, self.opt_value))
         saved = [(net.flat.copy(), opt.snapshot()) for net, opt in pairs]
+        # a minibatch's rows: its indices into each member's own rows
+        members = (np.arange(len(rngs))[:, None],) if lead else ()
         starts = range(0, n, cfg.batch_size)
         # one column per minibatch step, one row per entry of _DIAGNOSTICS
-        diags = np.empty((len(_DIAGNOSTICS),
+        diags = np.empty((len(_DIAGNOSTICS), *lead,
                           cfg.epochs_per_update * len(starts)))
         step = 0
         try:
             # an overflow or nan ends as NonFiniteLoss, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(cfg.epochs_per_update):
-                    perm = self.rng.permutation(n)
+                    perm = np.stack([rng.permutation(n)
+                                     for rng in rngs]).reshape(*lead, n)
                     for lo in starts:
-                        idx = perm[lo:lo + cfg.batch_size]
-                        diags[:, step] = self._minibatch_step(
+                        idx = members + (perm[..., lo:lo + cfg.batch_size],)
+                        diags[..., step] = self._minibatch_step(
                             states[idx], actions[idx], old_logp[idx],
                             adv[idx], returns[idx])
                         step += 1
-        except (NonFiniteLoss, nn.NonFiniteGradient) as err:
+        except NonFiniteLoss:
             for (net, opt), (flat, snap) in zip(pairs, saved):
                 net.flat[...] = flat
                 opt.restore(snap)
-            raise NonFiniteLoss(str(err)) from None
+            raise
         # each row's sum over its contiguous axis, divided by the count, is
         # bit for bit np.mean of that row
         out = dict(zip(_DIAGNOSTICS,
-                       (np.add.reduce(diags, axis=1) / step).tolist()))
-        out["transitions"] = n
+                       (np.add.reduce(diags, axis=-1) / step).tolist()))
+        out["transitions"] = rewards.size
         return out
 
     def _minibatch_step(self, states, actions, old_logp, adv, returns):
@@ -197,43 +215,53 @@ class PpoLearner:
         Means are np.add.reduce(x) / m, which is bit for bit np.mean(x).
         """
         cfg = self.config
-        m = len(states)
+        m = states.shape[-2]
 
         params, cache = self.policy.forward_cached(states)
         stats = (nn.beta_stats if isinstance(self.head, BetaHead)
                  else nn.categorical_stats)
-        logp, entropy, dlogp, dentropy = stats(self.head, params, actions)
+        # the statistics are per row, so a stack's rows run as one batch
+        rows = stats(self.head, params.reshape(-1, params.shape[-1]),
+                     actions.reshape(-1, actions.shape[-1]))
+        logp, entropy, dlogp, dentropy = (x.reshape(adv.shape + x.shape[1:])
+                                          for x in rows)
         ratio = np.exp(logp - old_logp)
         unclipped = ratio * adv
         clipped = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_epsilon),
                              1.0 + cfg.clip_epsilon) * adv
         surrogate = np.minimum(unclipped, clipped)
-        mean_entropy = np.add.reduce(entropy) / m
-        policy_loss = (-(np.add.reduce(surrogate) / m)
+        mean_entropy = np.add.reduce(entropy, axis=-1) / m
+        policy_loss = (-(np.add.reduce(surrogate, axis=-1) / m)
                        - cfg.entropy_coef * mean_entropy)
 
         # gradient flows through the ratio only where the unclipped branch
         # is the active minimum
         dsurr_dlogp = np.where(unclipped <= clipped, unclipped, 0.0)
-        gout = -(dsurr_dlogp[:, None] * dlogp
+        gout = -(dsurr_dlogp[..., None] * dlogp
                  + cfg.entropy_coef * dentropy) / m
 
         values, vcache = self.value.forward_cached(states)
-        verr = values[:, 0] - returns
-        value_loss = cfg.value_coef * (np.add.reduce(verr ** 2) / m)
-        gval = (2.0 * cfg.value_coef * verr / m)[:, None]
+        verr = values[..., 0] - returns
+        value_loss = cfg.value_coef * (np.add.reduce(verr ** 2, axis=-1) / m)
+        gval = (2.0 * cfg.value_coef * verr / m)[..., None]
 
-        if not (np.isfinite(policy_loss) and np.isfinite(value_loss)):
-            raise NonFiniteLoss(
-                f"policy_loss={policy_loss}, value_loss={value_loss}")
+        finite = np.isfinite(policy_loss) & np.isfinite(value_loss)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NonFiniteLoss(f"policy_loss={np.ravel(policy_loss)[k]}, "
+                                f"value_loss={np.ravel(value_loss)[k]}", k)
 
-        nn.adam_step(self.opt_policy, self.policy.flat,
-                     self.policy.backward(cache, gout))
-        nn.adam_step(self.opt_value, self.value.flat,
-                     self.value.backward(vcache, gval))
+        pgrad = self.policy.backward(cache, gout)
+        vgrad = self.value.backward(vcache, gval)
+        try:
+            nn.adam_step(self.opt_policy, self.policy.flat, pgrad)
+            nn.adam_step(self.opt_value, self.value.flat, vgrad)
+        except nn.NonFiniteGradient as err:
+            finite = np.isfinite(pgrad).all(-1) & np.isfinite(vgrad).all(-1)
+            raise NonFiniteLoss(str(err), int(np.argmin(finite))) from None
 
         clip_fraction = np.count_nonzero(
-            np.abs(ratio - 1.0) > cfg.clip_epsilon) / m
+            np.abs(ratio - 1.0) > cfg.clip_epsilon, axis=-1) / m
         return policy_loss, value_loss, mean_entropy, clip_fraction
 
     # -- checkpointing -------------------------------------------------------
@@ -260,3 +288,31 @@ class PpoLearner:
     def load(self, path):
         with open(path, "rb") as fh:
             self.load_bytes(fh.read())
+
+
+def update_group(learners, rollouts, rewards) -> list:
+    """Each learner's ``update`` on its own rollout and rewards; returns each
+    one's diagnostics.  Several learners, of one obs_dim, head and config,
+    update as one stack, copied back only on success: on NonFiniteLoss each
+    keeps its pre-update state, and the error's ``member`` indexes them."""
+    if len(learners) == 1:
+        return [learners[0].update(rollouts[0], rewards[0])]
+    stack = copy.copy(learners[0])
+    stack.rng = tuple(l.rng for l in learners)
+    stack.policy = DenseNet.stack([l.policy for l in learners])
+    stack.value = DenseNet.stack([l.value for l in learners])
+    stack.opt_policy = nn.AdamState.stack([l.opt_policy for l in learners])
+    stack.opt_value = nn.AdamState.stack([l.opt_value for l in learners])
+    n = len(rewards[0])
+    out = stack.update(Rollout(np.stack([r.states[:n] for r in rollouts]),
+                               np.stack([r.actions[:n] for r in rollouts]),
+                               np.stack([r.log_probs[:n] for r in rollouts])),
+                       np.stack(rewards))
+    for k, learner in enumerate(learners):
+        learner.policy.flat[...] = stack.policy.flat[k]
+        learner.value.flat[...] = stack.value.flat[k]
+        for opt, stacked in ((learner.opt_policy, stack.opt_policy),
+                             (learner.opt_value, stack.opt_value)):
+            opt.restore((stacked.step, stacked.m[k], stacked.v[k]))
+    return [dict(zip(_DIAGNOSTICS, values), transitions=n)
+            for values in zip(*(out[key] for key in _DIAGNOSTICS))]

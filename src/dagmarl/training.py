@@ -24,7 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
-from .ppo import NonFiniteLoss, PpoLearner
+from .ppo import NonFiniteLoss, PpoLearner, update_group
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
 from .seeding import substream
@@ -124,6 +124,11 @@ class Trainer:
         self.last_diagnostics = {}
         self._env_stream = substream(config.seed, "env")
         self.agents = self._build_agents()
+        # roles of one net shape, in role order; each group updates together
+        groups = {}
+        for role, agent in self.agents.items():
+            groups.setdefault((agent.obs_dim, agent.head), []).append(role)
+        self._shape_groups = list(groups.values())
 
     def _build_agents(self) -> dict:
         cfg = self.config
@@ -223,20 +228,23 @@ class Trainer:
 
         streams, sr_sums = self._reward_streams(team_rewards, period_sums,
                                                 diff_rows, sr_by_period)
-        agent_rewards = {}
+        agent_rewards = {role: float(np.sum(rewards))
+                         for role, rewards in streams.items()}
         diagnostics = {}
-        for role, rewards in streams.items():
-            agent_rewards[role] = float(np.sum(rewards))
-            if len(rewards) == 0:
+        for group in self._shape_groups:
+            rewards = [streams[role] for role in group]
+            if len(rewards[0]) == 0:
                 continue
             # rollout rows were written at the same indices the reward
             # streams count, so the first len(rewards) rows are this episode's
             try:
-                diagnostics[role] = self.agents[role].update(rollouts[role],
-                                                             rewards)
+                results = update_group([self.agents[role] for role in group],
+                                       [rollouts[role] for role in group],
+                                       rewards)
             except NonFiniteLoss as err:
-                raise NonFiniteLoss(f"{role} update in episode "
+                raise NonFiniteLoss(f"{group[err.member]} update in episode "
                                     f"{episode_index}: {err}") from None
+            diagnostics.update(zip(group, results))
         if rgd_active:
             self.baseline = RewardBaseline(total, n_periods)
         self.last_diagnostics = diagnostics

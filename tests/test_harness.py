@@ -134,6 +134,13 @@ def test_config_rejects_unknown_bits(tmp_path):
     dag_key_in_env = CONFIG_TEXT.replace("[env]\n", "[env]\narcs = 0\n")
     with pytest.raises(ConfigError, match=r"unknown key 'arcs' in \[env\]"):
         load_config(write_config(tmp_path, text=dag_key_in_env))
+    empty_node = CONFIG_TEXT.replace("nodes = a, b, c", "nodes = a, , b, c")
+    with pytest.raises(ConfigError, match=r"'a, , b, c' has an empty name "
+                                          r"at entry 2"):
+        load_config(write_config(tmp_path, text=empty_node))
+    repeated_arc = CONFIG_TEXT.replace("a->b, a->c", "a->b, a->c, a->b")
+    with pytest.raises(ConfigError, match="arc 'a->b' is listed twice"):
+        load_config(write_config(tmp_path, text=repeated_arc))
 
 
 def config_with(section, key, value):

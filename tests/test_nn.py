@@ -284,6 +284,39 @@ class TestFlatParameters:
         assert n_params(net) == net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
 
 
+class TestStack:
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_members_match_their_own_nets_bit_for_bit(self, rows):
+        nets = [DenseNet([5, 16, 16, 3], np.random.default_rng(k))
+                for k in range(3)]
+        stack = DenseNet.stack(nets)
+        assert stack.flat.shape == (3, nets[0].flat.size)
+        data = np.random.default_rng(rows)
+        x = data.standard_normal((3, rows, 5))
+        g = data.standard_normal((3, rows, 3))
+        y, cache = stack.forward_cached(x)
+        grad = stack.backward(cache, g)
+        for k, net in enumerate(nets):
+            own_y, own_cache = net.forward_cached(x[k])
+            assert (y[k] == own_y).all()
+            assert (grad[k] == net.backward(own_cache, g[k])).all()
+        with pytest.raises(DimensionMismatch):
+            stack.forward(x[0])
+
+    def test_adam_states_stack_only_at_one_step(self):
+        nets = [DenseNet([2, 3, 1], np.random.default_rng(k))
+                for k in range(2)]
+        states = [AdamState(net, 0.1) for net in nets]
+        for state, net in zip(states, nets):
+            adam_step(state, net.flat, np.ones_like(net.flat))
+        stacked = AdamState.stack(states)
+        assert stacked.step == 1 and stacked.m.shape == (2, nets[0].flat.size)
+        assert (stacked.m[1] == states[1].m).all()
+        adam_step(states[0], nets[0].flat, np.ones_like(nets[0].flat))
+        with pytest.raises(ValueError, match="different steps"):
+            AdamState.stack(states)
+
+
 class TestCategoricalHead:
     def test_uniform_sampling_frequencies(self):
         head = CategoricalHead((4,))

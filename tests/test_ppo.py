@@ -20,6 +20,17 @@ def episode_of(rows):
             np.array(rewards, dtype=float))
 
 
+def acted_episode(agent, rows, seed):
+    """``(Rollout, rewards)`` of ``rows`` steps that ``agent`` acted on, with
+    standard normal states and rewards drawn from ``seed``."""
+    data = np.random.default_rng(seed)
+    rollout = agent.empty_rollout(rows)
+    for t in range(rows):
+        rollout.states[t] = data.standard_normal(agent.obs_dim)
+        rollout.actions[t], rollout.log_probs[t] = agent.act(rollout.states[t])
+    return rollout, data.standard_normal(rows)
+
+
 def gae_of(rewards, values, gamma, lam):
     """compute_gae on one episode of the given rewards."""
     return compute_gae(np.asarray(rewards, dtype=float),
@@ -215,6 +226,80 @@ class TestLearner:
         assert list(got) == list(want)
         assert (agent.policy.flat == twin.policy.flat).all()
         assert (agent.value.flat == twin.value.flat).all()
+
+    @pytest.mark.parametrize("head", (CategoricalHead((3,)),
+                                      CategoricalHead((2, 9)), BetaHead(2)),
+                             ids=("categorical", "segments", "beta"))
+    @pytest.mark.parametrize("rows,batch_size", ((1, 1), (12, 12), (300, 8)))
+    @pytest.mark.parametrize("members", (1, 2, 3))
+    def test_stacked_update_is_bit_identical_to_reference(
+            self, head, rows, batch_size, members, monkeypatch):
+        cfg = small_config(batch_size=batch_size)
+        agents, twins = ([PpoLearner(3, head, cfg, np.random.default_rng(k))
+                          for k in range(members)] for _ in range(2))
+        episodes = [acted_episode(agent, rows, seed=rows + 1000 * k)
+                    for k, agent in enumerate(agents)]
+        for agent, twin in zip(agents, twins):
+            twin.rng.bit_generator.state = agent.rng.bit_generator.state
+        calls = []
+        update = PpoLearner.update
+        monkeypatch.setattr(PpoLearner, "update",
+                            lambda *a: calls.append(update(*a)) or calls[-1])
+        got = ppo.update_group(agents, *zip(*episodes))
+        (call,) = calls
+        assert call["transitions"] == members * rows
+        for k, (agent, twin, episode) in enumerate(zip(agents, twins,
+                                                       episodes)):
+            want = reference_update(twin, *episode)
+            assert got[k] == want and list(got[k]) == list(want)
+            if members > 1:  # the stack's one dict has one list per key
+                assert all(call[key][k] == want[key] for key in want
+                           if key != "transitions")
+            assert (agent.policy.flat == twin.policy.flat).all()
+            assert (agent.value.flat == twin.value.flat).all()
+            for opt, own in ((agent.opt_policy, twin.opt_policy),
+                             (agent.opt_value, twin.opt_value)):
+                assert opt.step == own.step
+                assert (opt.m == own.m).all() and (opt.v == own.v).all()
+            assert (agent.rng.bit_generator.state
+                    == twin.rng.bit_generator.state)
+
+    def test_non_finite_member_leaves_its_whole_stack_unchanged(
+            self, monkeypatch):
+        cfg = small_config(batch_size=1, epochs_per_update=2)
+        agents = [PpoLearner(2, CategoricalHead((2,)), cfg,
+                             np.random.default_rng(k)) for k in range(3)]
+        # warm up so the optimizer moments are not all zero
+        ppo.update_group(agents, *zip(*(acted_episode(agent, 4, seed=k)
+                                        for k, agent in enumerate(agents))))
+        adam_calls = []
+        adam_step = nn.adam_step
+        monkeypatch.setattr(nn, "adam_step",
+                            lambda *a: adam_calls.append(1) or adam_step(*a))
+        # an infinite reward fails before any step; a huge finite first
+        # reward overflows the value loss in its own minibatch, after every
+        # member has stepped in the stack
+        for bad, message in ((np.inf, "non-finite advantages or returns"),
+                             (1e200, "value_loss=inf")):
+            before = [(agent.policy.flat.copy(), agent.value.flat.copy(),
+                       agent.opt_policy.snapshot(), agent.opt_value.snapshot())
+                      for agent in agents]
+            rollouts, rewards = zip(*(acted_episode(agent, 4, seed=10 + k)
+                                      for k, agent in enumerate(agents)))
+            rewards[1][0] = bad
+            with pytest.raises(NonFiniteLoss, match=message) as err, \
+                    np.errstate(over="ignore"):
+                ppo.update_group(agents, rollouts, rewards)
+            assert err.value.member == 1
+            assert bool(adam_calls) == (bad != np.inf)
+            for agent, (policy, value, *snaps) in zip(agents, before):
+                np.testing.assert_array_equal(agent.policy.flat, policy)
+                np.testing.assert_array_equal(agent.value.flat, value)
+                for opt, (step, m, v) in zip(
+                        (agent.opt_policy, agent.opt_value), snaps):
+                    assert opt.step == step > 0
+                    np.testing.assert_array_equal(opt.m, m)
+                    np.testing.assert_array_equal(opt.v, v)
 
     def test_first_epoch_ratio_is_one(self):
         # fresh batch, single minibatch, epochs=1: before any step the ratio

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
-from dagmarl.ppo import PpoConfig
+from dagmarl import training
+from dagmarl.ppo import NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
     Trainer,
@@ -495,6 +496,52 @@ def test_follower_transition_counts():
     trainer.run_episode(0)
     for i in range(3):
         assert trainer.last_diagnostics[f"follower-{i}"]["transitions"] == 10
+
+
+@pytest.mark.parametrize("env_name, mode, env_options, updates", [
+    ("prey", RunMode.SRM, dict(max_steps=6), 1),
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2), 3),
+    # 4 followers of 4 shapes, the leader, the generator and the distributor
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2), 7),
+    ("micro", RunMode.SRM, None, 1),
+])
+def test_one_update_per_shape_group_per_episode(monkeypatch, env_name, mode,
+                                                env_options, updates):
+    calls = []
+    update = PpoLearner.update
+    monkeypatch.setattr(PpoLearner, "update",
+                        lambda self, *a: calls.append(1) or update(self, *a))
+    cfg = micro_config(mode)
+    if env_options is not None:
+        cfg = ExperimentConfig(mode=mode, env_name=env_name,
+                               env_options=env_options, ppo=cfg.ppo)
+    trainer = Trainer(cfg)
+    for episode in range(2):
+        calls.clear()
+        trainer.run_episode(episode)
+        assert len(calls) == updates
+
+
+def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
+    trainer = Trainer(micro_config(RunMode.SRM))
+    trainer.run_episode(0)
+    compose = training.compose_follower_rewards
+
+    def poisoned(*args):
+        mat = compose(*args)
+        mat[3, 1] = np.nan
+        return mat
+
+    monkeypatch.setattr(training, "compose_follower_rewards", poisoned)
+    before = {role: (agent.policy.flat.copy(), agent.value.flat.copy())
+              for role, agent in trainer.agents.items()}
+    with pytest.raises(NonFiniteLoss) as err:
+        trainer.run_episode(1)
+    assert str(err.value) == ("follower-1 update in episode 1: non-finite "
+                              "advantages or returns")
+    for role, agent in trainer.agents.items():
+        np.testing.assert_array_equal(agent.policy.flat, before[role][0])
+        np.testing.assert_array_equal(agent.value.flat, before[role][1])
 
 
 # -- whole-run behaviour ------------------------------------------------------------
