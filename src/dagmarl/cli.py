@@ -49,7 +49,7 @@ def _cmd_train(args) -> int:
     atomic_write_bytes(out / "run_meta.json", _json_bytes(meta))
 
     tail = [r.team_reward for r in result.records[-100:]]
-    mean_tail = sum(tail) / len(tail) if tail else float("nan")
+    mean_tail = sum(tail) / len(tail)
     print(f"trained {len(result.records)} episodes "
           f"({config.mode.value}/{config.env_name}, seed {config.seed}); "
           f"mean team reward over last {len(tail)}: {mean_tail:.3f}")

@@ -266,14 +266,6 @@ class AdamState:
         state.v = np.stack([s.v for s in states])
         return state
 
-    def snapshot(self):
-        return (self.step, self.m.copy(), self.v.copy())
-
-    def restore(self, snap):
-        self.step = snap[0]
-        self.m[...] = snap[1]
-        self.v[...] = snap[2]
-
 
 def adam_step(state: AdamState, params, grad):
     """One in-place Adam update of the flat parameter vector ``params``.

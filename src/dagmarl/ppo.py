@@ -28,7 +28,7 @@ class EmptyBatch(ValueError):
 
 
 class NonFiniteLoss(RuntimeError):
-    """``member`` indexes the learner at fault in a stack (0 for one)."""
+    """``member`` indexes the learner at fault in its stack."""
 
     def __init__(self, message: str, member: int = 0):
         super().__init__(message)
@@ -146,27 +146,23 @@ class PpoLearner:
     # -- learning ------------------------------------------------------------
 
     def update(self, rollout: Rollout, rewards: np.ndarray) -> dict:
-        """One PPO update on one finished episode, the first ``len(rewards)``
-        rows of the rollout; returns loss/entropy diagnostics.
+        """One PPO update of a stack of G learners (``update_group``), each
+        on its own finished episode; returns loss/entropy diagnostics.
 
-        V_old is the value net on all the episode's states in one pass, taken
-        before any step.  On any non-finite loss or gradient the pre-update
-        parameters and optimizer state are restored before NonFiniteLoss is
-        raised.  On a stack (``update_group``) the rollout and rewards have
-        the members along a leading axis, each diagnostic is a list over
-        members and ``transitions`` counts all their rows; GAE runs per
-        member and each member's rng draws its own permutation in turn.
+        The rollout arrays and rewards have the members along a leading
+        axis, and the n rows of each member are its episode.  V_old is the
+        value net on all the states in one pass, taken before any step.  GAE
+        runs per member and each member's rng draws its own permutation in
+        turn.  Each diagnostic is a list over members and ``transitions``
+        counts all G * n rows.  A non-finite advantage, loss or gradient
+        raises NonFiniteLoss naming the member at fault; the stack is then
+        part-way updated, and ``update_group`` throws it away.
         """
         cfg = self.config
-        lead = self.policy.flat.shape[:-1]  # () or (G,) for a stack of G
-        rngs = self.rng if lead else (self.rng,)
-        n = rewards.shape[-1]
-        states, actions, old_logp = (rollout.states[..., :n, :],
-                                     rollout.actions[..., :n, :],
-                                     rollout.log_probs[..., :n])
-        values = self.value.forward(states)[..., 0].reshape(len(rngs), n)
-        adv, returns = np.empty((2, len(rngs), n))
-        for k, member_rewards in enumerate(rewards.reshape(len(rngs), n)):
+        n = rewards.shape[1]
+        values = self.value.forward(rollout.states)[..., 0]
+        adv, returns = np.empty((2, *rewards.shape))
+        for k, member_rewards in enumerate(rewards):
             adv[k], returns[k] = compute_gae(member_rewards, values[k],
                                              cfg.gamma, cfg.gae_lambda)
             if not np.isfinite([adv[k], returns[k]]).all():
@@ -174,34 +170,24 @@ class PpoLearner:
             std = adv[k].std()
             if std >= 1e-8:
                 adv[k] = (adv[k] - adv[k].mean()) / std
-        adv, returns = (x.reshape(rewards.shape) for x in (adv, returns))
 
-        pairs = ((self.policy, self.opt_policy), (self.value, self.opt_value))
-        saved = [(net.flat.copy(), opt.snapshot()) for net, opt in pairs]
         # a minibatch's rows: its indices into each member's own rows
-        members = (np.arange(len(rngs))[:, None],) if lead else ()
+        members = np.arange(len(rewards))[:, None]
         starts = range(0, n, cfg.batch_size)
         # one column per minibatch step, one row per entry of _DIAGNOSTICS
-        diags = np.empty((len(_DIAGNOSTICS), *lead,
+        diags = np.empty((len(_DIAGNOSTICS), len(rewards),
                           cfg.epochs_per_update * len(starts)))
         step = 0
-        try:
-            # an overflow or nan ends as NonFiniteLoss, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(cfg.epochs_per_update):
-                    perm = np.stack([rng.permutation(n)
-                                     for rng in rngs]).reshape(*lead, n)
-                    for lo in starts:
-                        idx = members + (perm[..., lo:lo + cfg.batch_size],)
-                        diags[..., step] = self._minibatch_step(
-                            states[idx], actions[idx], old_logp[idx],
-                            adv[idx], returns[idx])
-                        step += 1
-        except NonFiniteLoss:
-            for (net, opt), (flat, snap) in zip(pairs, saved):
-                net.flat[...] = flat
-                opt.restore(snap)
-            raise
+        # an overflow or nan ends as NonFiniteLoss, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.epochs_per_update):
+                perm = np.stack([rng.permutation(n) for rng in self.rng])
+                for lo in starts:
+                    idx = (members, perm[:, lo:lo + cfg.batch_size])
+                    diags[..., step] = self._minibatch_step(
+                        rollout.states[idx], rollout.actions[idx],
+                        rollout.log_probs[idx], adv[idx], returns[idx])
+                    step += 1
         # each row's sum over its contiguous axis, divided by the count, is
         # bit for bit np.mean of that row
         out = dict(zip(_DIAGNOSTICS,
@@ -248,8 +234,8 @@ class PpoLearner:
         finite = np.isfinite(policy_loss) & np.isfinite(value_loss)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise NonFiniteLoss(f"policy_loss={np.ravel(policy_loss)[k]}, "
-                                f"value_loss={np.ravel(value_loss)[k]}", k)
+            raise NonFiniteLoss(f"policy_loss={policy_loss[k]}, "
+                                f"value_loss={value_loss[k]}", k)
 
         pgrad = self.policy.backward(cache, gout)
         vgrad = self.value.backward(vcache, gval)
@@ -291,12 +277,11 @@ class PpoLearner:
 
 
 def update_group(learners, rollouts, rewards) -> list:
-    """Each learner's ``update`` on its own rollout and rewards; returns each
-    one's diagnostics.  Several learners, of one obs_dim, head and config,
-    update as one stack, copied back only on success: on NonFiniteLoss each
-    keeps its pre-update state, and the error's ``member`` indexes them."""
-    if len(learners) == 1:
-        return [learners[0].update(rollouts[0], rewards[0])]
+    """Each learner's PPO update on its own rollout and rewards; returns each
+    one's diagnostics.  The learners, of one obs_dim, head and config (one
+    learner alone too), update as one stack that is copied back only on
+    success: on NonFiniteLoss each keeps its pre-update state, and the
+    error's ``member`` indexes them."""
     stack = copy.copy(learners[0])
     stack.rng = tuple(l.rng for l in learners)
     stack.policy = DenseNet.stack([l.policy for l in learners])
@@ -313,6 +298,8 @@ def update_group(learners, rollouts, rewards) -> list:
         learner.value.flat[...] = stack.value.flat[k]
         for opt, stacked in ((learner.opt_policy, stack.opt_policy),
                              (learner.opt_value, stack.opt_value)):
-            opt.restore((stacked.step, stacked.m[k], stacked.v[k]))
+            opt.step = stacked.step
+            opt.m[...] = stacked.m[k]
+            opt.v[...] = stacked.v[k]
     return [dict(zip(_DIAGNOSTICS, values), transitions=n)
             for values in zip(*(out[key] for key in _DIAGNOSTICS))]

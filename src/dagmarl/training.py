@@ -9,9 +9,9 @@ value assignment over nodes and arcs; the resulting per-node synthetic
 rewards are credited at the final step of the period that produced them.
 The leader is paid each period's team reward and the pair the next
 period's; the episode runs as one loop over steps, and every stream is
-assembled from its record once the episode ends.  Baseline modes replace or augment the shared team signal
-instead: difference rewards via counterfactual replay, or potential-based
-shaping on top of the equal share.
+assembled from its record once the episode ends.  Baseline modes replace or
+augment the shared team signal instead: difference rewards via
+counterfactual replay, or potential-based shaping on top of the equal share.
 """
 
 from __future__ import annotations

@@ -14,10 +14,16 @@ from helpers import parameters, reference_update
 
 def episode_of(rows):
     """``(Rollout, rewards)`` of one episode from (state, action, log_prob,
-    reward) rows, the arguments of ``PpoLearner.update``."""
+    reward) rows, the arguments of ``update_alone``."""
     states, actions, log_probs, rewards = zip(*rows)
     return (Rollout(np.array(states), np.array(actions), np.array(log_probs)),
             np.array(rewards, dtype=float))
+
+
+def update_alone(agent, rollout, rewards):
+    """``agent``'s update on one episode, as a stack of one."""
+    (diags,) = ppo.update_group([agent], [rollout], [rewards])
+    return diags
 
 
 def acted_episode(agent, rows, seed):
@@ -163,7 +169,7 @@ class TestLearner:
             ppo, "compute_gae",
             lambda r, values, *a: (seen.append(values.copy())
                                    or real_gae(r, values, *a)))
-        agent.update(rollout, rewards)
+        update_alone(agent, rollout, rewards)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], batched)
         np.testing.assert_allclose(seen[0], row_by_row, rtol=0, atol=1e-12)
@@ -181,7 +187,7 @@ class TestLearner:
                 action, logp = agent.act(state)
                 reward = 1.0 if action == (0,) else 0.0
                 rows.append((state, action, logp, reward))
-            agent.update(*episode_of(rows))
+            update_alone(agent, *episode_of(rows))
         pulls = [agent.act(state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
@@ -194,7 +200,7 @@ class TestLearner:
             s = rng.standard_normal(2)
             a, logp = agent.act(s)
             rows.append((s, a, logp, rng.standard_normal()))
-        diags = agent.update(*episode_of(rows))
+        diags = update_alone(agent, *episode_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
             assert key in diags
@@ -220,7 +226,7 @@ class TestLearner:
                 rollout.states[t])
         twin.rng.bit_generator.state = agent.rng.bit_generator.state
         rewards = data.standard_normal(rows)
-        got = agent.update(rollout, rewards)
+        got = update_alone(agent, rollout, rewards)
         want = reference_update(twin, rollout, rewards)
         assert got == want
         assert list(got) == list(want)
@@ -252,9 +258,9 @@ class TestLearner:
                                                        episodes)):
             want = reference_update(twin, *episode)
             assert got[k] == want and list(got[k]) == list(want)
-            if members > 1:  # the stack's one dict has one list per key
-                assert all(call[key][k] == want[key] for key in want
-                           if key != "transitions")
+            # the stack's one dict has one list per key
+            assert all(call[key][k] == want[key] for key in want
+                       if key != "transitions")
             assert (agent.policy.flat == twin.policy.flat).all()
             assert (agent.value.flat == twin.value.flat).all()
             for opt, own in ((agent.opt_policy, twin.opt_policy),
@@ -282,7 +288,8 @@ class TestLearner:
         for bad, message in ((np.inf, "non-finite advantages or returns"),
                              (1e200, "value_loss=inf")):
             before = [(agent.policy.flat.copy(), agent.value.flat.copy(),
-                       agent.opt_policy.snapshot(), agent.opt_value.snapshot())
+                       *((opt.step, opt.m.copy(), opt.v.copy())
+                         for opt in (agent.opt_policy, agent.opt_value)))
                       for agent in agents]
             rollouts, rewards = zip(*(acted_episode(agent, 4, seed=10 + k)
                                       for k, agent in enumerate(agents)))
@@ -301,6 +308,37 @@ class TestLearner:
                     np.testing.assert_array_equal(opt.m, m)
                     np.testing.assert_array_equal(opt.v, v)
 
+    @pytest.mark.parametrize("members", (1, 3))
+    def test_update_copies_back_into_the_same_arrays(self, members,
+                                                     monkeypatch):
+        # a net is its flat vector: forward views and optimizer moments stay
+        # bound to the arrays they had, and none is the stack's
+        agents = [PpoLearner(2, CategoricalHead((2,)),
+                             small_config(batch_size=4),
+                             np.random.default_rng(k)) for k in range(members)]
+
+        def arrays(agent):
+            return (agent.policy.flat, agent.value.flat,
+                    agent.opt_policy.m, agent.opt_policy.v,
+                    agent.opt_value.m, agent.opt_value.v)
+
+        before = [arrays(agent) for agent in agents]
+        copies = [[a.copy() for a in own] for own in before]
+        stacks = []
+        update = PpoLearner.update
+        monkeypatch.setattr(PpoLearner, "update",
+                            lambda stack, *a: (stacks.append(stack)
+                                               or update(stack, *a)))
+        ppo.update_group(agents, *zip(*(acted_episode(agent, 9, seed=k)
+                                        for k, agent in enumerate(agents))))
+        (stack,) = stacks
+        for agent, own, old in zip(agents, before, copies):
+            now = arrays(agent)
+            assert all(a is b for a, b in zip(now, own))
+            assert all((a != b).any() for a, b in zip(now, old))
+            assert not any(np.shares_memory(a, b)
+                           for a in now for b in arrays(stack))
+
     def test_first_epoch_ratio_is_one(self):
         # fresh batch, single minibatch, epochs=1: before any step the ratio
         # is exactly 1, so nothing clips
@@ -313,14 +351,14 @@ class TestLearner:
             s = rng.standard_normal(2)
             a, logp = agent.act(s)
             rows.append((s, a, logp, rng.standard_normal()))
-        diags = agent.update(*episode_of(rows))
+        diags = update_alone(agent, *episode_of(rows))
         assert diags["clip_fraction"] == 0.0
 
     def test_empty_batch_raises(self):
         agent = PpoLearner(2, CategoricalHead((2,)), small_config(),
                            np.random.default_rng(0))
         with pytest.raises(EmptyBatch):
-            agent.update(agent.empty_rollout(0), np.zeros(0))
+            update_alone(agent, agent.empty_rollout(0), np.zeros(0))
 
     def test_non_finite_loss_restores_state(self, monkeypatch):
         agent = PpoLearner(2, CategoricalHead((2,)),
@@ -336,7 +374,7 @@ class TestLearner:
             return episode_of(rows)
 
         # warm up so the optimizer moments are not all zero
-        agent.update(*episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
+        update_alone(agent, *episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
@@ -348,16 +386,16 @@ class TestLearner:
             params_before = [p.copy() for net in (agent.policy, agent.value)
                              for p in parameters(net)]
             flat_before = (agent.policy.flat.copy(), agent.value.flat.copy())
-            opt_before = (agent.opt_policy.snapshot(),
-                          agent.opt_value.snapshot())
+            opt_before = [(opt.step, opt.m.copy(), opt.v.copy())
+                          for opt in (agent.opt_policy, agent.opt_value)]
             episode = episode_with_rewards(rewards)
             with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
-                agent.update(*episode)
+                update_alone(agent, *episode)
             params_after = [p for net in (agent.policy, agent.value)
                             for p in parameters(net)]
             for p0, p1 in zip(params_before, params_after):
                 np.testing.assert_array_equal(p0, p1)
-            assert agent.opt_policy.snapshot()[0] == opt_before[0][0]
+            assert agent.opt_policy.step == opt_before[0][0]
             np.testing.assert_array_equal(agent.policy.flat, flat_before[0])
             np.testing.assert_array_equal(agent.value.flat, flat_before[1])
             for opt, (step, m, v) in zip((agent.opt_policy, agent.opt_value),
@@ -379,7 +417,7 @@ class TestLearner:
             # too; with a constant reward and gamma = 0 (eight one-step
             # episodes in one) the advantages are equal
             rows.append((s, a, logp, 1.0))
-        diags = agent.update(*episode_of(rows))
+        diags = update_alone(agent, *episode_of(rows))
         assert np.isfinite(diags["policy_loss"])
 
 

@@ -376,7 +376,8 @@ def sequential_period_sums(team, goal_period):
 
 
 @pytest.mark.parametrize("horizon", [10, 12])
-def test_role_streams_are_period_sums_of_team_rewards(horizon):
+def test_role_streams_are_period_sums_of_team_rewards(horizon,
+                                                       monkeypatch):
     # the micro env's own random reward tables, so step rewards differ
     trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=horizon,
                                    seed=4))
@@ -390,12 +391,15 @@ def test_role_streams_are_period_sums_of_team_rewards(horizon):
 
     trainer.env.step = step
     paid = {}
-    for role in ("leader", "generator", "distributor"):
-        def update(rollout, rewards, role=role,
-                   original=trainer.agents[role].update):
-            paid[role] = np.array(rewards, dtype=float)
-            return original(rollout, rewards)
-        trainer.agents[role].update = update
+    roles = {id(agent): role for role, agent in trainer.agents.items()}
+
+    def update_group(learners, rollouts, rewards,
+                     original=training.update_group):
+        for learner, paid_rewards in zip(learners, rewards):
+            paid[roles[id(learner)]] = np.array(paid_rewards, dtype=float)
+        return original(learners, rollouts, rewards)
+
+    monkeypatch.setattr(training, "update_group", update_group)
 
     for episode in range(2):
         team.clear()
