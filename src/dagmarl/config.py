@@ -17,7 +17,7 @@ import configparser
 import enum
 import inspect
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .ppo import PpoConfig
@@ -192,16 +192,49 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _fits(value, default) -> bool:
+    """Whether a recorded value has the type of ``default``.  A float also
+    takes an int, a None (out_dir) a string, and a tuple (a list in JSON)
+    holds items like its first, of the same length when those are tuples."""
+    if default is None:
+        return value is None or type(value) is str
+    if type(default) is tuple:
+        item = default[0]
+        return type(value) is tuple and all(
+            _fits(v, item) and (type(item) is not tuple or len(v) == len(item))
+            for v in value)
+    if type(default) is float:
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _check(where: str, defaults: dict, got: dict, partial=False):
+    """Fails unless ``got`` has the keys of ``defaults`` (some of them when
+    ``partial``), each with a value of its default's type."""
+    for key in sorted(got.keys() ^ defaults.keys()):
+        if key in got or not partial:
+            state = "unknown" if key in got else "missing"
+            raise ConfigError(f"{where}: {state} key {key!r}")
+    for key, value in got.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{where}: bad value {value!r} for {key!r}")
+
+
 def read_run_config(path) -> ExperimentConfig:
     """The config that ``dagmarl train`` recorded in the ``config`` block of
-    ``path``, a run's ``run_meta.json``.  A missing or unknown key fails."""
+    ``path``, a run's ``run_meta.json``.  A missing or unknown key fails, and
+    so does a value without the type of its default; the env options are
+    those ``load_config`` reads for the recorded environment."""
     try:
         values = _tuples(json.loads(Path(path).read_text())["config"])
-        for where, cls, got in (("config", ExperimentConfig, values), (
-                "config.ppo", PpoConfig, values.get("ppo", {}))):
-            for key in sorted(got.keys() ^ {f.name for f in fields(cls)}):
-                state = "unknown" if key in got else "missing"
-                raise ConfigError(f"{where}: {state} key {key!r}")
+        # the record of the default config has every key, and its type
+        _check("config", asdict(ExperimentConfig()) | {"mode": "srm"}, values)
+        _check("config.ppo", _PPO_DEFAULTS, values["ppo"])
+        # the [env] keys of the recorded environment and the [dag] ones
+        env = _env_defaults(values["env_name"]) | {"nodes": 1,
+                                                   "arcs": ((0, 1),)}
+        del env["name"]
+        _check("config.env_options", env, values["env_options"], partial=True)
         ppo, mode = PpoConfig(**values["ppo"]), RunMode.parse(values["mode"])
         return ExperimentConfig(**values | {"ppo": ppo, "mode": mode})
     except (AttributeError, KeyError, TypeError, ValueError) as err:

@@ -27,15 +27,6 @@ class CycleDetected(ValueError):
         super().__init__("cycle: " + " -> ".join(str(v) for v in self.cycle))
 
 
-def topological_order(node_count: int, arcs) -> list[int]:
-    """Kahn's algorithm with an ascending-index tie-break.
-
-    Raises EmptyGraph for node_count < 1 and CycleDetected (carrying one
-    offending cycle) when the arcs admit no topological order.
-    """
-    return DagTopology(node_count, arcs).topological_order
-
-
 def _find_cycle(pred, remaining):
     # Kahn's algorithm freed none of these nodes, so each keeps a parent among
     # them: a walk up the parents repeats, and the repeat closes a cycle
@@ -52,8 +43,11 @@ class DagTopology:
     """Validated DAG: sorted arcs, parent and child lists, a topological
     order and ascending ancestor closures, all built once.
 
-    Immutable after construction; all query methods are side-effect free and
-    safe for concurrent reads.
+    The order comes from Kahn's algorithm with an ascending-index
+    tie-break.  Construction raises EmptyGraph for node_count < 1 and
+    CycleDetected (carrying one offending cycle) when the arcs admit no
+    topological order.  Immutable after construction; all query methods
+    are side-effect free and safe for concurrent reads.
     """
 
     def __init__(self, node_count: int, arcs):
@@ -127,13 +121,13 @@ class DagTopology:
         return f"DagTopology(node_count={self.node_count}, arcs={self.arcs})"
 
 
-def random_topology(rng: np.random.Generator, node_count: int,
-                    arc_prob: float = 0.4) -> DagTopology:
-    """Random DAG: forward arcs under a random node permutation."""
+def random_topology(rng: np.random.Generator, node_count: int) -> DagTopology:
+    """Random DAG: forward arcs under a random node permutation, each
+    present with probability 1/2."""
     perm = rng.permutation(node_count)
     arcs = []
     for a in range(node_count):
         for b in range(a + 1, node_count):
-            if rng.random() < arc_prob:
+            if rng.random() < 0.5:
                 arcs.append((int(perm[a]), int(perm[b])))
     return DagTopology(node_count, arcs)

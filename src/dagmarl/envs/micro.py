@@ -128,12 +128,12 @@ class MicroDagEnv(DagEnv):
 
 
 def sample_micro_env(rng: np.random.Generator, topology: DagTopology | None = None,
-                     max_nodes: int = 3, n_states=None, n_actions=None,
-                     horizon: int = 20, goal_period: int = 5) -> MicroDagEnv:
-    """Random instance: random small DAG, stochastic rows, rewards in [0,1)."""
+                     n_states=None, n_actions=None, horizon: int = 20,
+                     goal_period: int = 5) -> MicroDagEnv:
+    """Random instance: random DAG of 1 to 3 nodes unless given, stochastic
+    rows, rewards in [0,1)."""
     if topology is None:
-        count = int(rng.integers(1, max_nodes + 1))
-        topology = random_topology(rng, count, arc_prob=0.5)
+        topology = random_topology(rng, int(rng.integers(1, 4)))
     n = topology.node_count
     if n_states is None:
         n_states = [int(rng.integers(2, 4)) for _ in range(n)]

@@ -167,14 +167,13 @@ class DenseNet:
     def backward(self, cache, output_gradient):
         """Gradient of sum(output * output_gradient) w.r.t. ``flat``.
 
-        Returns one vector laid out like ``flat``, summed over the batch
-        dimension; ``layer_views`` splits it into (dW, db) per layer.
+        ``cache`` comes from a forward pass over a batch of rows, or over
+        a stack of such batches.  Returns one vector laid out like
+        ``flat``, summed over the batch dimension; ``layer_views`` splits
+        it into (dW, db) per layer.
         """
         acts = cache
         g = np.asarray(output_gradient, dtype=np.float64)
-        if acts[0].ndim == 1:  # the cache of one row
-            acts = [a[None, :] for a in acts]
-            g = g[None, :]
         if g.shape != acts[-1].shape:
             raise ShapeMismatch(
                 f"output gradient {g.shape} vs output {acts[-1].shape}")

@@ -35,7 +35,7 @@ class HypothesisViolated(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tabular policies and contribution tables
+# tabular policies and contribution weights
 # ---------------------------------------------------------------------------
 
 
@@ -61,22 +61,18 @@ def sample_tabular_policy(rng: np.random.Generator,
     return TabularJointPolicy(tuple(tables))
 
 
-@dataclass(frozen=True)
-class ContributionTable:
-    """Per-sink contribution weights f over the sink's ancestor closure.
+def validate_contribution(env: MicroDagEnv, contribution: dict):
+    """Checks per-sink contribution weights f over each sink's ancestor
+    closure: non-negative, summing to at most 1 over the closure.
 
-    tables[k] has shape (len(m), NS_k, NA_k) where NS_k / NA_k enumerate the
-    joint states / actions of m = env.topology.ancestors(k), ascending.
+    contribution[k] has shape (len(m), NS_k, NA_k) where NS_k / NA_k
+    enumerate the joint states / actions of m = env.topology.ancestors(k),
+    ascending.
     """
-
-    tables: dict
-
-
-def validate_contribution(env: MicroDagEnv, contribution: ContributionTable):
     for k in env.topology.sinks:
-        if k not in contribution.tables:
+        if k not in contribution:
             raise InadmissibleContribution(f"sink {k} missing")
-        f = contribution.tables[k]
+        f = contribution[k]
         if np.any(f < 0.0):
             raise InadmissibleContribution(f"sink {k}: negative weights")
         if np.any(f.sum(axis=0) > 1.0 + 1e-9):
@@ -85,7 +81,7 @@ def validate_contribution(env: MicroDagEnv, contribution: ContributionTable):
 
 
 def sample_admissible_contribution(rng: np.random.Generator, env: MicroDagEnv,
-                                   row_sum=None) -> ContributionTable:
+                                   row_sum=None) -> dict:
     """Random admissible weights; each (sink, joint tuple) column sums to
     u ~ U[0,1], or to the fixed `row_sum` when given."""
     tables = {}
@@ -97,7 +93,7 @@ def sample_admissible_contribution(rng: np.random.Generator, env: MicroDagEnv,
         u = np.full((ns, na), float(row_sum)) if row_sum is not None \
             else rng.random((ns, na))
         tables[k] = raw / raw.sum(axis=0) * u
-    return ContributionTable(tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +144,10 @@ class _JointModel:
                                  self.a_digits[None, :, i]]
         return pol
 
-    def synthetic_r(self, contribution: ContributionTable):
+    def synthetic_r(self, contribution: dict):
         env = self.env
         out = np.zeros((env.topology.node_count, self.ns, self.na))
-        for k, f in contribution.tables.items():
+        for k, f in contribution.items():
             m = env.topology.ancestors(k)
             s_sub = np.ravel_multi_index(self.s_digits[:, m].T,
                                          [env.n_states[j] for j in m])
@@ -201,7 +197,7 @@ class BoundReport:
 
 
 def verify_bound(env: MicroDagEnv, policy: TabularJointPolicy,
-                 contribution: ContributionTable, gamma: float) -> BoundReport:
+                 contribution: dict, gamma: float) -> BoundReport:
     """Checks sum of synthetic values <= sum of sink values, up to float
     rounding, over all ``env.max_steps`` steps."""
     for k, table in env.sink_rewards.items():

@@ -1,11 +1,13 @@
 """Synthetic-reward budgeting and share propagation over the task DAG.
 
 A generator picks a fraction q of the per-period baseline budget; a
-distributor emits node values and arc values in [0,1].  Sink nodes receive
-initial shares proportional to their node values, then every node splits its
-accumulated share between itself and its task-predecessors, proportionally
-to (node value : arc values).  Shares conserve to 1, so the budget is paid
-out exactly.
+distributor emits node values v and arc values e in [0,1].  One
+reverse-topological sweep hands out the shares: a sink starts with its v
+over the sum of the sink values (an equal split when they are all zero),
+any other node with what its successors sent back.  A node keeps
+v / (v + its in-arc e) of that and sends each parent e / (the same sum);
+when the sum is zero the node and its parents split it equally.  Shares
+conserve to 1, so the budget is paid out exactly.
 """
 
 from __future__ import annotations
@@ -43,25 +45,20 @@ def synthetic_budget(q: float, baseline: RewardBaseline) -> float:
 
 @dataclass(frozen=True)
 class RgdOutput:
-    """One period's distributor decision: q, per-node and per-arc values.
+    """One period's distributor decision: per-node and per-arc values.
 
     arc_values align with topology.arcs (task orientation); entry (u,v) is
     the weight used when v splits its share back toward u.  Values are
     clamped into [0,1] so the "all zero" fallbacks compare against exact 0.
     """
 
-    q: float
     node_values: np.ndarray
     arc_values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "node_values",
-                           np.clip(np.asarray(self.node_values, dtype=np.float64),
-                                   0.0, 1.0))
-        object.__setattr__(self, "arc_values",
-                           np.clip(np.asarray(self.arc_values, dtype=np.float64),
-                                   0.0, 1.0))
-        object.__setattr__(self, "q", float(min(max(self.q, 0.0), 1.0)))
+        for name in ("node_values", "arc_values"):
+            object.__setattr__(self, name, np.clip(np.asarray(
+                getattr(self, name), dtype=np.float64), 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -74,37 +71,6 @@ class ShareTable:
     arc_share: np.ndarray
 
 
-def sink_initial_shares(topology: DagTopology, node_values) -> dict:
-    """Sink shares proportional to node values; uniform when all zero."""
-    v = np.clip(np.asarray(node_values, dtype=np.float64), 0.0, 1.0)
-    if v.shape != (topology.node_count,):
-        raise ValueError(f"expected {topology.node_count} node values")
-    sinks = topology.sinks
-    total = float(sum(v[k] for k in sinks))
-    if total > 0.0:
-        return {k: float(v[k]) / total for k in sinks}
-    return {k: 1.0 / len(sinks) for k in sinks}
-
-
-def split_share(initial_share: float, node_value: float, arc_values) -> tuple:
-    """Splits one node's accumulated share between itself and its parents.
-
-    Proportional to (node_value : arc_values); an all-zero denominator falls
-    back to a uniform (1 + n_parents)-way split of the share so nothing is
-    lost.  Returns (self_share, [arc shares in input order]).
-    """
-    arc_values = [float(e) for e in arc_values]
-    denom = float(node_value) + sum(arc_values)
-    if denom > 0.0:
-        self_share = initial_share * float(node_value) / denom
-        sent = [initial_share * e / denom for e in arc_values]
-    else:
-        piece = initial_share / (1.0 + len(arc_values))
-        self_share = piece
-        sent = [piece] * len(arc_values)
-    return self_share, sent
-
-
 def distribute(topology: DagTopology, output: RgdOutput,
                budget: float) -> tuple[ShareTable, np.ndarray]:
     """Propagates shares from sinks to sources and pays out the budget.
@@ -113,26 +79,33 @@ def distribute(topology: DagTopology, output: RgdOutput,
     """
     if budget < 0.0:
         raise ValueError(f"budget {budget} must be >= 0")
-    n = topology.node_count
-    if output.node_values.shape != (n,):
-        raise ValueError(f"expected {n} node values")
-    if output.arc_values.shape != (len(topology.arcs),):
+    v, e = output.node_values, output.arc_values
+    if v.shape != (topology.node_count,):
+        raise ValueError(f"expected {topology.node_count} node values")
+    if e.shape != (len(topology.arcs),):
         raise ValueError(f"expected {len(topology.arcs)} arc values")
 
-    initial = np.zeros(n)
-    for k, share in sink_initial_shares(topology, output.node_values).items():
-        initial[k] = share
-
-    node_share = np.zeros(n)
+    sinks = topology.sinks
+    sink_total = sum(v[sinks])
+    node_share = np.zeros(topology.node_count)
     arc_share = np.zeros(len(topology.arcs))
     for i in reversed(topology.topological_order):
+        # every task-successor has already split and sent back its piece
         children = topology.successors(i)
         if children:
-            # every task-successor has already split and deposited its piece
-            initial[i] = sum(arc_share[topology.arc_index[(i, k)]]
-                             for k in children)
+            share = sum(arc_share[topology.arc_index[(i, k)]]
+                        for k in children)
+        elif sink_total > 0.0:
+            share = v[i] / sink_total
+        else:
+            share = 1.0 / len(sinks)
         into = [topology.arc_index[(j, i)] for j in topology.predecessors(i)]
-        node_share[i], arc_share[into] = split_share(
-            initial[i], output.node_values[i], output.arc_values[into])
-
+        # the in-arc values are summed first, as Python floats: every
+        # seeded run's bytes depend on this order
+        denom = v[i] + sum(e[into].tolist())
+        if denom > 0.0:
+            node_share[i] = share * v[i] / denom
+            arc_share[into] = share * e[into] / denom
+        else:
+            node_share[i] = arc_share[into] = share / (1 + len(into))
     return ShareTable(node_share, arc_share), node_share * budget

@@ -276,10 +276,8 @@ class Trainer:
     def _rgd_act(self, rgd_state, rollouts, t):
         q_vec = self._act("generator", rgd_state, rollouts, t)
         values = self._act("distributor", rgd_state, rollouts, t)
-        q = float(q_vec[0])
-        budget = synthetic_budget(q, self.baseline)
-        output = RgdOutput(q, values[:self.n_nodes],
-                           values[self.n_nodes:])
+        budget = synthetic_budget(float(q_vec[0]), self.baseline)
+        output = RgdOutput(values[:self.n_nodes], values[self.n_nodes:])
         _, sr = distribute(self.env.topology, output, budget)
         return sr
 

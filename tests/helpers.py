@@ -4,9 +4,8 @@ need, and the exhaustive oracles that only tests run."""
 import numpy as np
 
 from dagmarl.envs.micro import MicroDagEnv
-from dagmarl.oracle import (ContributionTable, StateSpaceTooLarge,
-                            TabularJointPolicy, _dp, _JointModel,
-                            validate_contribution)
+from dagmarl.oracle import (StateSpaceTooLarge, TabularJointPolicy, _dp,
+                            _JointModel, validate_contribution)
 
 
 def weights(net):
@@ -158,13 +157,35 @@ def reference_update(learner, rollout, rewards):
 
 
 def reference_distribute(topology, output, budget):
-    """distribute with the arc shares in a dict keyed (sender, receiver) in
-    reward orientation, i.e. (v, u) for task arc (u, v); returns
+    """distribute as three pieces: a dict of sink seeds, a per-node split
+    over Python lists, and the arc shares in a dict keyed (sender, receiver)
+    in reward orientation, i.e. (v, u) for task arc (u, v); returns
     (node_share, arc_share dict, paid)."""
-    from dagmarl.reward_flow import sink_initial_shares, split_share
+
+    def sink_initial_shares(node_values):
+        v = np.clip(np.asarray(node_values, dtype=np.float64), 0.0, 1.0)
+        if v.shape != (topology.node_count,):
+            raise ValueError(f"expected {topology.node_count} node values")
+        sinks = topology.sinks
+        total = float(sum(v[k] for k in sinks))
+        if total > 0.0:
+            return {k: float(v[k]) / total for k in sinks}
+        return {k: 1.0 / len(sinks) for k in sinks}
+
+    def split_share(initial_share, node_value, arc_values):
+        arc_values = [float(e) for e in arc_values]
+        denom = float(node_value) + sum(arc_values)
+        if denom > 0.0:
+            self_share = initial_share * float(node_value) / denom
+            sent = [initial_share * e / denom for e in arc_values]
+        else:
+            piece = initial_share / (1.0 + len(arc_values))
+            self_share = piece
+            sent = [piece] * len(arc_values)
+        return self_share, sent
 
     initial = np.zeros(topology.node_count)
-    for k, share in sink_initial_shares(topology, output.node_values).items():
+    for k, share in sink_initial_shares(output.node_values).items():
         initial[k] = share
     node_share = np.zeros(topology.node_count)
     arc_share = {}
@@ -214,7 +235,7 @@ def exact_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float):
 
 
 def synthetic_values(env: MicroDagEnv, policy: TabularJointPolicy,
-                     contribution: ContributionTable, gamma: float):
+                     contribution: dict, gamma: float):
     """Per-node discounted synthetic values under the contribution weights."""
     validate_contribution(env, contribution)
     _, synth_v = _dp(env, policy, gamma, contribution)
@@ -222,7 +243,7 @@ def synthetic_values(env: MicroDagEnv, policy: TabularJointPolicy,
 
 
 def enumerate_values(env: MicroDagEnv, policy: TabularJointPolicy, gamma: float,
-                     contribution: ContributionTable | None = None,
+                     contribution: dict | None = None,
                      guard: int = ENUM_GUARD):
     """Sums over every trajectory of ``env.max_steps`` steps explicitly.
     Exponentially expensive; only for cross-checking the DP on tiny

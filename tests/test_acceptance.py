@@ -64,9 +64,8 @@ def test_criterion_1_share_conservation():
     worst_sr = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 13))
-        topology = random_topology(rng, n, arc_prob=0.5)
-        output = RgdOutput(float(rng.random()), rng.random(n),
-                           rng.random(len(topology.arcs)))
+        topology = random_topology(rng, n)
+        output = RgdOutput(rng.random(n), rng.random(len(topology.arcs)))
         budget = float(rng.uniform(0.0, 25.0))
         table, sr = distribute(topology, output, budget)
         worst_share = max(worst_share, abs(float(table.node_share.sum()) - 1.0))
@@ -145,9 +144,9 @@ def test_criterion_3_gradient_correctness():
             x = rng.standard_normal(dims[0])
         out_grad = rng.standard_normal(dims[-1])
 
-        _, cache = net.forward_cached(x)
-        analytic = net.layer_views(net.backward(cache, out_grad))
-        numeric = _numeric_grads(net, x, out_grad)
+        _, cache = net.forward_cached(x[None])
+        analytic = net.layer_views(net.backward(cache, out_grad[None]))
+        numeric = _numeric_grads(net, x[None], out_grad[None])
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             for a, n in ((aw, nw), (ab, nb)):
                 scale = np.maximum(np.abs(n), 1.0)

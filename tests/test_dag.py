@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagmarl.dag import (CycleDetected, DagTopology, EmptyGraph, InvalidNode,
-                         random_topology, topological_order)
+                         random_topology)
 
 
 def reachability_oracle(node_count, arcs):
@@ -95,19 +95,20 @@ class TestTopologicalOrder:
         for _ in range(40):
             n = int(rng.integers(2, 13))
             arcs = random_dag(rng, n)
-            order = topological_order(n, arcs)
+            order = DagTopology(n, arcs).topological_order
             pos = {node: k for k, node in enumerate(order)}
             assert sorted(order) == list(range(n))
             for a, b in arcs:
                 assert pos[a] < pos[b]
 
     def test_deterministic_smallest_first(self):
-        assert topological_order(4, [(2, 3)]) == [0, 1, 2, 3]
-        assert topological_order(3, [(2, 0)]) == [1, 2, 0]
+        assert DagTopology(4, [(2, 3)]).topological_order == [0, 1, 2, 3]
+        assert DagTopology(3, [(2, 0)]).topological_order == [1, 2, 0]
 
     def test_idempotent(self):
         arcs = [(0, 2), (1, 2), (2, 3)]
-        assert topological_order(4, arcs) == topological_order(4, arcs)
+        assert (DagTopology(4, arcs).topological_order
+                == DagTopology(4, arcs).topological_order)
 
 
 class TestErrors:

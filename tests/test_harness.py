@@ -560,13 +560,28 @@ def test_cli_evaluate_refuses_a_bad_run_record(tmp_path, capsys):
     unknown = {**meta, "config": {**meta["config"], "horizon": 40}}
     ppo = {k: v for k, v in meta["config"]["ppo"].items() if k != "gamma"}
     missing = {**meta, "config": {**meta["config"], "ppo": ppo}}
+
+    def edited(**changes):
+        return json.dumps({**meta, "config": {**meta["config"], **changes}})
+
     eval_dir = tmp_path / "eval"
     for text, names in [(None, "No such file"),
                         ("{\"config\": ", "is not a run record"),
                         ("[]\n", "is not a run record"),
                         (json.dumps(unknown), "config: unknown key 'horizon'"),
                         (json.dumps(missing),
-                         "config.ppo: missing key 'gamma'")]:
+                         "config.ppo: missing key 'gamma'"),
+                        (edited(seed=3.5), "config: bad value 3.5 for 'seed'"),
+                        (edited(env_name="prey",
+                                env_options={"max_steps": 5.7}),
+                         "config.env_options: bad value 5.7 for 'max_steps'"),
+                        (edited(ppo={**meta["config"]["ppo"],
+                                     "hidden": [8.5, 8]}),
+                         "config.ppo: bad value (8.5, 8) for 'hidden'"),
+                        (edited(env_options={**meta["config"]["env_options"],
+                                             "arcs": [[0, 1, 2]]}),
+                         "config.env_options: bad value ((0, 1, 2),) for "
+                         "'arcs'")]:
         if text is None:
             meta_path.unlink()
         else:

@@ -11,7 +11,6 @@ import pytest
 from dagmarl.dag import DagTopology
 from dagmarl.envs.micro import MicroDagEnv, sample_micro_env
 from dagmarl.oracle import (
-    ContributionTable,
     HypothesisViolated,
     InadmissibleContribution,
     StateSpaceTooLarge,
@@ -116,7 +115,7 @@ def test_sampled_contribution_is_admissible():
         env = sample_micro_env(rng)
         c = sample_admissible_contribution(rng, env)
         validate_contribution(env, c)
-        for k, f in c.tables.items():
+        for k, f in c.items():
             assert np.all(f >= 0.0)
             assert np.all(f.sum(axis=0) <= 1.0 + 1e-9)
 
@@ -125,7 +124,7 @@ def test_fixed_row_sum_contribution():
     rng = np.random.default_rng(10)
     env = tiny_env()
     c = sample_admissible_contribution(rng, env, row_sum=0.7)
-    for f in c.tables.values():
+    for f in c.values():
         np.testing.assert_allclose(f.sum(axis=0), 0.7, atol=1e-12)
 
 
@@ -136,16 +135,16 @@ def test_validate_contribution_rejections():
     (sink,) = env.topology.sinks
 
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable({}))
+        validate_contribution(env, {})
 
-    negative = {sink: good.tables[sink].copy()}
+    negative = {sink: good[sink].copy()}
     negative[sink][0, 0, 0] = -0.01
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable(negative))
+        validate_contribution(env, negative)
 
-    heavy = {sink: good.tables[sink] * 0.0 + 0.9}  # columns sum to 1.8
+    heavy = {sink: good[sink] * 0.0 + 0.9}  # columns sum to 1.8
     with pytest.raises(InadmissibleContribution):
-        validate_contribution(env, ContributionTable(heavy))
+        validate_contribution(env, heavy)
 
 
 def test_synthetic_values_scale_linearly():
@@ -153,7 +152,7 @@ def test_synthetic_values_scale_linearly():
     env = tiny_env(seed=1)
     policy = sample_tabular_policy(rng, env)
     c = sample_admissible_contribution(rng, env)
-    half = ContributionTable({k: 0.5 * f for k, f in c.tables.items()})
+    half = {k: 0.5 * f for k, f in c.items()}
     v_full = synthetic_values(env, policy, c, gamma=0.9)
     v_half = synthetic_values(env, policy, half, gamma=0.9)
     np.testing.assert_allclose(v_half, 0.5 * v_full, atol=1e-12)

@@ -340,6 +340,33 @@ def test_rgd_skips_incomplete_final_period():
     assert record.agent_rewards["generator"] == pytest.approx(8.0 + 4.0)
 
 
+@pytest.mark.parametrize("mode", [RunMode.RFM, RunMode.PROPOSED])
+def test_episode_shorter_than_one_goal_period(mode):
+    env = flat_reward_env(horizon=3, goal_period=4)
+    trainer = Trainer(micro_config(mode, horizon=3), env=env)
+    before = {role: (agent.policy.flat.copy(), agent.value.flat.copy())
+              for role, agent in trainer.agents.items()}
+    record = trainer.run_episode(0)
+    # no period completes, so the generator and distributor never act: no
+    # rows, no pay, no synthetic rewards and no update
+    assert record.goal_periods == 1
+    np.testing.assert_array_equal(record.sr_sums, np.zeros(3))
+    for role in ("generator", "distributor"):
+        assert record.agent_rewards[role] == 0.0
+        assert role not in trainer.last_diagnostics
+        for now, then in zip((trainer.agents[role].policy.flat,
+                              trainer.agents[role].value.flat), before[role]):
+            np.testing.assert_array_equal(now, then)
+    # the followers learn from every step and the leader from its one goal
+    learners = {f"follower-{i}": 3 for i in range(3)}
+    if mode is RunMode.PROPOSED:
+        learners["leader"] = 1
+    for role, rows in learners.items():
+        assert trainer.last_diagnostics[role]["transitions"] == rows
+        assert not np.array_equal(trainer.agents[role].policy.flat,
+                                  before[role][0])
+
+
 def test_first_episode_budget_is_zero():
     env = flat_reward_env()
     trainer = Trainer(micro_config(RunMode.RFM), env=env)
