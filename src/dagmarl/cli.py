@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, apply_overrides,
-                     load_config, read_run_config)
+                     dump_config, load_config)
 from .logio import (SchemaMismatch, atomic_write_bytes, read_episode_csv,
                     write_episode_csv, write_log)
 from .metrics import min_max_normalize, moving_average
@@ -42,10 +41,8 @@ def _cmd_train(args) -> int:
 
     write_episode_csv(out / "episodes.csv", result.records)
     result.trainer.save_checkpoints(out / "checkpoints")
-    meta = {"config": {**dataclasses.asdict(config),
-                       "mode": config.mode.value},
-            "wall_seconds": wall,
-            "episodes_run": len(result.records)}
+    atomic_write_bytes(out / "config.ini", dump_config(config).encode())
+    meta = {"wall_seconds": wall, "episodes_run": len(result.records)}
     atomic_write_bytes(out / "run_meta.json", _json_bytes(meta))
 
     tail = [r.team_reward for r in result.records[-100:]]
@@ -60,7 +57,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .evaluate import evaluate
 
-    config = read_run_config(args.run_dir / "run_meta.json")
+    config = load_config(args.run_dir / "config.ini")
     result = evaluate(config, args.run_dir / "checkpoints",
                       episodes=args.episodes, seed=args.seed, bins=args.bins)
     out = Path(args.out or args.run_dir)

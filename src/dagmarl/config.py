@@ -4,11 +4,15 @@ Sections: [run] (mode/seed/episodes/out), [env] (name plus environment
 options), [agents] (goal dimension, state-flow stride, leader/distributor
 switches), [ppo] (optimizer knobs), and optionally [dag] (node names and
 arcs as name pairs, consumed by the micro environment as a node count and
-index arcs; the names serve only to resolve the arcs).  Unknown sections or
-keys fail loudly, and so does a value that does not parse as the type of
-its default.  An [env] key is a parameter of the named environment's
-constructor, and its default is that parameter's default.
-Command-line flags override file values.
+index arcs; the names serve only to resolve the arcs).  Unknown sections,
+[DEFAULT] among them, or keys fail loudly, and so does a file that does not
+parse or a value that does not parse as the type of its default.  An [env]
+key is a parameter of the named environment's constructor, and its default
+is that parameter's default.  Command-line flags override file values.
+
+``load_config`` reads this grammar and ``dump_config`` writes it, so the
+config.ini that ``train`` records in a run directory reads back as the
+config that trained the run.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from __future__ import annotations
 import configparser
 import enum
 import inspect
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
 
 from .ppo import PpoConfig
 
@@ -142,9 +144,14 @@ def _parse_dag_section(section) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section, so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as err:
+            # the message names the file and may span several lines
+            raise ConfigError(" ".join(str(err).split())) from None
 
     known = {"run", "env", "agents", "ppo", "dag"}
     unknown = set(parser.sections()) - known
@@ -170,6 +177,40 @@ def load_config(path) -> ExperimentConfig:
                             ppo=ppo, **run, **agents)
 
 
+def _text(value) -> str:
+    """``value`` as ``_typed`` reads it back: the mode by its value, a tuple
+    as ``a, b``, and a float by its repr (which str gives), so exactly."""
+    if isinstance(value, RunMode):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def dump_config(config: ExperimentConfig) -> str:
+    """``config`` as a file that ``load_config`` reads back equal to it, less
+    ``out_dir``: every [run], [agents] and [ppo] key, the environment's name
+    and options, and micro arcs as a [dag] over the nodes n0, n1, ..."""
+    env = dict(config.env_options)
+    sections = {
+        "run": {key: getattr(config, key) for key in _RUN_DEFAULTS
+                if key != "out"},
+        "env": {"name": config.env_name},
+        "agents": {key: getattr(config, key) for key in _AGENT_DEFAULTS},
+        "ppo": {key: getattr(config.ppo, key) for key in _PPO_DEFAULTS},
+    }
+    if "arcs" in env:
+        sections["dag"] = {
+            "nodes": tuple(f"n{i}" for i in range(env.pop("nodes"))),
+            "arcs": ", ".join(f"n{a}->n{b}" for a, b in env.pop("arcs"))}
+    sections["env"].update(sorted(env.items()))
+    lines = []
+    for name, values in sections.items():
+        lines += [f"[{name}]", *(f"{key} = {_text(value)}"
+                                 for key, value in values.items()), ""]
+    return "\n".join(lines)
+
+
 def apply_overrides(config: ExperimentConfig, mode=None, seed=None,
                     episodes=None, out=None) -> ExperimentConfig:
     """Command-line values win over file values."""
@@ -183,59 +224,3 @@ def apply_overrides(config: ExperimentConfig, mode=None, seed=None,
     if out is not None:
         updates["out_dir"] = str(out)
     return replace(config, **updates) if updates else config
-
-
-def _tuples(value):
-    """``value`` with every JSON list in it, at any depth, made a tuple."""
-    if isinstance(value, dict):
-        return {key: _tuples(item) for key, item in value.items()}
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def _fits(value, default) -> bool:
-    """Whether a recorded value has the type of ``default``.  A float also
-    takes an int, a None (out_dir) a string, and a tuple (a list in JSON)
-    holds items like its first, of the same length when those are tuples."""
-    if default is None:
-        return value is None or type(value) is str
-    if type(default) is tuple:
-        item = default[0]
-        return type(value) is tuple and all(
-            _fits(v, item) and (type(item) is not tuple or len(v) == len(item))
-            for v in value)
-    if type(default) is float:
-        return type(value) in (int, float)
-    return type(value) is type(default)
-
-
-def _check(where: str, defaults: dict, got: dict, partial=False):
-    """Fails unless ``got`` has the keys of ``defaults`` (some of them when
-    ``partial``), each with a value of its default's type."""
-    for key in sorted(got.keys() ^ defaults.keys()):
-        if key in got or not partial:
-            state = "unknown" if key in got else "missing"
-            raise ConfigError(f"{where}: {state} key {key!r}")
-    for key, value in got.items():
-        if not _fits(value, defaults[key]):
-            raise ConfigError(f"{where}: bad value {value!r} for {key!r}")
-
-
-def read_run_config(path) -> ExperimentConfig:
-    """The config that ``dagmarl train`` recorded in the ``config`` block of
-    ``path``, a run's ``run_meta.json``.  A missing or unknown key fails, and
-    so does a value without the type of its default; the env options are
-    those ``load_config`` reads for the recorded environment."""
-    try:
-        values = _tuples(json.loads(Path(path).read_text())["config"])
-        # the record of the default config has every key, and its type
-        _check("config", asdict(ExperimentConfig()) | {"mode": "srm"}, values)
-        _check("config.ppo", _PPO_DEFAULTS, values["ppo"])
-        # the [env] keys of the recorded environment and the [dag] ones
-        env = _env_defaults(values["env_name"]) | {"nodes": 1,
-                                                   "arcs": ((0, 1),)}
-        del env["name"]
-        _check("config.env_options", env, values["env_options"], partial=True)
-        ppo, mode = PpoConfig(**values["ppo"]), RunMode.parse(values["mode"])
-        return ExperimentConfig(**values | {"ppo": ppo, "mode": mode})
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path} is not a run record: {err}") from None

@@ -4,8 +4,8 @@ Layout: a `# dagmarl-log v1` header line, a column row, one row per
 episode.  Training logs have `episode,team_reward,goal_periods`, a
 `reward:<role>` column per agent and `sr:<node>` columns when synthetic
 rewards were active; evaluation logs have `episode,team_reward`.  Floats are
-written with repr so a parse round-trips bit for bit.  Timestamps and host
-details go in the run_meta.json sidecar, so reruns with one seed diff clean.
+written with repr so a parse round-trips bit for bit.  Wall-clock time goes
+in the run_meta.json sidecar, so reruns with one seed diff clean.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 charts, the command-line entry point, and a statistical cross-check of the
 frozen evaluator against exhaustive value computation."""
 
+import itertools
 import json
 import os
 import re
@@ -10,20 +11,25 @@ import subprocess
 import sys
 import warnings
 import xml.dom.minidom
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dagmarl.cli import main
 from dagmarl.config import (
     ConfigError,
     ExperimentConfig,
     RunMode,
+    _env_defaults,
     apply_overrides,
+    dump_config,
     load_config,
-    read_run_config,
 )
+from dagmarl.envs import ENV_NAMES
 from dagmarl.evaluate import evaluate
 from dagmarl.logio import (
     IoError,
@@ -115,6 +121,19 @@ def test_overrides_beat_file_values(tmp_path):
     assert new.env_name == "micro"  # untouched fields survive
 
 
+# files that configparser refuses, and what their error says
+MALFORMED_FILES = [
+    ("mode = srm\n", "File contains no section headers"),
+    ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already"),
+    ("[run]\n[run]\n", "section 'run' already exists"),
+]
+# configparser's default section, which a config file may not hold
+DEFAULT_SECTION_FILES = [
+    "[DEFAULT]\nlearning_rate = 5\n",
+    "[DEFAULT]\nseed = 3\n[env]\nname = factory\n",
+]
+
+
 def test_config_rejects_unknown_bits(tmp_path):
     bad_key = CONFIG_TEXT.replace("seed = 3", "sedd = 3")
     with pytest.raises(ConfigError):
@@ -141,6 +160,16 @@ def test_config_rejects_unknown_bits(tmp_path):
     repeated_arc = CONFIG_TEXT.replace("a->b, a->c", "a->b, a->c, a->b")
     with pytest.raises(ConfigError, match="arc 'a->b' is listed twice"):
         load_config(write_config(tmp_path, text=repeated_arc))
+    # configparser's errors, in one line that names the file
+    for text, names in MALFORMED_FILES:
+        path = write_config(tmp_path, text=text)
+        with pytest.raises(ConfigError, match=re.escape(names)) as err:
+            load_config(path)
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
+    for text in DEFAULT_SECTION_FILES:
+        with pytest.raises(ConfigError,
+                           match=re.escape("unknown sections ['DEFAULT']")):
+            load_config(write_config(tmp_path, text=text))
 
 
 def config_with(section, key, value):
@@ -197,6 +226,65 @@ def test_run_mode_parsing():
     assert RunMode.parse(" proposed ") is RunMode.PROPOSED
     with pytest.raises(ConfigError):
         RunMode.parse("centralised")
+
+
+# one strategy per type of env option; an option of another type fails here
+ENV_VALUES = {int: st.integers(-2 ** 63, 2 ** 64), bool: st.booleans(),
+              float: st.floats(allow_nan=False, allow_infinity=False)}
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+NON_NEGATIVE = st.floats(0.0, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid config without ``out_dir``: env options from the named
+    environment's table, micro DAGs as ascending unique arcs on up to 4
+    nodes, and floats anywhere in each PpoConfig range."""
+    env_name = draw(st.sampled_from(ENV_NAMES))
+    options = {key: draw(ENV_VALUES[type(default)])
+               for key, default in _env_defaults(env_name).items()
+               if key != "name" and draw(st.booleans())}
+    if env_name == "micro" and draw(st.booleans()):
+        options["nodes"] = draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(range(options["nodes"]), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        options["arcs"] = tuple(itertools.compress(pairs, keep))
+    ppo = PpoConfig(
+        clip_epsilon=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True)),
+        learning_rate=draw(POSITIVE), gamma=draw(UNIT),
+        gae_lambda=draw(UNIT), entropy_coef=draw(NON_NEGATIVE),
+        value_coef=draw(NON_NEGATIVE),
+        batch_size=draw(st.integers(1, 10 ** 6)),
+        epochs_per_update=draw(st.integers(1, 100)),
+        hidden=tuple(draw(st.lists(st.integers(1, 4096), min_size=1,
+                                   max_size=3))))
+    return ExperimentConfig(
+        mode=draw(st.sampled_from(RunMode)), env_name=env_name,
+        env_options=options, seed=draw(st.integers(0, 2 ** 64)),
+        episodes=draw(st.integers(0, 10 ** 6)),
+        goal_dim=draw(st.integers(1, 64)),
+        flow_stride=draw(st.integers(1, 64)),
+        disable_leader=draw(st.booleans()), disable_rgd=draw(st.booleans()),
+        ppo=ppo)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=experiment_configs())
+@example(config=ExperimentConfig(
+    mode=RunMode.PROPOSED, env_name="micro",
+    env_options={"nodes": 3, "arcs": ((0, 1), (0, 2))},
+    disable_leader=True,
+    ppo=PpoConfig(learning_rate=5e-324, entropy_coef=1e300,
+                  gamma=0.1 + 0.2, gae_lambda=1 / 3)))
+@example(config=ExperimentConfig(env_name="micro",
+                                 env_options={"nodes": 2, "arcs": ()}))
+def test_dumped_config_reads_back_equal(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "dumped.ini"
+    path.write_text(dump_config(config))
+    assert load_config(path) == config
 
 
 def test_experiment_config_validation():
@@ -473,13 +561,18 @@ def test_cli_train_rejects_fractional_step_limit(tmp_path, capsys):
     ("[env]\nname = factory\ngoal_periods = 0\n", []),
     ("[env]\nname = prey\nmax_steps = 0\n", []),
     ("[env]\nname = prey\nmax_steps = 20\n", ["--episodes", "0"]),
-], ids=["factory-no-periods", "prey-no-steps", "no-episodes"])
+    *[(text, []) for text, _ in MALFORMED_FILES],
+    *[(text, []) for text in DEFAULT_SECTION_FILES],
+], ids=["factory-no-periods", "prey-no-steps", "no-episodes", "no-header",
+        "repeated-key", "repeated-section", "default-section",
+        "default-section-beside-env"])
 def test_cli_train_rejected_run_leaves_no_output(tmp_path, capsys, text, args):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
     out = tmp_path / "o"
     assert main(["train", "--config", str(cfg), "--out", str(out)] + args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -507,8 +600,9 @@ def test_cli_round_trip(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     assert (run_dir / "episodes.csv").exists()
     assert (run_dir / "checkpoints" / "leader.ckpt").exists()
+    assert load_config(run_dir / "config.ini").mode is RunMode.PROPOSED
     meta = json.loads((run_dir / "run_meta.json").read_text())
-    assert meta["config"]["mode"] == "proposed"
+    assert meta.keys() == {"wall_seconds", "episodes_run"}
     assert meta["episodes_run"] == 6
 
     eval_dir = tmp_path / "eval"
@@ -546,56 +640,46 @@ def test_run_record_round_trips(tmp_path, capsys, env_name, options, mode):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
     capsys.readouterr()
-    recorded = read_run_config(run_dir / "run_meta.json")
-    assert recorded == apply_overrides(load_config(cfg), out=run_dir)
-    assert isinstance(recorded.ppo.hidden, tuple)
+    recorded = load_config(run_dir / "config.ini")
+    assert recorded == replace(load_config(cfg), out_dir=None)
 
 
 def test_cli_evaluate_refuses_a_bad_run_record(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
-    meta_path = run_dir / "run_meta.json"
-    meta = json.loads(meta_path.read_text())
-    unknown = {**meta, "config": {**meta["config"], "horizon": 40}}
-    ppo = {k: v for k, v in meta["config"]["ppo"].items() if k != "gamma"}
-    missing = {**meta, "config": {**meta["config"], "ppo": ppo}}
-
-    def edited(**changes):
-        return json.dumps({**meta, "config": {**meta["config"], **changes}})
+    record_path = run_dir / "config.ini"
+    record = record_path.read_text()
+    env = record[record.index("[env]"):record.index("[agents]")]
 
     eval_dir = tmp_path / "eval"
-    for text, names in [(None, "No such file"),
-                        ("{\"config\": ", "is not a run record"),
-                        ("[]\n", "is not a run record"),
-                        (json.dumps(unknown), "config: unknown key 'horizon'"),
-                        (json.dumps(missing),
-                         "config.ppo: missing key 'gamma'"),
-                        (edited(seed=3.5), "config: bad value 3.5 for 'seed'"),
-                        (edited(env_name="prey",
-                                env_options={"max_steps": 5.7}),
-                         "config.env_options: bad value 5.7 for 'max_steps'"),
-                        (edited(ppo={**meta["config"]["ppo"],
-                                     "hidden": [8.5, 8]}),
-                         "config.ppo: bad value (8.5, 8) for 'hidden'"),
-                        (edited(env_options={**meta["config"]["env_options"],
-                                             "arcs": [[0, 1, 2]]}),
-                         "config.env_options: bad value ((0, 1, 2),) for "
-                         "'arcs'")]:
+    for text, names in [
+            (None, f"No such file or directory: '{record_path}'"),
+            ("[]\n", f"no section headers. file: '{record_path}'"),
+            (record.replace("[run]\n", "[run]\nhorizon = 40\n"),
+             "unknown key 'horizon' in [run]"),
+            (record.replace("seed = 3\n", "seed = 3.5\n"),
+             "bad value '3.5' for 'seed' in [run]"),
+            (record.replace(env, "[env]\nname = prey\nmax_steps = 5.7\n\n"),
+             "bad value '5.7' for 'max_steps' in [env]"),
+            (record.replace("hidden = 8, 8", "hidden = 8.5, 8"),
+             "bad value '8.5, 8' for 'hidden' in [ppo]"),
+            (record.replace("arcs = n0->n1, n0->n2", "arcs = n0->n1->n2"),
+             "[dag] arc 'n0->n1->n2' references unknown node")]:
         if text is None:
-            meta_path.unlink()
+            record_path.unlink()
         else:
-            meta_path.write_text(text)
+            record_path.write_text(text)
         capsys.readouterr()
         assert main(["evaluate", str(run_dir), "--episodes", "2",
                      "--out", str(eval_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert str(meta_path) in err and names in err
+        assert names in err, err
         assert not eval_dir.exists()
         if text is not None:
             with pytest.raises(ConfigError, match=re.escape(names)):
-                read_run_config(meta_path)
+                load_config(record_path)
 
 
 def test_cli_eval_rewards_are_a_readable_log(tmp_path, capsys):
@@ -722,6 +806,7 @@ def test_cli_train_is_deterministic(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["train", "--config", str(cfg), "--out", str(b)]) == 0
     assert (a / "episodes.csv").read_bytes() == (b / "episodes.csv").read_bytes()
+    assert (a / "config.ini").read_bytes() == (b / "config.ini").read_bytes()
     capsys.readouterr()
 
 
