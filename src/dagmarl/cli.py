@@ -57,7 +57,11 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .evaluate import evaluate
 
-    config = load_config(args.run_dir / "config.ini")
+    record = args.run_dir / "config.ini"
+    try:
+        config = load_config(record)
+    except ConfigError as err:
+        raise ConfigError(f"{record}: {err}") from None
     result = evaluate(config, args.run_dir / "checkpoints",
                       episodes=args.episodes, seed=args.seed, bins=args.bins)
     out = Path(args.out or args.run_dir)
