@@ -200,8 +200,10 @@ def dump_config(config: ExperimentConfig) -> str:
         "ppo": {key: getattr(config.ppo, key) for key in _PPO_DEFAULTS},
     }
     if "arcs" in env:
+        # a config built in Python may leave the node count at its default
+        nodes = env.pop("nodes", _env_defaults(config.env_name)["nodes"])
         sections["dag"] = {
-            "nodes": tuple(f"n{i}" for i in range(env.pop("nodes"))),
+            "nodes": tuple(f"n{i}" for i in range(nodes)),
             "arcs": ", ".join(f"n{a}->n{b}" for a, b in env.pop("arcs"))}
     sections["env"].update(sorted(env.items()))
     lines = []

@@ -116,10 +116,13 @@ class DenseNet:
 
     @classmethod
     def stack(cls, nets):
-        """A copy of nets of one shape as one whose ``flat`` is (G, P); it
-        maps (G, n, in) to (G, n, out) by one BLAS call per member."""
+        """Nets of one shape as one whose ``flat`` is (G, P); it maps
+        (G, n, in) to (G, n, out) by one BLAS call per member.  Each of
+        ``nets`` is rebound to its row, so the two share memory from then."""
         net = copy.copy(nets[0])
         net._bind(np.stack([member.flat for member in nets]))
+        for member, row in zip(nets, net.flat):
+            member._bind(row)
         return net
 
     def _bind(self, flat):
@@ -254,16 +257,6 @@ class AdamState:
         self.step = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
-
-    @classmethod
-    def stack(cls, states):
-        """A copy of states at one step as the state of their nets' stack."""
-        if len({s.step for s in states}) != 1:
-            raise ValueError("cannot stack Adam states at different steps")
-        state = copy.copy(states[0])
-        state.m = np.stack([s.m for s in states])
-        state.v = np.stack([s.v for s in states])
-        return state
 
 
 def adam_step(state: AdamState, params, grad):
@@ -413,8 +406,8 @@ class CategoricalHead:
     def param_dim(self):
         return self.bounds[-1][1]
 
-    def empty_actions(self, rows):
-        return np.zeros((rows, len(self.sizes)), dtype=int)
+    def empty_actions(self, *lead):
+        return np.zeros((*lead, len(self.sizes)), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -431,8 +424,8 @@ class BetaHead:
     def param_dim(self):
         return 2 * self.dim
 
-    def empty_actions(self, rows):
-        return np.zeros((rows, self.dim))
+    def empty_actions(self, *lead):
+        return np.zeros((*lead, self.dim))
 
 
 def _softplus(x):

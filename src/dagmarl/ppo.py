@@ -1,14 +1,14 @@
 """Clipped-surrogate PPO on top of the hand-rolled dense nets.
 
-One learner owns a policy net and a value net (separate trunks, separate
-Adam states).  Its action space is an ``nn`` policy head, so the same update
+A learner is a shape group: one policy net and one value net (separate
+trunks, separate Adam states) hold its G members' parameters as (G, P)
+arrays.  Its action space is an ``nn`` policy head, so the same update
 code serves categorical agents, one segment per node they act for, and
 bounded-continuous Beta agents (goal vectors, budget fractions).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -28,7 +28,7 @@ class EmptyBatch(ValueError):
 
 
 class NonFiniteLoss(RuntimeError):
-    """``member`` indexes the learner at fault in its stack."""
+    """``member`` indexes the member at fault in its group."""
 
     def __init__(self, message: str, member: int = 0):
         super().__init__(message)
@@ -66,7 +66,7 @@ class PpoConfig:
 
 @dataclass
 class Rollout:
-    """What a learner's acting produced, one row per step in order.
+    """What a group's acting produced, one row per member and step in order.
 
     ``actions`` has the layout of the learner head's ``empty_actions``.
     Rewards and value estimates are not part of a rollout: ``update`` takes
@@ -110,58 +110,68 @@ def compute_gae(rewards, values: np.ndarray, gamma: float, lam: float):
 
 
 class PpoLearner:
-    """Policy + value pair with its own RNG stream and Adam states."""
+    """A shape group, one member per generator in ``rngs``, which draws its
+    member's policy, then value, then actions and permutations.  ``policy``
+    and ``value`` hold the members' parameters as (G, P) arrays, each with
+    one Adam state; ``policy_nets[k]`` and ``value_nets[k]`` are member
+    k's nets, bound to row k."""
 
-    def __init__(self, obs_dim: int, head, config: PpoConfig,
-                 rng: np.random.Generator):
+    def __init__(self, obs_dim: int, head, config: PpoConfig, rngs):
         self.obs_dim = int(obs_dim)
         self.head = head
         self.config = config
-        self.rng = rng
+        self.rngs = tuple(rngs)
         dims = (self.obs_dim, *config.hidden)
-        self.policy = DenseNet(dims + (head.param_dim,), rng)
-        self.value = DenseNet(dims + (1,), rng)
+        self.policy_nets = tuple(DenseNet(dims + (head.param_dim,), rng)
+                                 for rng in self.rngs)
+        self.policy = DenseNet.stack(self.policy_nets)
+        self.value_nets = tuple(DenseNet(dims + (1,), rng)
+                                for rng in self.rngs)
+        self.value = DenseNet.stack(self.value_nets)
         self.opt_policy = nn.AdamState(self.policy, config.learning_rate)
         self.opt_value = nn.AdamState(self.value, config.learning_rate)
 
     # -- acting ------------------------------------------------------------
 
-    def act(self, state):
-        """Samples an action; returns (action, log_prob).
+    def act(self, k: int, state):
+        """Member k samples an action; returns (action, log_prob).
 
         The value net does not run here; ``update`` evaluates it for the
         whole rollout at once.
         """
-        return nn.sample_and_logprob(self.head, self.policy.forward(state),
-                                     self.rng)
+        return nn.sample_and_logprob(
+            self.head, self.policy_nets[k].forward(state), self.rngs[k])
 
-    def frozen_act(self, state):
-        return nn.frozen_action(self.head, self.policy.forward(state))
+    def frozen_act(self, k: int, state):
+        return nn.frozen_action(self.head, self.policy_nets[k].forward(state))
 
     def empty_rollout(self, rows: int) -> Rollout:
-        """Zeroed rollout arrays for up to ``rows`` steps of this learner."""
-        return Rollout(np.zeros((rows, self.obs_dim)),
-                       self.head.empty_actions(rows), np.zeros(rows))
+        """Zeroed rollout arrays for up to ``rows`` steps of each member."""
+        members = len(self.rngs)
+        return Rollout(np.zeros((members, rows, self.obs_dim)),
+                       self.head.empty_actions(members, rows),
+                       np.zeros((members, rows)))
 
     # -- learning ------------------------------------------------------------
 
-    def update(self, rollout: Rollout, rewards: np.ndarray) -> dict:
-        """One PPO update of a stack of G learners (``update_group``), each
-        on its own finished episode; returns loss/entropy diagnostics.
+    def update(self, rollout: Rollout, rewards) -> dict:
+        """One PPO update of every member, each on its own finished episode;
+        returns loss/entropy diagnostics.
 
-        The rollout arrays and rewards have the members along a leading
-        axis, and the n rows of each member are its episode.  V_old is the
-        value net on all the states in one pass, taken before any step.  GAE
-        runs per member and each member's rng draws its own permutation in
-        turn.  Each diagnostic is a list over members and ``transitions``
-        counts all G * n rows.  A non-finite advantage, loss or gradient
-        raises NonFiniteLoss naming the member at fault; the stack is then
-        part-way updated, and ``update_group`` throws it away.
+        ``rewards`` holds one reward array of length n per member, and the
+        first n rows of each member's rollout are its episode.  V_old is
+        the value net on all those states in one pass, taken before any
+        step.  GAE runs per member and each member's rng draws its own
+        permutation in turn.  Each diagnostic is a list over members and
+        ``transitions`` counts all G * n rows.  A non-finite advantage, loss
+        or gradient raises NonFiniteLoss naming the member at fault, and the
+        group keeps no part of the update: its parameters, Adam moments and
+        steps are put back as they were.
         """
         cfg = self.config
-        n = rewards.shape[1]
-        values = self.value.forward(rollout.states)[..., 0]
-        adv, returns = np.empty((2, *rewards.shape))
+        n = len(rewards[0])
+        values = self.value.forward(rollout.states[:, :n])[..., 0]
+        adv, returns = np.empty((2, len(rewards), n))
         for k, member_rewards in enumerate(rewards):
             adv[k], returns[k] = compute_gae(member_rewards, values[k],
                                              cfg.gamma, cfg.gae_lambda)
@@ -178,21 +188,32 @@ class PpoLearner:
         diags = np.empty((len(_DIAGNOSTICS), len(rewards),
                           cfg.epochs_per_update * len(starts)))
         step = 0
-        # an overflow or nan ends as NonFiniteLoss, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.epochs_per_update):
-                perm = np.stack([rng.permutation(n) for rng in self.rng])
-                for lo in starts:
-                    idx = (members, perm[:, lo:lo + cfg.batch_size])
-                    diags[..., step] = self._minibatch_step(
-                        rollout.states[idx], rollout.actions[idx],
-                        rollout.log_probs[idx], adv[idx], returns[idx])
-                    step += 1
+        arrays = (self.policy.flat, self.value.flat, self.opt_policy.m,
+                  self.opt_policy.v, self.opt_value.m, self.opt_value.v)
+        saved = [a.copy() for a in arrays]
+        steps = self.opt_policy.step, self.opt_value.step
+        try:
+            # an overflow or nan ends as NonFiniteLoss, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(cfg.epochs_per_update):
+                    perm = np.stack([rng.permutation(n) for rng in self.rngs])
+                    for lo in starts:
+                        idx = (members, perm[:, lo:lo + cfg.batch_size])
+                        diags[..., step] = self._minibatch_step(
+                            rollout.states[idx], rollout.actions[idx],
+                            rollout.log_probs[idx], adv[idx], returns[idx])
+                        step += 1
+        except NonFiniteLoss:
+            # in place, so every member's nets stay bound to their rows
+            for array, copy in zip(arrays, saved):
+                array[...] = copy
+            self.opt_policy.step, self.opt_value.step = steps
+            raise
         # each row's sum over its contiguous axis, divided by the count, is
         # bit for bit np.mean of that row
         out = dict(zip(_DIAGNOSTICS,
                        (np.add.reduce(diags, axis=-1) / step).tolist()))
-        out["transitions"] = rewards.size
+        out["transitions"] = len(rewards) * n
         return out
 
     def _minibatch_step(self, states, actions, old_logp, adv, returns):
@@ -206,7 +227,7 @@ class PpoLearner:
         params, cache = self.policy.forward_cached(states)
         stats = (nn.beta_stats if isinstance(self.head, BetaHead)
                  else nn.categorical_stats)
-        # the statistics are per row, so a stack's rows run as one batch
+        # the statistics are per row, so a group's rows run as one batch
         rows = stats(self.head, params.reshape(-1, params.shape[-1]),
                      actions.reshape(-1, actions.shape[-1]))
         logp, entropy, dlogp, dentropy = (x.reshape(adv.shape + x.shape[1:])
@@ -252,15 +273,17 @@ class PpoLearner:
 
     # -- checkpointing -------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        return self.policy.to_bytes() + self.value.to_bytes()
+    def to_bytes(self, k: int) -> bytes:
+        return self.policy_nets[k].to_bytes() + self.value_nets[k].to_bytes()
 
-    def load_bytes(self, data: bytes):
+    def load_bytes(self, k: int, data: bytes):
+        """Loads member k's nets into its rows, both or neither."""
         policy, offset = DenseNet.from_bytes(data)
         value, end = DenseNet.from_bytes(data, offset)
         if end != len(data):
             raise nn.CheckpointMismatch(f"{len(data) - end} trailing bytes")
-        pairs = (("policy", self.policy, policy), ("value", self.value, value))
+        pairs = (("policy", self.policy_nets[k], policy),
+                 ("value", self.value_nets[k], value))
         for name, net, loaded in pairs:
             if loaded.layer_dims != net.layer_dims:
                 raise nn.CheckpointMismatch(
@@ -268,38 +291,9 @@ class PpoLearner:
         for _, net, loaded in pairs:
             net.flat[...] = loaded.flat
 
-    def save(self, path):
-        atomic_write_bytes(path, self.to_bytes())
+    def save(self, k: int, path):
+        atomic_write_bytes(path, self.to_bytes(k))
 
-    def load(self, path):
+    def load(self, k: int, path):
         with open(path, "rb") as fh:
-            self.load_bytes(fh.read())
-
-
-def update_group(learners, rollouts, rewards) -> list:
-    """Each learner's PPO update on its own rollout and rewards; returns each
-    one's diagnostics.  The learners, of one obs_dim, head and config (one
-    learner alone too), update as one stack that is copied back only on
-    success: on NonFiniteLoss each keeps its pre-update state, and the
-    error's ``member`` indexes them."""
-    stack = copy.copy(learners[0])
-    stack.rng = tuple(l.rng for l in learners)
-    stack.policy = DenseNet.stack([l.policy for l in learners])
-    stack.value = DenseNet.stack([l.value for l in learners])
-    stack.opt_policy = nn.AdamState.stack([l.opt_policy for l in learners])
-    stack.opt_value = nn.AdamState.stack([l.opt_value for l in learners])
-    n = len(rewards[0])
-    out = stack.update(Rollout(np.stack([r.states[:n] for r in rollouts]),
-                               np.stack([r.actions[:n] for r in rollouts]),
-                               np.stack([r.log_probs[:n] for r in rollouts])),
-                       np.stack(rewards))
-    for k, learner in enumerate(learners):
-        learner.policy.flat[...] = stack.policy.flat[k]
-        learner.value.flat[...] = stack.value.flat[k]
-        for opt, stacked in ((learner.opt_policy, stack.opt_policy),
-                             (learner.opt_value, stack.opt_value)):
-            opt.step = stacked.step
-            opt.m[...] = stacked.m[k]
-            opt.v[...] = stacked.v[k]
-    return [dict(zip(_DIAGNOSTICS, values), transitions=n)
-            for values in zip(*(out[key] for key in _DIAGNOSTICS))]
+            self.load_bytes(k, fh.read())

@@ -24,7 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
-from .ppo import NonFiniteLoss, PpoLearner, update_group
+from .ppo import NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
 from .seeding import substream
@@ -123,45 +123,41 @@ class Trainer:
         self.baseline = RewardBaseline()
         self.last_diagnostics = {}
         self._env_stream = substream(config.seed, "env")
-        self.agents = self._build_agents()
-        # roles of one net shape, in role order; each group updates together
+        # roles of one (obs_dim, head), in role order, are one shape group
         groups = {}
-        for role, agent in self.agents.items():
-            groups.setdefault((agent.obs_dim, agent.head), []).append(role)
-        self._shape_groups = list(groups.values())
+        for role, shape in self._role_shapes().items():
+            groups.setdefault(shape, []).append(role)
+        self.groups = []  # (learner, roles), one learner per shape group
+        self.agents = {}  # role -> (learner, k)
+        for (obs_dim, head), roles in groups.items():
+            learner = PpoLearner(obs_dim, head, config.ppo,
+                                 [substream(config.seed, r) for r in roles])
+            self.groups.append((learner, roles))
+            self.agents.update((role, (learner, k))
+                               for k, role in enumerate(roles))
 
-    def _build_agents(self) -> dict:
-        cfg = self.config
-        seed = cfg.seed
-        ppo = cfg.ppo
+    def _role_shapes(self) -> dict:
+        """Each role's (obs_dim, head), in role order."""
+        m = self.config.goal_dim
         sizes = self.env.action_sizes
-        m = cfg.goal_dim
-        agents = {}
         if self.mode is RunMode.GS:
-            agents["gs"] = PpoLearner(self.global_dim,
-                                      CategoricalHead(sizes), ppo,
-                                      substream(seed, "gs"))
-            return agents
+            return {"gs": (self.global_dim, CategoricalHead(sizes))}
+        shapes = {}
         for i in range(self.n_nodes):
             dim = self.env.obs_dims[i] + (m if self.leader_on else 0)
-            agents[f"follower-{i}"] = PpoLearner(
-                dim, CategoricalHead((sizes[i],)), ppo,
-                substream(seed, f"follower-{i}"))
+            shapes[f"follower-{i}"] = (dim, CategoricalHead((sizes[i],)))
         if self.leader_on:
-            agents["leader"] = PpoLearner(self.global_dim, BetaHead(
-                self.n_nodes * m), ppo, substream(seed, "leader"))
+            shapes["leader"] = (self.global_dim, BetaHead(self.n_nodes * m))
         if self.rgd_on:
             n_flow = len(state_flow_indices(self.env.goal_period,
-                                            cfg.flow_stride)) + 1
+                                            self.config.flow_stride)) + 1
             dim = n_flow * self.global_dim
             if self.leader_on:
                 dim += self.n_nodes * m
-            agents["generator"] = PpoLearner(dim, BetaHead(1), ppo,
-                                             substream(seed, "generator"))
-            agents["distributor"] = PpoLearner(
-                dim, BetaHead(self.n_nodes + len(self.env.topology.arcs)),
-                ppo, substream(seed, "distributor"))
-        return agents
+            shapes["generator"] = (dim, BetaHead(1))
+            shapes["distributor"] = (dim, BetaHead(
+                self.n_nodes + len(self.env.topology.arcs)))
+        return shapes
 
     def run_episode(self, episode_index: int, env_seed=None,
                     frozen: bool = False) -> EpisodeRecord:
@@ -174,8 +170,8 @@ class Trainer:
 
         # a frozen episode keeps no rollouts; no role acts twice in one step
         rollouts = None if frozen else {
-            role: agent.empty_rollout(env.max_steps)
-            for role, agent in self.agents.items()}
+            learner: learner.empty_rollout(env.max_steps)
+            for learner, _ in self.groups}
         track_diffs = (not frozen
                        and self.mode in (RunMode.DIFF_M, RunMode.CAP_M))
         rgd_active = self.rgd_on and not frozen
@@ -231,20 +227,22 @@ class Trainer:
         agent_rewards = {role: float(np.sum(rewards))
                          for role, rewards in streams.items()}
         diagnostics = {}
-        for group in self._shape_groups:
-            rewards = [streams[role] for role in group]
-            if len(rewards[0]) == 0:
+        for learner, roles in self.groups:
+            rewards = [streams[role] for role in roles]
+            n = len(rewards[0])
+            if n == 0:
                 continue
             # rollout rows were written at the same indices the reward
-            # streams count, so the first len(rewards) rows are this episode's
+            # streams count, so each member's first n rows are this episode's
             try:
-                results = update_group([self.agents[role] for role in group],
-                                       [rollouts[role] for role in group],
-                                       rewards)
+                out = learner.update(rollouts[learner], rewards)
             except NonFiniteLoss as err:
-                raise NonFiniteLoss(f"{group[err.member]} update in episode "
+                raise NonFiniteLoss(f"{roles[err.member]} update in episode "
                                     f"{episode_index}: {err}") from None
-            diagnostics.update(zip(group, results))
+            for k, role in enumerate(roles):
+                diagnostics[role] = {
+                    key: n if key == "transitions" else value[k]
+                    for key, value in out.items()}
         if rgd_active:
             self.baseline = RewardBaseline(total, n_periods)
         self.last_diagnostics = diagnostics
@@ -252,15 +250,15 @@ class Trainer:
                              sr_sums)
 
     def _act(self, role, state, rollouts, t):
-        """One role's action; with rollouts it also fills row ``t``."""
-        agent = self.agents[role]
+        """One role's action; with rollouts it also fills its row ``t``."""
+        learner, k = self.agents[role]
         if rollouts is None:
-            return agent.frozen_act(state)
-        action, log_prob = agent.act(state)
-        rows = rollouts[role]
-        rows.states[t] = state
-        rows.actions[t] = action
-        rows.log_probs[t] = log_prob
+            return learner.frozen_act(k, state)
+        action, log_prob = learner.act(k, state)
+        rows = rollouts[learner]
+        rows.states[k, t] = state
+        rows.actions[k, t] = action
+        rows.log_probs[k, t] = log_prob
         return action
 
     def _select_actions(self, obs, goals, rollouts, t):
@@ -317,8 +315,8 @@ class Trainer:
     def save_checkpoints(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for role, agent in self.agents.items():
-            agent.save(directory / f"{role}.ckpt")
+        for role, (learner, k) in self.agents.items():
+            learner.save(k, directory / f"{role}.ckpt")
 
     def load_checkpoints(self, directory):
         directory = Path(directory)
@@ -327,11 +325,11 @@ class Trainer:
         if extra:
             raise CheckpointMismatch(f"{directory} holds checkpoints of roles "
                                      f"this run does not have: {extra}")
-        for role, agent in self.agents.items():
+        for role, (learner, k) in self.agents.items():
             path = directory / f"{role}.ckpt"
             if not path.exists():
                 raise CheckpointMismatch(f"missing checkpoint {path}")
-            agent.load(path)
+            learner.load(k, path)
 
 
 @dataclass

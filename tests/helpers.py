@@ -101,17 +101,19 @@ def reference_categorical_stats(head, logits, actions):
 
 
 def reference_update(learner, rollout, rewards):
-    """PpoLearner.update with np.mean and np.clip throughout and one Python
-    list per diagnostic, averaged by np.mean at the end (no recovery on a
-    non-finite loss)."""
+    """PpoLearner.update of a one-member group, on that member's own nets and
+    rows, with np.mean and np.clip throughout and one Python list per
+    diagnostic, averaged by np.mean at the end (no recovery on a non-finite
+    loss); Adam steps the group's (1, P) state."""
     from dagmarl import nn
     from dagmarl.ppo import compute_gae
 
     cfg = learner.config
+    policy, value = learner.policy_nets[0], learner.value_nets[0]
     n = len(rewards)
     states, actions, old_logp = (rollout.states[:n], rollout.actions[:n],
                                  rollout.log_probs[:n])
-    adv, returns = compute_gae(rewards, learner.value.forward(states)[:, 0],
+    adv, returns = compute_gae(rewards, value.forward(states)[:, 0],
                                cfg.gamma, cfg.gae_lambda)
     std = adv.std()
     if std >= 1e-8:
@@ -121,11 +123,11 @@ def reference_update(learner, rollout, rewards):
     stats = (nn.beta_stats if isinstance(learner.head, nn.BetaHead)
              else reference_categorical_stats)
     for _ in range(cfg.epochs_per_update):
-        perm = learner.rng.permutation(n)
+        perm = learner.rngs[0].permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo:lo + cfg.batch_size]
             m = len(idx)
-            params, cache = learner.policy.forward_cached(states[idx])
+            params, cache = policy.forward_cached(states[idx])
             logp, entropy, dlogp, dentropy = stats(learner.head, params,
                                                    actions[idx])
             ratio = np.exp(logp - old_logp[idx])
@@ -138,14 +140,14 @@ def reference_update(learner, rollout, rewards):
             dsurr_dlogp = np.where(unclipped <= clipped, ratio * adv[idx], 0.0)
             gout = -(dsurr_dlogp[:, None] * dlogp
                      + cfg.entropy_coef * dentropy) / m
-            values, vcache = learner.value.forward_cached(states[idx])
+            values, vcache = value.forward_cached(states[idx])
             verr = values[:, 0] - returns[idx]
             value_loss = cfg.value_coef * np.mean(verr ** 2)
             gval = (2.0 * cfg.value_coef * verr / m)[:, None]
             nn.adam_step(learner.opt_policy, learner.policy.flat,
-                         learner.policy.backward(cache, gout))
+                         policy.backward(cache, gout)[None])
             nn.adam_step(learner.opt_value, learner.value.flat,
-                         learner.value.backward(vcache, gval))
+                         value.backward(vcache, gval)[None])
             diags["policy_loss"].append(policy_loss)
             diags["value_loss"].append(value_loss)
             diags["entropy"].append(np.mean(entropy))

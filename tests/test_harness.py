@@ -29,7 +29,7 @@ from dagmarl.config import (
     dump_config,
     load_config,
 )
-from dagmarl.envs import ENV_NAMES
+from dagmarl.envs import ENV_NAMES, make_env
 from dagmarl.evaluate import evaluate
 from dagmarl.logio import (
     IoError,
@@ -286,6 +286,18 @@ def test_dumped_config_reads_back_equal(tmp_path_factory, config):
     assert load_config(path) == config
 
 
+def test_dumped_arcs_without_a_node_count_keep_the_topology(tmp_path):
+    config = ExperimentConfig(env_name="micro",
+                              env_options={"arcs": ((0, 1),)})
+    path = tmp_path / "config.ini"
+    path.write_text(dump_config(config))
+    loaded = load_config(path)
+    assert loaded.env_options["arcs"] == ((0, 1),)
+    want, got = (make_env("micro", c.env_options).topology
+                 for c in (config, loaded))
+    assert (got.node_count, got.arcs) == (want.node_count, want.arcs)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(goal_dim=0)
@@ -363,8 +375,8 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     ckpt_path = tmp_path / "agent.ckpt"
     write_episode_csv(csv_path, sample_records()[:1])
     agent = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
-                       np.random.default_rng(0))
-    agent.save(ckpt_path)
+                       [np.random.default_rng(0)])
+    agent.save(0, ckpt_path)
     old_csv, old_ckpt = csv_path.read_bytes(), ckpt_path.read_bytes()
 
     def refuse(src, dst):
@@ -374,10 +386,10 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     with pytest.raises(IoError):
         write_episode_csv(csv_path, sample_records())
     other = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
-                       np.random.default_rng(1))
-    assert other.to_bytes() != old_ckpt
+                       [np.random.default_rng(1)])
+    assert other.to_bytes(0) != old_ckpt
     with pytest.raises(OSError):
-        other.save(ckpt_path)
+        other.save(0, ckpt_path)
 
     assert csv_path.read_bytes() == old_csv
     assert ckpt_path.read_bytes() == old_ckpt
@@ -882,7 +894,8 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
         for s in range(env.n_states[i]):
             onehot = np.zeros(env.n_states[i])
             onehot[s] = 1.0
-            (action,) = trainer.agents[f"follower-{i}"].frozen_act(onehot)
+            learner, k = trainer.agents[f"follower-{i}"]
+            (action,) = learner.frozen_act(k, onehot)
             per_state.append(action)
         choice.append(per_state)
     policy = deterministic_policy(env, choice)

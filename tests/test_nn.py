@@ -287,8 +287,8 @@ class TestFlatParameters:
 class TestStack:
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_members_match_their_own_nets_bit_for_bit(self, rows):
-        nets = [DenseNet([5, 16, 16, 3], np.random.default_rng(k))
-                for k in range(3)]
+        nets, alone = ([DenseNet([5, 16, 16, 3], np.random.default_rng(k))
+                        for k in range(3)] for _ in range(2))
         stack = DenseNet.stack(nets)
         assert stack.flat.shape == (3, nets[0].flat.size)
         data = np.random.default_rng(rows)
@@ -296,25 +296,21 @@ class TestStack:
         g = data.standard_normal((3, rows, 3))
         y, cache = stack.forward_cached(x)
         grad = stack.backward(cache, g)
-        for k, net in enumerate(nets):
-            own_y, own_cache = net.forward_cached(x[k])
+        for k, (net, own) in enumerate(zip(nets, alone)):
+            # each member is now row k of the stack, and acts as its own
+            # net did, one row or a batch at a time
+            assert np.shares_memory(net.flat, stack.flat[k])
+            assert (net.flat == own.flat).all()
+            own_y, own_cache = own.forward_cached(x[k])
             assert (y[k] == own_y).all()
-            assert (grad[k] == net.backward(own_cache, g[k])).all()
+            assert (grad[k] == own.backward(own_cache, g[k])).all()
+            assert (net.forward(x[k]) == own_y).all()
+            assert all((net.forward(row) == own.forward(row)).all()
+                       for row in x[k])
+        stack.flat[1, 0] += 1.0
+        assert nets[1].flat[0] == stack.flat[1, 0] != alone[1].flat[0]
         with pytest.raises(DimensionMismatch):
             stack.forward(x[0])
-
-    def test_adam_states_stack_only_at_one_step(self):
-        nets = [DenseNet([2, 3, 1], np.random.default_rng(k))
-                for k in range(2)]
-        states = [AdamState(net, 0.1) for net in nets]
-        for state, net in zip(states, nets):
-            adam_step(state, net.flat, np.ones_like(net.flat))
-        stacked = AdamState.stack(states)
-        assert stacked.step == 1 and stacked.m.shape == (2, nets[0].flat.size)
-        assert (stacked.m[1] == states[1].m).all()
-        adam_step(states[0], nets[0].flat, np.ones_like(nets[0].flat))
-        with pytest.raises(ValueError, match="different steps"):
-            AdamState.stack(states)
 
 
 class TestCategoricalHead:

@@ -13,28 +13,32 @@ from helpers import parameters, reference_update
 
 
 def episode_of(rows):
-    """``(Rollout, rewards)`` of one episode from (state, action, log_prob,
-    reward) rows, the arguments of ``update_alone``."""
+    """``(Rollout, rewards)`` of one member's episode from (state, action,
+    log_prob, reward) rows, the arguments of a one-member group's
+    ``update``."""
     states, actions, log_probs, rewards = zip(*rows)
-    return (Rollout(np.array(states), np.array(actions), np.array(log_probs)),
-            np.array(rewards, dtype=float))
+    return (Rollout(np.array([states]), np.array([actions]),
+                    np.array([log_probs])),
+            np.array([rewards], dtype=float))
 
 
-def update_alone(agent, rollout, rewards):
-    """``agent``'s update on one episode, as a stack of one."""
-    (diags,) = ppo.update_group([agent], [rollout], [rewards])
-    return diags
+def member_rows(rollout, k):
+    """Member k's rows of a group's rollout."""
+    return Rollout(rollout.states[k], rollout.actions[k], rollout.log_probs[k])
 
 
 def acted_episode(agent, rows, seed):
-    """``(Rollout, rewards)`` of ``rows`` steps that ``agent`` acted on, with
-    standard normal states and rewards drawn from ``seed``."""
+    """``(Rollout, rewards)`` of ``rows`` steps that each of ``agent``'s
+    members acted on, with standard normal states and rewards drawn from
+    ``seed``."""
     data = np.random.default_rng(seed)
     rollout = agent.empty_rollout(rows)
-    for t in range(rows):
-        rollout.states[t] = data.standard_normal(agent.obs_dim)
-        rollout.actions[t], rollout.log_probs[t] = agent.act(rollout.states[t])
-    return rollout, data.standard_normal(rows)
+    for k in range(len(agent.rngs)):
+        for t in range(rows):
+            rollout.states[k, t] = data.standard_normal(agent.obs_dim)
+            rollout.actions[k, t], rollout.log_probs[k, t] = agent.act(
+                k, rollout.states[k, t])
+    return rollout, data.standard_normal((len(agent.rngs), rows))
 
 
 def gae_of(rewards, values, gamma, lam):
@@ -99,26 +103,26 @@ def small_config(**kw):
 class TestLearner:
     def test_act_shapes_discrete(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(0))
-        (action,), logp = agent.act(np.zeros(3))
+                           [np.random.default_rng(0)])
+        (action,), logp = agent.act(0, np.zeros(3))
         assert 0 <= action < 4
         assert np.isfinite(logp)
-        (frozen,) = agent.frozen_act(np.zeros(3))
+        (frozen,) = agent.frozen_act(0, np.zeros(3))
         assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
         agent = PpoLearner(3, BetaHead(5), small_config(),
-                           np.random.default_rng(0))
-        action, logp = agent.act(np.zeros(3))
+                           [np.random.default_rng(0)])
+        action, logp = agent.act(0, np.zeros(3))
         assert action.shape == (5,)
         assert np.all((action > 0.0) & (action < 1.0))
-        frozen = agent.frozen_act(np.zeros(3))
+        frozen = agent.frozen_act(0, np.zeros(3))
         assert np.all((frozen > 0.0) & (frozen < 1.0))
 
     def test_act_shapes_joint(self):
         agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
-                           np.random.default_rng(0))
-        action, logp = agent.act(np.zeros(3))
+                           [np.random.default_rng(0)])
+        action, logp = agent.act(0, np.zeros(3))
         assert len(action) == 3
         for a, size in zip(action, (2, 3, 4)):
             assert 0 <= a < size
@@ -126,50 +130,51 @@ class TestLearner:
     @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
                              ids=["categorical", "beta"])
     def test_act_does_not_run_the_value_net(self, head, monkeypatch):
-        agent = PpoLearner(3, head, small_config(), np.random.default_rng(0))
+        agent = PpoLearner(3, head, small_config(), [np.random.default_rng(0)])
         calls = []
-        forward_cached = agent.value.forward_cached
-        monkeypatch.setattr(agent.value, "forward_cached",
-                            lambda x: calls.append(1) or forward_cached(x))
+        for net in (agent.value, agent.value_nets[0]):
+            monkeypatch.setattr(net, "forward_cached",
+                                lambda x, forward_cached=net.forward_cached:
+                                calls.append(1) or forward_cached(x))
         rng = np.random.default_rng(1)
         for _ in range(10):
-            agent.act(rng.standard_normal(3))
+            agent.act(0, rng.standard_normal(3))
         assert calls == []
-        agent.value.forward(np.zeros(3))
+        agent.value_nets[0].forward(np.zeros(3))
         assert calls == [1], "the counter must see value-net calls"
 
     @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
                              ids=["categorical", "beta"])
     def test_nan_policy_refuses_to_act(self, head):
-        agent = PpoLearner(3, head, small_config(), np.random.default_rng(0))
-        agent.policy.flat[-1] = np.nan  # one output bias, as a bad load
+        agent = PpoLearner(3, head, small_config(), [np.random.default_rng(0)])
+        agent.policy_nets[0].flat[-1] = np.nan  # an output bias, a bad load
         state = np.ones(3)
         with pytest.raises(nn.NonFiniteParams):
-            agent.act(state)
+            agent.act(0, state)
         with pytest.raises(nn.NonFiniteParams):
-            agent.frozen_act(state)
+            agent.frozen_act(0, state)
 
     def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
         agent = PpoLearner(5, CategoricalHead((3,)),
                            small_config(hidden=(64, 64)),
-                           np.random.default_rng(6))
+                           [np.random.default_rng(6)])
         rng = np.random.default_rng(7)
         rows = []
         for t in range(57):
             s = rng.standard_normal(5)
-            a, logp = agent.act(s)
+            a, logp = agent.act(0, s)
             rows.append((s, a, logp, rng.standard_normal()))
         rollout, rewards = episode_of(rows)
-        batched = agent.value.forward(rollout.states)[:, 0]
-        row_by_row = np.array([agent.value.forward(s)[0]
-                               for s in rollout.states])
+        batched = agent.value_nets[0].forward(rollout.states[0])[:, 0]
+        row_by_row = np.array([agent.value_nets[0].forward(s)[0]
+                               for s in rollout.states[0]])
         seen = []
         real_gae = ppo.compute_gae
         monkeypatch.setattr(
             ppo, "compute_gae",
             lambda r, values, *a: (seen.append(values.copy())
                                    or real_gae(r, values, *a)))
-        update_alone(agent, rollout, rewards)
+        agent.update(rollout, rewards)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], batched)
         np.testing.assert_allclose(seen[0], row_by_row, rtol=0, atol=1e-12)
@@ -179,28 +184,28 @@ class TestLearner:
         # update packs 32 one-step pulls into one episode, and gamma = 0
         # gives every row exactly its own one-step advantage
         agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
-                           np.random.default_rng(3))
+                           [np.random.default_rng(3)])
         state = np.zeros(1)
         for _ in range(150):
             rows = []
             for _ in range(32):
-                action, logp = agent.act(state)
+                action, logp = agent.act(0, state)
                 reward = 1.0 if action == (0,) else 0.0
                 rows.append((state, action, logp, reward))
-            update_alone(agent, *episode_of(rows))
-        pulls = [agent.act(state)[0] for _ in range(200)]
+            agent.update(*episode_of(rows))
+        pulls = [agent.act(0, state)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
     def test_update_diagnostics(self):
         agent = PpoLearner(2, CategoricalHead((3,)), small_config(),
-                           np.random.default_rng(1))
+                           [np.random.default_rng(1)])
         rows = []
         rng = np.random.default_rng(5)
         for t in range(20):
             s = rng.standard_normal(2)
-            a, logp = agent.act(s)
+            a, logp = agent.act(0, s)
             rows.append((s, a, logp, rng.standard_normal()))
-        diags = update_alone(agent, *episode_of(rows))
+        diags = agent.update(*episode_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
             assert key in diags
@@ -216,19 +221,21 @@ class TestLearner:
         # (300, 8) makes 76 minibatch steps, so each diagnostic is averaged
         # over 8 or more values, which NumPy sums pairwise
         cfg = small_config(batch_size=batch_size)
-        agent, twin = (PpoLearner(3, head, cfg, np.random.default_rng(4))
+        agent, twin = (PpoLearner(3, head, cfg, [np.random.default_rng(4)])
                        for _ in range(2))
         data = np.random.default_rng(rows)
         rollout = agent.empty_rollout(rows)
         for t in range(rows):
-            rollout.states[t] = data.standard_normal(3)
-            rollout.actions[t], rollout.log_probs[t] = agent.act(
-                rollout.states[t])
-        twin.rng.bit_generator.state = agent.rng.bit_generator.state
+            rollout.states[0, t] = data.standard_normal(3)
+            rollout.actions[0, t], rollout.log_probs[0, t] = agent.act(
+                0, rollout.states[0, t])
+        twin.rngs[0].bit_generator.state = agent.rngs[0].bit_generator.state
         rewards = data.standard_normal(rows)
-        got = update_alone(agent, rollout, rewards)
-        want = reference_update(twin, rollout, rewards)
-        assert got == want
+        got = agent.update(rollout, [rewards])
+        want = reference_update(twin, member_rows(rollout, 0), rewards)
+        # a one-member group's dict holds one-entry lists
+        assert got == {key: value if key == "transitions" else [value]
+                       for key, value in want.items()}
         assert list(got) == list(want)
         assert (agent.policy.flat == twin.policy.flat).all()
         assert (agent.value.flat == twin.value.flat).all()
@@ -239,142 +246,110 @@ class TestLearner:
     @pytest.mark.parametrize("rows,batch_size", ((1, 1), (12, 12), (300, 8)))
     @pytest.mark.parametrize("members", (1, 2, 3))
     def test_stacked_update_is_bit_identical_to_reference(
-            self, head, rows, batch_size, members, monkeypatch):
+            self, head, rows, batch_size, members):
         cfg = small_config(batch_size=batch_size)
-        agents, twins = ([PpoLearner(3, head, cfg, np.random.default_rng(k))
-                          for k in range(members)] for _ in range(2))
-        episodes = [acted_episode(agent, rows, seed=rows + 1000 * k)
-                    for k, agent in enumerate(agents)]
-        for agent, twin in zip(agents, twins):
-            twin.rng.bit_generator.state = agent.rng.bit_generator.state
-        calls = []
-        update = PpoLearner.update
-        monkeypatch.setattr(PpoLearner, "update",
-                            lambda *a: calls.append(update(*a)) or calls[-1])
-        got = ppo.update_group(agents, *zip(*episodes))
-        (call,) = calls
-        assert call["transitions"] == members * rows
-        for k, (agent, twin, episode) in enumerate(zip(agents, twins,
-                                                       episodes)):
-            want = reference_update(twin, *episode)
-            assert got[k] == want and list(got[k]) == list(want)
-            # the stack's one dict has one list per key
-            assert all(call[key][k] == want[key] for key in want
+        agent = PpoLearner(3, head, cfg, [np.random.default_rng(k)
+                                          for k in range(members)])
+        twins = [PpoLearner(3, head, cfg, [np.random.default_rng(k)])
+                 for k in range(members)]
+        rollout, rewards = acted_episode(agent, rows, seed=rows)
+        for rng, twin in zip(agent.rngs, twins):
+            twin.rngs[0].bit_generator.state = rng.bit_generator.state
+        got = agent.update(rollout, rewards)
+        assert got["transitions"] == members * rows
+        for k, twin in enumerate(twins):
+            want = reference_update(twin, member_rows(rollout, k), rewards[k])
+            assert want["transitions"] == rows and list(got) == list(want)
+            # the group's one dict has one list per key
+            assert all(got[key][k] == want[key] for key in want
                        if key != "transitions")
-            assert (agent.policy.flat == twin.policy.flat).all()
-            assert (agent.value.flat == twin.value.flat).all()
+            assert (agent.policy_nets[k].flat == twin.policy.flat[0]).all()
+            assert (agent.value_nets[k].flat == twin.value.flat[0]).all()
             for opt, own in ((agent.opt_policy, twin.opt_policy),
                              (agent.opt_value, twin.opt_value)):
                 assert opt.step == own.step
-                assert (opt.m == own.m).all() and (opt.v == own.v).all()
-            assert (agent.rng.bit_generator.state
-                    == twin.rng.bit_generator.state)
+                assert (opt.m[k] == own.m[0]).all()
+                assert (opt.v[k] == own.v[0]).all()
+            assert (agent.rngs[k].bit_generator.state
+                    == twin.rngs[0].bit_generator.state)
 
     def test_non_finite_member_leaves_its_whole_stack_unchanged(
             self, monkeypatch):
         cfg = small_config(batch_size=1, epochs_per_update=2)
-        agents = [PpoLearner(2, CategoricalHead((2,)), cfg,
-                             np.random.default_rng(k)) for k in range(3)]
+        agent = PpoLearner(2, CategoricalHead((2,)), cfg,
+                           [np.random.default_rng(k) for k in range(3)])
         # warm up so the optimizer moments are not all zero
-        ppo.update_group(agents, *zip(*(acted_episode(agent, 4, seed=k)
-                                        for k, agent in enumerate(agents))))
+        agent.update(*acted_episode(agent, 4, seed=0))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
                             lambda *a: adam_calls.append(1) or adam_step(*a))
         # an infinite reward fails before any step; a huge finite first
         # reward overflows the value loss in its own minibatch, after every
-        # member has stepped in the stack
+        # member has stepped in the group
         for bad, message in ((np.inf, "non-finite advantages or returns"),
                              (1e200, "value_loss=inf")):
-            before = [(agent.policy.flat.copy(), agent.value.flat.copy(),
-                       *((opt.step, opt.m.copy(), opt.v.copy())
-                         for opt in (agent.opt_policy, agent.opt_value)))
-                      for agent in agents]
-            rollouts, rewards = zip(*(acted_episode(agent, 4, seed=10 + k)
-                                      for k, agent in enumerate(agents)))
+            policy, value, *snaps = (
+                agent.policy.flat.copy(), agent.value.flat.copy(),
+                *((opt.step, opt.m.copy(), opt.v.copy())
+                  for opt in (agent.opt_policy, agent.opt_value)))
+            rollout, rewards = acted_episode(agent, 4, seed=10)
             rewards[1][0] = bad
             with pytest.raises(NonFiniteLoss, match=message) as err, \
                     np.errstate(over="ignore"):
-                ppo.update_group(agents, rollouts, rewards)
+                agent.update(rollout, rewards)
             assert err.value.member == 1
             assert bool(adam_calls) == (bad != np.inf)
-            for agent, (policy, value, *snaps) in zip(agents, before):
-                np.testing.assert_array_equal(agent.policy.flat, policy)
-                np.testing.assert_array_equal(agent.value.flat, value)
-                for opt, (step, m, v) in zip(
-                        (agent.opt_policy, agent.opt_value), snaps):
-                    assert opt.step == step > 0
-                    np.testing.assert_array_equal(opt.m, m)
-                    np.testing.assert_array_equal(opt.v, v)
-
-    @pytest.mark.parametrize("members", (1, 3))
-    def test_update_copies_back_into_the_same_arrays(self, members,
-                                                     monkeypatch):
-        # a net is its flat vector: forward views and optimizer moments stay
-        # bound to the arrays they had, and none is the stack's
-        agents = [PpoLearner(2, CategoricalHead((2,)),
-                             small_config(batch_size=4),
-                             np.random.default_rng(k)) for k in range(members)]
-
-        def arrays(agent):
-            return (agent.policy.flat, agent.value.flat,
-                    agent.opt_policy.m, agent.opt_policy.v,
-                    agent.opt_value.m, agent.opt_value.v)
-
-        before = [arrays(agent) for agent in agents]
-        copies = [[a.copy() for a in own] for own in before]
-        stacks = []
-        update = PpoLearner.update
-        monkeypatch.setattr(PpoLearner, "update",
-                            lambda stack, *a: (stacks.append(stack)
-                                               or update(stack, *a)))
-        ppo.update_group(agents, *zip(*(acted_episode(agent, 9, seed=k)
-                                        for k, agent in enumerate(agents))))
-        (stack,) = stacks
-        for agent, own, old in zip(agents, before, copies):
-            now = arrays(agent)
-            assert all(a is b for a, b in zip(now, own))
-            assert all((a != b).any() for a, b in zip(now, old))
-            assert not any(np.shares_memory(a, b)
-                           for a in now for b in arrays(stack))
+            # every member's rows, which its nets are still bound to
+            np.testing.assert_array_equal(agent.policy.flat, policy)
+            np.testing.assert_array_equal(agent.value.flat, value)
+            for k in range(3):
+                assert np.shares_memory(agent.policy_nets[k].flat,
+                                        agent.policy.flat[k])
+                assert np.shares_memory(agent.value_nets[k].flat,
+                                        agent.value.flat[k])
+            for opt, (step, m, v) in zip((agent.opt_policy, agent.opt_value),
+                                         snaps):
+                assert opt.step == step > 0
+                np.testing.assert_array_equal(opt.m, m)
+                np.testing.assert_array_equal(opt.v, v)
 
     def test_first_epoch_ratio_is_one(self):
         # fresh batch, single minibatch, epochs=1: before any step the ratio
         # is exactly 1, so nothing clips
         agent = PpoLearner(2, CategoricalHead((3,)),
                            small_config(epochs_per_update=1, batch_size=256),
-                           np.random.default_rng(1))
+                           [np.random.default_rng(1)])
         rows = []
         rng = np.random.default_rng(5)
         for t in range(30):
             s = rng.standard_normal(2)
-            a, logp = agent.act(s)
+            a, logp = agent.act(0, s)
             rows.append((s, a, logp, rng.standard_normal()))
-        diags = update_alone(agent, *episode_of(rows))
-        assert diags["clip_fraction"] == 0.0
+        diags = agent.update(*episode_of(rows))
+        assert diags["clip_fraction"] == [0.0]
 
     def test_empty_batch_raises(self):
         agent = PpoLearner(2, CategoricalHead((2,)), small_config(),
-                           np.random.default_rng(0))
+                           [np.random.default_rng(0)])
         with pytest.raises(EmptyBatch):
-            update_alone(agent, agent.empty_rollout(0), np.zeros(0))
+            agent.update(agent.empty_rollout(0), np.zeros((1, 0)))
 
     def test_non_finite_loss_restores_state(self, monkeypatch):
         agent = PpoLearner(2, CategoricalHead((2,)),
                            small_config(batch_size=1, epochs_per_update=2),
-                           np.random.default_rng(0))
+                           [np.random.default_rng(0)])
         s = np.ones(2)
 
         def episode_with_rewards(rewards):
             rows = []
             for r in rewards:
-                a, logp = agent.act(s)
+                a, logp = agent.act(0, s)
                 rows.append((s, a, logp, r))
             return episode_of(rows)
 
         # warm up so the optimizer moments are not all zero
-        update_alone(agent, *episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
+        agent.update(*episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
@@ -390,7 +365,7 @@ class TestLearner:
                           for opt in (agent.opt_policy, agent.opt_value)]
             episode = episode_with_rewards(rewards)
             with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
-                update_alone(agent, *episode)
+                agent.update(*episode)
             params_after = [p for net in (agent.policy, agent.value)
                             for p in parameters(net)]
             for p0, p1 in zip(params_before, params_after):
@@ -408,62 +383,77 @@ class TestLearner:
     def test_constant_advantage_not_normalized_to_nan(self):
         # all-equal advantages have zero std; normalization must be skipped
         agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
-                           np.random.default_rng(2))
+                           [np.random.default_rng(2)])
         rows = []
         for t in range(8):
             s = np.zeros(1)
-            a, logp = agent.act(s)
+            a, logp = agent.act(0, s)
             # every state is equal, so update's value estimates are equal
             # too; with a constant reward and gamma = 0 (eight one-step
             # episodes in one) the advantages are equal
             rows.append((s, a, logp, 1.0))
-        diags = update_alone(agent, *episode_of(rows))
-        assert np.isfinite(diags["policy_loss"])
+        diags = agent.update(*episode_of(rows))
+        assert np.isfinite(diags["policy_loss"]).all()
 
 
 class TestLearnerCheckpoint:
     def test_round_trip_preserves_frozen_actions(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(11))
-        blob = agent.to_bytes()
+                           [np.random.default_rng(11)])
+        blob = agent.to_bytes(0)
         clone = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(99))
-        clone.load_bytes(blob)
+                           [np.random.default_rng(99)])
+        clone.load_bytes(0, blob)
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = rng.standard_normal(3)
-            assert agent.frozen_act(s) == clone.frozen_act(s)
+            assert agent.frozen_act(0, s) == clone.frozen_act(0, s)
 
     def test_file_round_trip(self, tmp_path):
         agent = PpoLearner(2, BetaHead(2), small_config(),
-                           np.random.default_rng(4))
+                           [np.random.default_rng(4)])
         path = tmp_path / "agent.ckpt"
-        agent.save(path)
+        agent.save(0, path)
         clone = PpoLearner(2, BetaHead(2), small_config(),
-                           np.random.default_rng(5))
-        clone.load(path)
+                           [np.random.default_rng(5)])
+        clone.load(0, path)
         s = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(agent.frozen_act(s),
-                                      clone.frozen_act(s))
+        np.testing.assert_array_equal(agent.frozen_act(0, s),
+                                      clone.frozen_act(0, s))
 
     def test_dimension_mismatch_rejected(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(11))
+                           [np.random.default_rng(11)])
         other = PpoLearner(5, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(11))
+                           [np.random.default_rng(11)])
         with pytest.raises(CheckpointMismatch):
-            other.load_bytes(agent.to_bytes())
+            other.load_bytes(0, agent.to_bytes(0))
 
     def test_value_mismatch_loads_neither_net(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(11))
+                           [np.random.default_rng(11)])
         other = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           np.random.default_rng(12))
-        before = other.to_bytes()
+                           [np.random.default_rng(12)])
+        before = other.to_bytes(0)
         wrong_value = DenseNet((3, 5, 1), np.random.default_rng(13))
         with pytest.raises(CheckpointMismatch, match="value dims"):
-            other.load_bytes(agent.policy.to_bytes() + wrong_value.to_bytes())
-        assert other.to_bytes() == before
+            other.load_bytes(0, agent.policy_nets[0].to_bytes()
+                             + wrong_value.to_bytes())
+        assert other.to_bytes(0) == before
+
+    def test_load_writes_only_its_members_rows(self, tmp_path):
+        agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
+                           [np.random.default_rng(k) for k in range(3)])
+        lone = PpoLearner(3, CategoricalHead((4,)), small_config(),
+                          [np.random.default_rng(7)])
+        lone.save(0, tmp_path / "lone.ckpt")
+        before = agent.policy.flat.copy(), agent.value.flat.copy()
+        agent.load(1, tmp_path / "lone.ckpt")
+        assert agent.to_bytes(1) == lone.to_bytes(0)
+        for now, then, own in zip((agent.policy.flat, agent.value.flat),
+                                  before, (lone.policy.flat, lone.value.flat)):
+            assert (now[[0, 2]] == then[[0, 2]]).all()
+            assert (now[1] == own[0]).all()
 
 
 class TestConfigValidation:

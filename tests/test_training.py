@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
-from dagmarl import training
+from dagmarl import nn, training
 from dagmarl.ppo import NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
@@ -37,6 +37,12 @@ def micro_config(mode, horizon=12, goal_period=4, **kw):
     return ExperimentConfig(mode=mode, env_name="micro", env_options=options,
                             seed=kw.pop("seed", 0), episodes=1,
                             ppo=tiny_ppo(), **kw)
+
+
+def member_nets(trainer, role):
+    """(policy, value) nets of ``role``'s member of its shape group."""
+    learner, k = trainer.agents[role]
+    return learner.policy_nets[k], learner.value_nets[k]
 
 
 def flat_reward_env(horizon=12, goal_period=4, sinks_value=1.0):
@@ -235,14 +241,15 @@ def test_frozen_diff_episode_skips_counterfactual_replay():
 def test_gs_mode_has_single_central_agent():
     trainer = Trainer(micro_config(RunMode.GS))
     assert set(trainer.agents) == {"gs"}
-    assert trainer.agents["gs"].obs_dim == sum(trainer.env.obs_dims)
+    assert trainer.agents["gs"][0].obs_dim == sum(trainer.env.obs_dims)
 
 
 def test_srm_mode_has_followers_only():
     trainer = Trainer(micro_config(RunMode.SRM))
     assert set(trainer.agents) == {"follower-0", "follower-1", "follower-2"}
     for i in range(3):
-        assert trainer.agents[f"follower-{i}"].obs_dim == trainer.env.obs_dims[i]
+        assert (trainer.agents[f"follower-{i}"][0].obs_dim
+                == trainer.env.obs_dims[i])
 
 
 def test_lfm_mode_appends_goals_to_followers():
@@ -252,9 +259,9 @@ def test_lfm_mode_appends_goals_to_followers():
                                    "leader"}
     m = cfg.goal_dim
     for i in range(3):
-        assert trainer.agents[f"follower-{i}"].obs_dim == \
+        assert trainer.agents[f"follower-{i}"][0].obs_dim == \
             trainer.env.obs_dims[i] + m
-    assert trainer.agents["leader"].obs_dim == sum(trainer.env.obs_dims)
+    assert trainer.agents["leader"][0].obs_dim == sum(trainer.env.obs_dims)
 
 
 def test_rfm_mode_wires_generator_and_distributor():
@@ -264,11 +271,12 @@ def test_rfm_mode_wires_generator_and_distributor():
                                    "generator", "distributor"}
     n_flow = (4 - 1) // cfg.flow_stride + 2
     global_dim = sum(trainer.env.obs_dims)
-    assert trainer.agents["generator"].obs_dim == n_flow * global_dim
+    assert trainer.agents["generator"][0].obs_dim == n_flow * global_dim
     n_arcs = len(trainer.env.topology.arcs)
-    assert trainer.agents["distributor"].obs_dim == n_flow * global_dim
+    assert trainer.agents["distributor"][0].obs_dim == n_flow * global_dim
     # one beta head (two shape params) per node value and per arc value
-    assert trainer.agents["distributor"].head.param_dim == 2 * (3 + n_arcs)
+    assert (trainer.agents["distributor"][0].head.param_dim
+            == 2 * (3 + n_arcs))
 
 
 def test_proposed_mode_wires_everything():
@@ -279,7 +287,7 @@ def test_proposed_mode_wires_everything():
     # RGD observations carry the current goals as well
     n_flow = (4 - 1) // cfg.flow_stride + 2
     want = n_flow * sum(trainer.env.obs_dims) + 3 * cfg.goal_dim
-    assert trainer.agents["generator"].obs_dim == want
+    assert trainer.agents["generator"][0].obs_dim == want
 
 
 def test_disable_flags_reduce_agent_sets():
@@ -344,8 +352,9 @@ def test_rgd_skips_incomplete_final_period():
 def test_episode_shorter_than_one_goal_period(mode):
     env = flat_reward_env(horizon=3, goal_period=4)
     trainer = Trainer(micro_config(mode, horizon=3), env=env)
-    before = {role: (agent.policy.flat.copy(), agent.value.flat.copy())
-              for role, agent in trainer.agents.items()}
+    before = {role: tuple(net.flat.copy()
+                          for net in member_nets(trainer, role))
+              for role in trainer.agents}
     record = trainer.run_episode(0)
     # no period completes, so the generator and distributor never act: no
     # rows, no pay, no synthetic rewards and no update
@@ -354,16 +363,15 @@ def test_episode_shorter_than_one_goal_period(mode):
     for role in ("generator", "distributor"):
         assert record.agent_rewards[role] == 0.0
         assert role not in trainer.last_diagnostics
-        for now, then in zip((trainer.agents[role].policy.flat,
-                              trainer.agents[role].value.flat), before[role]):
-            np.testing.assert_array_equal(now, then)
+        for net, then in zip(member_nets(trainer, role), before[role]):
+            np.testing.assert_array_equal(net.flat, then)
     # the followers learn from every step and the leader from its one goal
     learners = {f"follower-{i}": 3 for i in range(3)}
     if mode is RunMode.PROPOSED:
         learners["leader"] = 1
     for role, rows in learners.items():
         assert trainer.last_diagnostics[role]["transitions"] == rows
-        assert not np.array_equal(trainer.agents[role].policy.flat,
+        assert not np.array_equal(member_nets(trainer, role)[0].flat,
                                   before[role][0])
 
 
@@ -418,15 +426,14 @@ def test_role_streams_are_period_sums_of_team_rewards(horizon,
 
     trainer.env.step = step
     paid = {}
-    roles = {id(agent): role for role, agent in trainer.agents.items()}
+    roles = {id(learner): group for learner, group in trainer.groups}
 
-    def update_group(learners, rollouts, rewards,
-                     original=training.update_group):
-        for learner, paid_rewards in zip(learners, rewards):
-            paid[roles[id(learner)]] = np.array(paid_rewards, dtype=float)
-        return original(learners, rollouts, rewards)
+    def update(learner, rollout, rewards, original=PpoLearner.update):
+        for role, paid_rewards in zip(roles[id(learner)], rewards):
+            paid[role] = np.array(paid_rewards, dtype=float)
+        return original(learner, rollout, rewards)
 
-    monkeypatch.setattr(training, "update_group", update_group)
+    monkeypatch.setattr(PpoLearner, "update", update)
 
     for episode in range(2):
         team.clear()
@@ -445,7 +452,7 @@ def test_role_streams_are_period_sums_of_team_rewards(horizon,
 def test_leader_input_is_concatenated_observation_in_every_run():
     trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=10, seed=6))
     env = trainer.env
-    leader = trainer.agents["leader"]
+    leader, k = trainer.agents["leader"]
     assert leader.obs_dim == sum(env.obs_dims)
     observed, inputs = [], []
     env_reset, env_step = env.reset, env.step
@@ -461,9 +468,10 @@ def test_leader_input_is_concatenated_observation_in_every_run():
 
     env.reset, env.step = reset, step
     for name in ("act", "frozen_act"):
-        def spy(state, original=getattr(leader, name)):
+        def spy(member, state, original=getattr(leader, name)):
+            assert member == k
             inputs.append(np.array(state))
-            return original(state)
+            return original(member, state)
         setattr(leader, name, spy)
 
     for frozen in (False, True):
@@ -496,16 +504,21 @@ def test_rgd_input_is_sampled_states_end_state_and_goals():
 
     env.reset, env.step = reset, step
 
-    def leader_act(state, original=trainer.agents["leader"].act):
-        action, log_prob = original(state)
+    leader, _ = trainer.agents["leader"]
+
+    def leader_act(k, state, original=leader.act):
+        action, log_prob = original(k, state)
         goals.append(np.array(action, dtype=float))
         return action, log_prob
-    trainer.agents["leader"].act = leader_act
+    leader.act = leader_act
     for role in inputs:
-        def spy(state, role=role, original=trainer.agents[role].act):
+        learner, member = trainer.agents[role]
+
+        def spy(k, state, role=role, member=member, original=learner.act):
+            assert k == member
             inputs[role].append(np.array(state))
-            return original(state)
-        trainer.agents[role].act = spy
+            return original(k, state)
+        learner.act = spy
 
     trainer.run_episode(0)
     # periods run 4/4/2: the two complete ones each give one input
@@ -529,28 +542,118 @@ def test_follower_transition_counts():
         assert trainer.last_diagnostics[f"follower-{i}"]["transitions"] == 10
 
 
-@pytest.mark.parametrize("env_name, mode, env_options, updates", [
+# each environment's shape groups under the mode it is tested with below,
+# as role lists in role order
+SHAPE_GROUPS = {
+    "prey": [[f"follower-{i}" for i in range(4)]],
+    "logistics": [["follower-0", "follower-1"], ["follower-2", "follower-3"],
+                  ["follower-4"]],
+    "factory": [[f"follower-{i}"] for i in range(4)] + [
+        ["leader"], ["generator"], ["distributor"]],
+    "micro": [["follower-0", "follower-1", "follower-2"]],
+}
+
+
+# (env_name, mode, env_options, updates per training episode)
+SHAPE_GROUP_CASES = [
     ("prey", RunMode.SRM, dict(max_steps=6), 1),
     ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2), 3),
     # 4 followers of 4 shapes, the leader, the generator and the distributor
     ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2), 7),
     ("micro", RunMode.SRM, None, 1),
-])
+]
+
+
+def shape_group_config(env_name, mode, env_options, **ppo):
+    cfg = micro_config(mode)
+    if env_options is None:
+        return ExperimentConfig(**{**cfg.__dict__, "ppo": tiny_ppo(**ppo)})
+    return ExperimentConfig(mode=mode, env_name=env_name,
+                            env_options=env_options, ppo=tiny_ppo(**ppo))
+
+
+@pytest.mark.parametrize("env_name, mode, env_options, updates",
+                         SHAPE_GROUP_CASES)
 def test_one_update_per_shape_group_per_episode(monkeypatch, env_name, mode,
                                                 env_options, updates):
     calls = []
     update = PpoLearner.update
     monkeypatch.setattr(PpoLearner, "update",
-                        lambda self, *a: calls.append(1) or update(self, *a))
-    cfg = micro_config(mode)
-    if env_options is not None:
-        cfg = ExperimentConfig(mode=mode, env_name=env_name,
-                               env_options=env_options, ppo=cfg.ppo)
-    trainer = Trainer(cfg)
+                        lambda self, *a: calls.append(self)
+                        or update(self, *a))
+    trainer = Trainer(shape_group_config(env_name, mode, env_options))
+    assert [roles for _, roles in trainer.groups] == SHAPE_GROUPS[env_name]
+    for learner, roles in trainer.groups:
+        assert len(learner.rngs) == len(roles)
+        assert all(trainer.agents[role] == (learner, k)
+                   for k, role in enumerate(roles))
     for episode in range(2):
         calls.clear()
         trainer.run_episode(episode)
         assert len(calls) == updates
+        assert calls == [learner for learner, _ in trainer.groups]
+
+
+def assert_members_are_group_rows(trainer):
+    """Each role's member nets are row k of its group's (G, P) arrays."""
+    for learner, roles in trainer.groups:
+        for k, role in enumerate(roles):
+            assert trainer.agents[role] == (learner, k)
+            for net, group in zip(member_nets(trainer, role),
+                                  (learner.policy, learner.value)):
+                assert group.flat.shape == (len(roles), net.flat.size)
+                assert np.shares_memory(net.flat, group.flat[k])
+                np.testing.assert_array_equal(net.flat, group.flat[k])
+
+
+@pytest.mark.parametrize("env_name, mode, env_options, updates",
+                         SHAPE_GROUP_CASES)
+def test_members_act_on_rows_of_their_group(monkeypatch, tmp_path, env_name,
+                                            mode, env_options, updates):
+    # one-row minibatches, so Adam steps before the poisoned row's minibatch
+    cfg = shape_group_config(env_name, mode, env_options, batch_size=1,
+                             epochs_per_update=2)
+    trainer = Trainer(cfg)
+    for episode in range(2):
+        trainer.run_episode(episode)
+    assert_members_are_group_rows(trainer)
+
+    trainer.save_checkpoints(tmp_path)
+    twin = Trainer(cfg)
+    twin.load_checkpoints(tmp_path)
+    trainer.load_checkpoints(tmp_path)
+    for loaded in (twin, trainer):
+        assert_members_are_group_rows(loaded)
+        for (learner, _), (own, _) in zip(loaded.groups, trainer.groups):
+            np.testing.assert_array_equal(learner.policy.flat,
+                                          own.policy.flat)
+            np.testing.assert_array_equal(learner.value.flat, own.value.flat)
+
+    # a huge first reward overflows follower-1's value loss in its own
+    # minibatch, so its whole group fails after other minibatches stepped
+    reward_streams = Trainer._reward_streams
+
+    def poisoned(self, *args):
+        streams, sr_sums = reward_streams(self, *args)
+        streams["follower-1"][0] = 1e200
+        return streams, sr_sums
+
+    monkeypatch.setattr(Trainer, "_reward_streams", poisoned)
+    learner, _ = trainer.agents["follower-1"]
+    before = (learner.policy.flat.copy(), learner.value.flat.copy())
+    steps = []
+    adam_step = nn.adam_step
+    monkeypatch.setattr(nn, "adam_step",
+                        lambda state, params, grad:
+                        steps.append(params is learner.policy.flat)
+                        or adam_step(state, params, grad))
+    with pytest.raises(NonFiniteLoss, match="follower-1 update in episode 2"), \
+            np.errstate(over="ignore"):
+        trainer.run_episode(2)
+    assert any(steps), "the failure must come after the group stepped"
+    assert_members_are_group_rows(trainer)
+    np.testing.assert_array_equal(learner.policy.flat, before[0])
+    np.testing.assert_array_equal(learner.value.flat, before[1])
 
 
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
@@ -564,15 +667,16 @@ def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
         return mat
 
     monkeypatch.setattr(training, "compose_follower_rewards", poisoned)
-    before = {role: (agent.policy.flat.copy(), agent.value.flat.copy())
-              for role, agent in trainer.agents.items()}
+    before = {role: tuple(net.flat.copy()
+                          for net in member_nets(trainer, role))
+              for role in trainer.agents}
     with pytest.raises(NonFiniteLoss) as err:
         trainer.run_episode(1)
     assert str(err.value) == ("follower-1 update in episode 1: non-finite "
                               "advantages or returns")
-    for role, agent in trainer.agents.items():
-        np.testing.assert_array_equal(agent.policy.flat, before[role][0])
-        np.testing.assert_array_equal(agent.value.flat, before[role][1])
+    for role in trainer.agents:
+        for net, then in zip(member_nets(trainer, role), before[role]):
+            np.testing.assert_array_equal(net.flat, then)
 
 
 # -- whole-run behaviour ------------------------------------------------------------
@@ -604,13 +708,15 @@ def test_env_seed_controls_environment_draws():
 
 def test_frozen_episode_leaves_parameters_untouched():
     trainer = Trainer(micro_config(RunMode.PROPOSED, seed=5))
-    before = {role: [p.copy() for p in parameters(agent.policy)]
-              for role, agent in trainer.agents.items()}
+    before = {role: [p.copy() for p in parameters(member_nets(trainer,
+                                                               role)[0])]
+              for role in trainer.agents}
     record = trainer.run_episode(0, env_seed=1, frozen=True)
     assert record.agent_rewards == {}
     assert record.sr_sums is None
-    for role, agent in trainer.agents.items():
-        for old, new in zip(before[role], parameters(agent.policy)):
+    for role in trainer.agents:
+        for old, new in zip(before[role],
+                            parameters(member_nets(trainer, role)[0])):
             np.testing.assert_array_equal(old, new)
 
 
@@ -622,9 +728,11 @@ def test_checkpoint_round_trip_via_trainer(tmp_path):
 
     twin = Trainer(cfg)
     twin.load_checkpoints(tmp_path)
-    state = np.linspace(0.0, 1.0, trainer.agents["follower-0"].obs_dim)
-    assert trainer.agents["follower-0"].frozen_act(state) == \
-        twin.agents["follower-0"].frozen_act(state)
+    learner, k = trainer.agents["follower-0"]
+    twin_learner, twin_k = twin.agents["follower-0"]
+    state = np.linspace(0.0, 1.0, learner.obs_dim)
+    assert learner.frozen_act(k, state) == \
+        twin_learner.frozen_act(twin_k, state)
 
 
 def test_load_checkpoints_requires_every_role(tmp_path):
