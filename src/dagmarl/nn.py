@@ -488,10 +488,22 @@ def sample_and_logprob(head, params, rng: np.random.Generator):
 
 
 def frozen_action(head, params):
-    """Deterministic action for evaluation: per-segment argmax / Beta mean."""
+    """Deterministic action for evaluation: per-segment argmax (the first
+    index of a tie) / Beta mean.
+
+    ``params`` is one row, or rows with leading axes such as a group's
+    (G, param_dim) outputs.  One row gives a tuple of ints (categorical)
+    or a (dim,) array (Beta); rows give an int array (..., segments) or a
+    (..., dim) array, each row's action equal to that row's own.
+    """
     params = np.asarray(params, dtype=np.float64)
     _check_params(params)
     if isinstance(head, CategoricalHead):
+        if params.ndim > 1:
+            actions = head.empty_actions(*params.shape[:-1])
+            for s, (lo, hi) in enumerate(head.bounds):
+                actions[..., s] = params[..., lo:hi].argmax(axis=-1)
+            return actions
         return tuple([int(params[lo:hi].argmax()) for lo, hi in head.bounds])
     if isinstance(head, BetaHead):
         alpha, beta = beta_shapes(head, params)

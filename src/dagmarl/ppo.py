@@ -22,6 +22,9 @@ from .nn import BetaHead, DenseNet
 # what PpoLearner.update averages over its minibatch steps, in this order
 _DIAGNOSTICS = ("policy_loss", "value_loss", "entropy", "clip_fraction")
 
+# the member index that selects every member of a group
+ALL = slice(None)
+
 
 class EmptyBatch(ValueError):
     pass
@@ -132,18 +135,40 @@ class PpoLearner:
         self.opt_value = nn.AdamState(self.value, config.learning_rate)
 
     # -- acting ------------------------------------------------------------
+    # ``k`` selects members as it would rows of the group's arrays: an int
+    # is member k acting on its one row ``states``, ALL is every member
+    # acting on its row of the (G, obs) ``states``.
 
-    def act(self, k: int, state):
+    def act(self, k, states):
         """Member k samples an action; returns (action, log_prob).
 
-        The value net does not run here; ``update`` evaluates it for the
-        whole rollout at once.
+        With k = ALL each member in turn runs its own single-row forward
+        and draws from its own generator; returns one (action, log_prob)
+        per member.  The value net does not run here; ``update`` evaluates
+        it for the whole rollout at once.
         """
-        return nn.sample_and_logprob(
-            self.head, self.policy_nets[k].forward(state), self.rngs[k])
+        if k is not ALL:
+            return nn.sample_and_logprob(
+                self.head, self.policy_nets[k].forward(states), self.rngs[k])
+        return [nn.sample_and_logprob(self.head, net.forward(row), rng)
+                for net, row, rng in zip(self.policy_nets, states, self.rngs)]
 
-    def frozen_act(self, k: int, state):
-        return nn.frozen_action(self.head, self.policy_nets[k].forward(state))
+    def frozen_act(self, k, states):
+        """Member k's deterministic action.
+
+        With k = ALL, one action per member: a group of two or more runs
+        one stacked forward and one ``frozen_action`` over the (G, A)
+        outputs, bit for bit each member's own; a lone member keeps the
+        cheaper single-row call.
+        """
+        if k is not ALL:
+            return nn.frozen_action(self.head,
+                                    self.policy_nets[k].forward(states))
+        if len(self.policy_nets) == 1:
+            return [nn.frozen_action(self.head,
+                                     self.policy_nets[0].forward(states[0]))]
+        return nn.frozen_action(
+            self.head, self.policy.forward(states[:, None])[:, 0]).tolist()
 
     def empty_rollout(self, rows: int) -> Rollout:
         """Zeroed rollout arrays for up to ``rows`` steps of each member."""

@@ -24,7 +24,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
-from .ppo import NonFiniteLoss, PpoLearner
+from .ppo import ALL, NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
 from .seeding import substream
@@ -135,6 +135,17 @@ class Trainer:
             self.groups.append((learner, roles))
             self.agents.update((role, (learner, k))
                                for k, role in enumerate(roles))
+        # each follower group acts in one call per step: (learner, its
+        # members' nodes, their observation width, its input rows in frozen
+        # episodes); a member's goal, if any, follows its observation
+        node_of = {f"follower-{i}": i for i in range(self.n_nodes)}
+        self._followers = []
+        for learner, roles in self.groups:
+            if roles[0] in node_of:
+                nodes = [node_of[role] for role in roles]
+                self._followers.append((
+                    learner, nodes, self.env.obs_dims[nodes[0]],
+                    np.zeros((len(nodes), learner.obs_dim))))
 
     def _role_shapes(self) -> dict:
         """Each role's (obs_dim, head), in role order."""
@@ -262,13 +273,31 @@ class Trainer:
         return action
 
     def _select_actions(self, obs, goals, rollouts, t):
+        """The joint action, one acting call per follower group; with
+        rollouts each group's input rows are its rollout rows ``t``."""
         if self.mode is RunMode.GS:
             return list(self._act("gs", np.concatenate(obs), rollouts, t))
-        actions = []
-        for i, state in enumerate(obs):
-            if goals is not None:
-                state = np.concatenate([state, goals[i]])
-            actions.extend(self._act(f"follower-{i}", state, rollouts, t))
+        actions = [0] * self.n_nodes
+        for learner, nodes, width, frozen_rows in self._followers:
+            rows = (frozen_rows if rollouts is None
+                    else rollouts[learner].states[:, t])
+            for j, i in enumerate(nodes):
+                if goals is None:
+                    rows[j] = obs[i]
+                else:
+                    rows[j, :width] = obs[i]
+                    rows[j, width:] = goals[i]
+            if rollouts is None:
+                for i, (action,) in zip(nodes, learner.frozen_act(ALL, rows)):
+                    actions[i] = action
+                continue
+            # one write per member: a slice write of G nested tuples costs
+            # more than G small ones
+            rollout = rollouts[learner]
+            for j, (action, log_prob) in enumerate(learner.act(ALL, rows)):
+                rollout.actions[j, t] = action
+                rollout.log_probs[j, t] = log_prob
+                actions[nodes[j]] = action[0]
         return actions
 
     def _rgd_act(self, rgd_state, rollouts, t):

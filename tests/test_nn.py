@@ -499,6 +499,24 @@ class TestBetaHead:
         assert np.all(alpha > 1.0) and np.all(beta > 1.0)
 
 
+@pytest.mark.parametrize("head", [CategoricalHead((3, 3, 3, 5)), BetaHead(2)],
+                         ids=["categorical", "beta"])
+def test_frozen_rows_are_each_rows_own(head):
+    rows = np.random.default_rng(3).standard_normal((2, 3, head.param_dim))
+    # categorical ties go to the first index: a row of zeros, and a
+    # two-way tie atop a segment
+    rows[1, 2] = 0.0
+    rows[0, 1, :2] = 7.0
+    acted = frozen_action(head, rows)
+    assert acted.shape == head.empty_actions(2, 3).shape
+    for row, action in zip(rows.reshape(6, -1), acted.reshape(6, -1)):
+        np.testing.assert_array_equal(action, frozen_action(head, row))
+    if isinstance(head, CategoricalHead):
+        assert acted.dtype == int
+        assert acted[1, 2].tolist() == [0, 0, 0, 0]
+        assert acted[0, 1, 0] == 0
+
+
 class TestSpecialFunctions:
     """The Beta head's special functions over shapes from 1 to 1e6, to within
     1e-13 of the reference, absolute below 1 and relative above."""

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch, DenseNet
-from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
-                         Rollout, compute_gae)
+from dagmarl.ppo import (ALL, EmptyBatch, NonFiniteLoss, PpoConfig,
+                         PpoLearner, Rollout, compute_gae)
 from helpers import parameters, reference_update
 
 
@@ -153,6 +153,25 @@ class TestLearner:
             agent.act(0, state)
         with pytest.raises(nn.NonFiniteParams):
             agent.frozen_act(0, state)
+
+        # in a group, one member's bad output bias stops the whole call
+        group = PpoLearner(3, head, small_config(),
+                           [np.random.default_rng(s) for s in range(3)])
+        rows = np.ones((3, 3))
+        clean = group.frozen_act(ALL, rows)
+        group.policy_nets[1].flat[-1] = np.nan
+        assert np.isnan(group.policy.flat[1, -1])
+        for act in (group.act, group.frozen_act):
+            with pytest.raises(nn.NonFiniteParams):
+                act(ALL, rows)
+        np.testing.assert_array_equal(group.frozen_act(0, rows[0]), clean[0])
+
+        # so is one member's non-finite input row
+        group.policy_nets[1].flat[-1] = 0.0
+        rows[2, 1] = np.inf
+        for act in (group.act, group.frozen_act):
+            with pytest.raises(nn.NonFiniteInput):
+                act(ALL, rows)
 
     def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
         agent = PpoLearner(5, CategoricalHead((3,)),

@@ -10,7 +10,7 @@ from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl import nn, training
-from dagmarl.ppo import NonFiniteLoss, PpoConfig, PpoLearner
+from dagmarl.ppo import ALL, NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
     Trainer,
@@ -654,6 +654,78 @@ def test_members_act_on_rows_of_their_group(monkeypatch, tmp_path, env_name,
     assert_members_are_group_rows(trainer)
     np.testing.assert_array_equal(learner.policy.flat, before[0])
     np.testing.assert_array_equal(learner.value.flat, before[1])
+
+
+def assert_groups_act_as_their_members(trainer, seed):
+    """Each group's one-pass frozen action is every member's own: the
+    stacked outputs equal each member's single-row forward bit for bit,
+    and so do the actions, an all-tie output included."""
+    rng = np.random.default_rng(seed)
+    for learner, roles in trainer.groups:
+        rows = rng.standard_normal((len(roles), learner.obs_dim))
+        for tie in (False, True):
+            if tie:  # zero outputs: a categorical head picks index 0
+                w, b = learner.policy.layer_views(learner.policy.flat)[-1]
+                w[...] = b[...] = 0.0
+            stacked = learner.policy.forward(rows[:, None])[:, 0]
+            acted = learner.frozen_act(ALL, rows)
+            assert len(acted) == len(roles)
+            for k, row in enumerate(rows):
+                own = learner.policy_nets[k].forward(row)
+                assert np.array_equal(stacked[k], own)
+                want = nn.frozen_action(learner.head, own)
+                np.testing.assert_array_equal(acted[k], want)
+                if tie and isinstance(learner.head, nn.CategoricalHead):
+                    assert list(want) == [0] * len(learner.head.sizes)
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", [
+    ("prey", RunMode.SRM, dict(max_steps=6)),
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2)),
+    # lone followers, the leader's Beta head, and gs's segments 3, 3, 3, 5
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)),
+    ("factory", RunMode.GS, dict(goal_period=4, goal_periods=2)),
+])
+def test_one_pass_frozen_act_is_each_members_own(tmp_path, env_name, mode,
+                                                 env_options):
+    cfg = shape_group_config(env_name, mode, env_options)
+    trainer = Trainer(cfg)
+    for episode in range(2):
+        trainer.run_episode(episode)
+    trainer.save_checkpoints(tmp_path)
+    twin = Trainer(cfg)
+    twin.load_checkpoints(tmp_path)
+    assert_groups_act_as_their_members(trainer, 0)
+    assert_groups_act_as_their_members(twin, 1)
+
+
+def test_a_follower_group_acts_in_one_call_per_step(monkeypatch):
+    trainer = Trainer(shape_group_config("prey", RunMode.SRM,
+                                         dict(max_steps=6)))
+    [(learner, roles)] = trainer.groups
+    assert len(roles) == 4
+    calls = []
+    for name in ("act", "frozen_act"):
+        monkeypatch.setattr(
+            PpoLearner, name,
+            lambda self, k, states, name=name,
+            original=getattr(PpoLearner, name):
+            calls.append((name, self, k)) or original(self, k, states))
+    # no update runs, so every forward below is an acting one
+    monkeypatch.setattr(PpoLearner, "update", lambda *args: {})
+    forward_cached = nn.DenseNet.forward_cached
+    monkeypatch.setattr(nn.DenseNet, "forward_cached",
+                        lambda self, x: calls.append(np.ndim(x))
+                        or forward_cached(self, x))
+    for frozen, name, forwards in ((False, "act", [1] * 4),
+                                   (True, "frozen_act", [3])):
+        calls.clear()
+        trainer.run_episode(0, env_seed=4, frozen=frozen)
+        steps = trainer.env.step_count
+        assert steps >= 2
+        # training: four single-row forwards, each member drawing in turn;
+        # frozen: one stacked forward of the (4, 1, obs) rows
+        assert calls == ([(name, learner, ALL)] + forwards) * steps
 
 
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
