@@ -50,6 +50,7 @@ class CheckpointMismatch(ValueError):
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def keep_freed_heap():
@@ -60,9 +61,12 @@ def keep_freed_heap():
     follows that threshold, so every 256-wide batch temporary is faulted
     in afresh on the next update.  This raises the mmap threshold to
     32 MiB and the trim limit to 64 MiB for the whole process; both are
-    needed, since either alone still returns the memory.  Results are
-    unchanged.  Elsewhere (not Linux, or a C library without ``mallopt``)
-    it does nothing.
+    needed, since either alone still returns the memory.  It also caps
+    malloc at one arena.  glibc would otherwise give each thread that
+    allocates, an update pool worker included, an arena of its own that
+    keeps that thread's freed memory apart; with one arena the pool
+    threads reuse the one retained heap.  Results are unchanged.  Elsewhere (not Linux, or a C
+    library without ``mallopt``) it does nothing.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -73,6 +77,7 @@ def keep_freed_heap():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 # ---------------------------------------------------------------------------

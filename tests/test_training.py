@@ -1,6 +1,10 @@
 """Tests for episode orchestration: reward composition, counterfactual
 replay hygiene, per-mode agent wiring, and credit timing."""
 
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -749,6 +753,158 @@ def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
     for role in trainer.agents:
         for net, then in zip(member_nets(trainer, role), before[role]):
             np.testing.assert_array_equal(net.flat, then)
+
+
+# -- concurrent group updates ---------------------------------------------------------
+
+
+@pytest.fixture
+def update_threads(monkeypatch):
+    """Records the thread of every ``PpoLearner.update`` call."""
+    threads = []
+    update = PpoLearner.update
+    monkeypatch.setattr(PpoLearner, "update",
+                        lambda self, *args: threads.append(
+                            threading.current_thread())
+                        or update(self, *args))
+    return threads
+
+
+@pytest.fixture
+def pool_on(monkeypatch):
+    """Shape groups update on the pool at any width and CPU count."""
+    monkeypatch.setattr(training, "_POOL_MIN_WIDTH", 0)
+    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("hidden, cpus, mode, pooled", [
+    ((256, 256), 2, "proposed", True),
+    ((8, 256), 2, "proposed", True),  # the widest layer counts
+    ((64, 64), 2, "proposed", False),
+    ((256, 256), 1, "proposed", False),
+    ((256, 256), 2, "srm", False),  # micro srm is one shape group
+])
+def test_groups_update_on_the_pool_only_at_paper_width(
+        monkeypatch, update_threads, hidden, cpus, mode, pooled):
+    monkeypatch.setattr(training, "_cpu_count", lambda: cpus)
+    cfg = micro_config(RunMode(mode))
+    trainer = Trainer(ExperimentConfig(**{**cfg.__dict__,
+                                          "ppo": tiny_ppo(hidden=hidden)}))
+    trainer.run_episode(0)
+    assert len(update_threads) == len(trainer.groups)
+    on_pool = [t is not threading.main_thread() for t in update_threads]
+    assert on_pool == [pooled] * len(trainer.groups)
+
+
+def test_a_forked_child_starts_its_own_update_pool(monkeypatch):
+    # a forked child inherits the pool but not its worker threads
+    monkeypatch.setattr(training, "_pool", None)
+    pool = training._update_pool()
+    assert training._update_pool() is pool
+    monkeypatch.setattr(training.os, "getpid", lambda: -1)
+    child = training._update_pool()
+    assert child is not pool
+    assert training._update_pool() is child
+    assert child.submit(sum, (1, 2)).result(timeout=10) == 3
+
+
+def poison_rewards(monkeypatch, *roles):
+    """A huge first reward overflows each role's value loss in its own
+    minibatch, after other minibatches of its group have stepped."""
+    reward_streams = Trainer._reward_streams
+
+    def poisoned(self, *args):
+        streams, sr_sums = reward_streams(self, *args)
+        for role in roles:
+            streams[role][0] = 1e200
+        return streams, sr_sums
+
+    monkeypatch.setattr(Trainer, "_reward_streams", poisoned)
+
+
+def test_a_failed_group_raises_after_every_update_returned(monkeypatch,
+                                                            pool_on):
+    trainer = Trainer(shape_group_config(
+        "factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2),
+        batch_size=1, epochs_per_update=2))
+    trainer.run_episode(0)
+    poison_rewards(monkeypatch, "follower-1", "follower-3")
+    slow = trainer.agents["follower-1"][0]
+    events = []  # (learner, "failed" or "returned"), as they happen
+    update = PpoLearner.update
+
+    def spy(self, *args):
+        if self is slow:
+            time.sleep(0.2)
+        try:
+            out = update(self, *args)
+        except NonFiniteLoss:
+            events.append((self, "failed"))
+            raise
+        events.append((self, "returned"))
+        return out
+
+    monkeypatch.setattr(PpoLearner, "update", spy)
+    before = {role: (learner.policy.flat.copy(), learner.value.flat.copy())
+              for role, (learner, _) in trainer.agents.items()}
+    with pytest.raises(NonFiniteLoss) as err, np.errstate(over="ignore"):
+        trainer.run_episode(1)
+    finished = list(events)  # a job still running would add to events
+    assert str(err.value).startswith("follower-1 update in episode 1: ")
+    # follower-3 failed first, while follower-1 was still asleep
+    failed = [learner for learner, what in finished if what == "failed"]
+    assert failed == [trainer.agents[f"follower-{i}"][0] for i in (3, 1)]
+    assert sorted(map(id, (learner for learner, _ in finished))) == sorted(
+        id(learner) for learner, _ in trainer.groups)
+    time.sleep(0.1)
+    assert events == finished
+    for role, (learner, _) in trainer.agents.items():
+        kept = (np.array_equal(learner.policy.flat, before[role][0])
+                and np.array_equal(learner.value.flat, before[role][1]))
+        assert kept == (role in ("follower-1", "follower-3")), role
+
+
+def test_pool_jobs_run_under_the_callers_error_state(monkeypatch, pool_on,
+                                                     update_threads):
+    trainer = Trainer(shape_group_config(
+        "factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)))
+    poison_rewards(monkeypatch, "follower-1")
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLoss, match="follower-1 update"):
+            trainer.run_episode(0)
+    assert threading.main_thread() not in update_threads
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", [
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)),
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2)),
+])
+def test_bytes_do_not_depend_on_the_pool(monkeypatch, tmp_path,
+                                         update_threads, env_name, mode,
+                                         env_options):
+    cfg = shape_group_config(env_name, mode, env_options, batch_size=4)
+    runs = []
+    for pooled in (False, True):
+        if pooled:
+            monkeypatch.setattr(training, "_POOL_MIN_WIDTH", 0)
+            monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+        update_threads.clear()
+        trainer = Trainer(cfg)
+        records = [trainer.run_episode(episode) for episode in range(2)]
+        assert (threading.main_thread() not in update_threads) == pooled
+        directory = tmp_path / str(pooled)
+        trainer.save_checkpoints(directory)
+        checkpoints = {path.name: path.read_bytes()
+                       for path in sorted(directory.iterdir())}
+        runs.append((checkpoints, records, trainer.last_diagnostics))
+    (ckpt_a, records_a, diags_a), (ckpt_b, records_b, diags_b) = runs
+    assert ckpt_a == ckpt_b
+    assert diags_a == diags_b
+    for a, b in zip(records_a, records_b):
+        assert (a.episode, a.team_reward, a.goal_periods, a.agent_rewards) \
+            == (b.episode, b.team_reward, b.goal_periods, b.agent_rewards)
+        np.testing.assert_array_equal(a.sr_sums, b.sr_sums)
 
 
 # -- whole-run behaviour ------------------------------------------------------------
