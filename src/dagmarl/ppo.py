@@ -22,9 +22,6 @@ from .nn import BetaHead, DenseNet
 # what PpoLearner.update averages over its minibatch steps, in this order
 _DIAGNOSTICS = ("policy_loss", "value_loss", "entropy", "clip_fraction")
 
-# the member index that selects every member of a group
-ALL = slice(None)
-
 
 class EmptyBatch(ValueError):
     pass
@@ -71,6 +68,8 @@ class PpoConfig:
 class Rollout:
     """What a group's acting produced, one row per member and step in order.
 
+    In training a group acts on its ``states`` rows of the step, into
+    which each member's input is written in place.
     ``actions`` has the layout of the learner head's ``empty_actions``.
     Rewards and value estimates are not part of a rollout: ``update`` takes
     the episode's rewards and evaluates the values for all rows in one pass.
@@ -117,7 +116,9 @@ class PpoLearner:
     member's policy, then value, then actions and permutations.  ``policy``
     and ``value`` hold the members' parameters as (G, P) arrays, each with
     one Adam state; ``policy_nets[k]`` and ``value_nets[k]`` are member
-    k's nets, bound to row k."""
+    k's nets, bound to row k.  The group acts in one call on (G, obs)
+    rows: in training its rollout rows of the step, in frozen episodes one
+    reusable array."""
 
     def __init__(self, obs_dim: int, head, config: PpoConfig, rngs):
         self.obs_dim = int(obs_dim)
@@ -135,35 +136,24 @@ class PpoLearner:
         self.opt_value = nn.AdamState(self.value, config.learning_rate)
 
     # -- acting ------------------------------------------------------------
-    # ``k`` selects members as it would rows of the group's arrays: an int
-    # is member k acting on its one row ``states``, ALL is every member
-    # acting on its row of the (G, obs) ``states``.
+    # ``states`` holds the group's (G, obs) input rows, row k member k's
 
-    def act(self, k, states):
-        """Member k samples an action; returns (action, log_prob).
-
-        With k = ALL each member in turn runs its own single-row forward
-        and draws from its own generator; returns one (action, log_prob)
-        per member.  The value net does not run here; ``update`` evaluates
-        it for the whole rollout at once.
+    def act(self, states):
+        """Each member in turn runs its own single-row forward on its row and
+        draws from its own generator; returns one (action, log_prob) per
+        member.  The value net does not run here; ``update`` evaluates it
+        for the whole rollout at once.
         """
-        if k is not ALL:
-            return nn.sample_and_logprob(
-                self.head, self.policy_nets[k].forward(states), self.rngs[k])
         return [nn.sample_and_logprob(self.head, net.forward(row), rng)
                 for net, row, rng in zip(self.policy_nets, states, self.rngs)]
 
-    def frozen_act(self, k, states):
-        """Member k's deterministic action.
+    def frozen_act(self, states):
+        """One deterministic action per member.
 
-        With k = ALL, one action per member: a group of two or more runs
-        one stacked forward and one ``frozen_action`` over the (G, A)
-        outputs, bit for bit each member's own; a lone member keeps the
-        cheaper single-row call.
+        A group of two or more runs one stacked forward and one
+        ``frozen_action`` over the (G, A) outputs, bit for bit each
+        member's own; a lone member keeps the cheaper single-row call.
         """
-        if k is not ALL:
-            return nn.frozen_action(self.head,
-                                    self.policy_nets[k].forward(states))
         if len(self.policy_nets) == 1:
             return [nn.frozen_action(self.head,
                                      self.policy_nets[0].forward(states[0]))]

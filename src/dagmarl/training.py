@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
-from .ppo import ALL, NonFiniteLoss, PpoLearner
+from .ppo import NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
 from .seeding import substream
@@ -171,23 +171,26 @@ class Trainer:
             groups.setdefault(shape, []).append(role)
         self.groups = []  # (learner, roles), one learner per shape group
         self.agents = {}  # role -> (learner, k)
+        # every group acts in one call on (G, obs) rows: its rollout rows of
+        # the step in training, one reusable array in frozen episodes
+        self._rollouts, self._frozen_rows = {}, {}
         for (obs_dim, head), roles in groups.items():
             learner = PpoLearner(obs_dim, head, config.ppo,
                                  [substream(config.seed, r) for r in roles])
             self.groups.append((learner, roles))
             self.agents.update((role, (learner, k))
                                for k, role in enumerate(roles))
-        # each follower group acts in one call per step: (learner, its
-        # members' nodes, their observation width, its input rows in frozen
-        # episodes); a member's goal, if any, follows its observation
+            # the leader, generator and distributor act once a period at most
+            per_period = roles[0] in ("leader", "generator", "distributor")
+            self._rollouts[learner] = learner.empty_rollout(
+                -(-self.env.max_steps // self.env.goal_period) if per_period
+                else self.env.max_steps)
+            self._frozen_rows[learner] = np.zeros((len(roles), obs_dim))
+        # (learner, its members' nodes) of each follower group
         node_of = {f"follower-{i}": i for i in range(self.n_nodes)}
-        self._followers = []
-        for learner, roles in self.groups:
-            if roles[0] in node_of:
-                nodes = [node_of[role] for role in roles]
-                self._followers.append((
-                    learner, nodes, self.env.obs_dims[nodes[0]],
-                    np.zeros((len(nodes), learner.obs_dim))))
+        self._followers = [(learner, [node_of[role] for role in roles])
+                           for learner, roles in self.groups
+                           if roles[0] in node_of]
 
     def _role_shapes(self) -> dict:
         """Each role's (obs_dim, head), in role order."""
@@ -221,10 +224,6 @@ class Trainer:
             env_seed = int(self._env_stream.integers(2 ** 63))
         obs = env.reset(env_seed)
 
-        # a frozen episode keeps no rollouts; no role acts twice in one step
-        rollouts = None if frozen else {
-            learner: learner.empty_rollout(env.max_steps)
-            for learner, _ in self.groups}
         track_diffs = (not frozen
                        and self.mode in (RunMode.DIFF_M, RunMode.CAP_M))
         rgd_active = self.rgd_on and not frozen
@@ -236,7 +235,7 @@ class Trainer:
         sr_by_period = {}  # completed period -> per-node synthetic rewards
         flow_idx = frozenset(state_flow_indices(goal_period,
                                                 cfg.flow_stride))
-        flow_states = []
+        flow_parts = []  # the period's sampled observations, in order
         goals = None
         done = False
 
@@ -246,13 +245,14 @@ class Trainer:
             if d == 0:
                 period_sums.append(0.0)
                 if self.leader_on:
-                    goals_flat = self._act("leader", np.concatenate(obs),
-                                           rollouts, period)
+                    leader, _ = self.agents["leader"]
+                    rows = self._rows(leader, period, frozen, obs)
+                    [goals_flat] = self._act(leader, rows, period, frozen)
                     goals = np.asarray(goals_flat, dtype=float).reshape(
                         self.n_nodes, cfg.goal_dim)
             if rgd_active and d + 1 in flow_idx:
-                flow_states.append(np.concatenate(obs))
-            actions = self._select_actions(obs, goals, rollouts, t)
+                flow_parts += obs
+            actions = self._select_actions(obs, goals, t, frozen)
             if track_diffs:
                 obs, reward, done, diffs = counterfactual_rewards(env, actions)
                 diff_rows.append(diffs)
@@ -263,12 +263,11 @@ class Trainer:
             # differently
             period_sums[-1] += reward
             if rgd_active and d + 1 == goal_period:  # the period is complete
-                flow_vec = np.concatenate(flow_states + [np.concatenate(obs)])
+                flow_parts += obs
                 if self.leader_on:
-                    flow_vec = np.concatenate([flow_vec, goals_flat])
-                sr_by_period[period] = self._rgd_act(flow_vec, rollouts,
-                                                     period)
-                flow_states = []
+                    flow_parts.append(goals_flat)
+                sr_by_period[period] = self._rgd_act(flow_parts, period)
+                flow_parts = []
 
         total = float(np.asarray(team_rewards, dtype=float).sum())
         n_periods = len(period_sums)
@@ -292,7 +291,7 @@ class Trainer:
         # _settled never raises, so map returns only once every job has
         outcomes = list(mapper(
             lambda job: _settled(err_state, job[0].update,
-                                 rollouts[job[0]], job[2]), jobs))
+                                 self._rollouts[job[0]], job[2]), jobs))
         diagnostics = {}
         for (_, roles, rewards), (out, err) in zip(jobs, outcomes):
             if isinstance(err, NonFiniteLoss):
@@ -311,50 +310,60 @@ class Trainer:
         return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
 
-    def _act(self, role, state, rollouts, t):
-        """One role's action; with rollouts it also fills its row ``t``."""
-        learner, k = self.agents[role]
-        if rollouts is None:
-            return learner.frozen_act(k, state)
-        action, log_prob = learner.act(k, state)
-        rows = rollouts[learner]
-        rows.states[k, t] = state
-        rows.actions[k, t] = action
-        rows.log_probs[k, t] = log_prob
-        return action
+    def _rows(self, learner, t, frozen, parts=None):
+        """The group's (G, obs) input rows of step ``t``: its rollout rows in
+        training, its one reusable C-contiguous array in frozen episodes.
+        With ``parts``, each row is written as their concatenation."""
+        rows = (self._frozen_rows[learner] if frozen
+                else self._rollouts[learner].states[:, t])
+        if parts is not None:
+            for row in rows:
+                np.concatenate(parts, out=row)
+        return rows
 
-    def _select_actions(self, obs, goals, rollouts, t):
-        """The joint action, one acting call per follower group; with
-        rollouts each group's input rows are its rollout rows ``t``."""
+    def _act(self, learner, rows, t, frozen):
+        """One action per member of the group, acting on its input ``rows``
+        of step ``t``; in training it records the actions and log-probs in
+        its rollout's rows ``t``."""
+        if frozen:
+            return learner.frozen_act(rows)
+        acted = learner.act(rows)
+        rollout = self._rollouts[learner]
+        # one write per member: a slice write of G nested tuples costs
+        # more than G small ones
+        for k, (action, log_prob) in enumerate(acted):
+            rollout.actions[k, t] = action
+            rollout.log_probs[k, t] = log_prob
+        return [action for action, _ in acted]
+
+    def _select_actions(self, obs, goals, t, frozen):
+        """The joint action, one acting call per group."""
         if self.mode is RunMode.GS:
-            return list(self._act("gs", np.concatenate(obs), rollouts, t))
+            gs, _ = self.agents["gs"]
+            [action] = self._act(gs, self._rows(gs, t, frozen, obs), t, frozen)
+            return list(action)
         actions = [0] * self.n_nodes
-        for learner, nodes, width, frozen_rows in self._followers:
-            rows = (frozen_rows if rollouts is None
-                    else rollouts[learner].states[:, t])
+        for learner, nodes in self._followers:
+            rows = self._rows(learner, t, frozen)
             for j, i in enumerate(nodes):
                 if goals is None:
                     rows[j] = obs[i]
                 else:
-                    rows[j, :width] = obs[i]
-                    rows[j, width:] = goals[i]
-            if rollouts is None:
-                for i, (action,) in zip(nodes, learner.frozen_act(ALL, rows)):
-                    actions[i] = action
-                continue
-            # one write per member: a slice write of G nested tuples costs
-            # more than G small ones
-            rollout = rollouts[learner]
-            for j, (action, log_prob) in enumerate(learner.act(ALL, rows)):
-                rollout.actions[j, t] = action
-                rollout.log_probs[j, t] = log_prob
-                actions[nodes[j]] = action[0]
+                    np.concatenate((obs[i], goals[i]), out=rows[j])
+            acted = self._act(learner, rows, t, frozen)
+            for i, (action,) in zip(nodes, acted):
+                actions[i] = action
         return actions
 
-    def _rgd_act(self, rgd_state, rollouts, t):
-        q_vec = self._act("generator", rgd_state, rollouts, t)
-        values = self._act("distributor", rgd_state, rollouts, t)
-        budget = synthetic_budget(float(q_vec[0]), self.baseline)
+    def _rgd_act(self, parts, t):
+        """The period's synthetic rewards, acted on ``parts`` concatenated."""
+        acted = {}
+        for learner, roles in self.groups:
+            if roles[0] in ("generator", "distributor"):
+                rows = self._rows(learner, t, False, parts)
+                acted.update(zip(roles, self._act(learner, rows, t, False)))
+        budget = synthetic_budget(float(acted["generator"][0]), self.baseline)
+        values = acted["distributor"]
         output = RgdOutput(values[:self.n_nodes], values[self.n_nodes:])
         _, sr = distribute(self.env.topology, output, budget)
         return sr

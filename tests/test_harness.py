@@ -895,7 +895,8 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
             onehot = np.zeros(env.n_states[i])
             onehot[s] = 1.0
             learner, k = trainer.agents[f"follower-{i}"]
-            (action,) = learner.frozen_act(k, onehot)
+            rows = np.tile(onehot, (len(learner.rngs), 1))
+            (action,) = learner.frozen_act(rows)[k]
             per_state.append(action)
         choice.append(per_state)
     policy = deterministic_policy(env, choice)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch, DenseNet
-from dagmarl.ppo import (ALL, EmptyBatch, NonFiniteLoss, PpoConfig,
-                         PpoLearner, Rollout, compute_gae)
+from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
+                         Rollout, compute_gae)
 from helpers import parameters, reference_update
 
 
@@ -36,8 +36,9 @@ def acted_episode(agent, rows, seed):
     for k in range(len(agent.rngs)):
         for t in range(rows):
             rollout.states[k, t] = data.standard_normal(agent.obs_dim)
-            rollout.actions[k, t], rollout.log_probs[k, t] = agent.act(
-                k, rollout.states[k, t])
+    for t in range(rows):
+        for k, acted in enumerate(agent.act(rollout.states[:, t])):
+            rollout.actions[k, t], rollout.log_probs[k, t] = acted
     return rollout, data.standard_normal((len(agent.rngs), rows))
 
 
@@ -104,25 +105,25 @@ class TestLearner:
     def test_act_shapes_discrete(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            [np.random.default_rng(0)])
-        (action,), logp = agent.act(0, np.zeros(3))
+        [((action,), logp)] = agent.act(np.zeros((1, 3)))
         assert 0 <= action < 4
         assert np.isfinite(logp)
-        (frozen,) = agent.frozen_act(0, np.zeros(3))
+        [(frozen,)] = agent.frozen_act(np.zeros((1, 3)))
         assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
         agent = PpoLearner(3, BetaHead(5), small_config(),
                            [np.random.default_rng(0)])
-        action, logp = agent.act(0, np.zeros(3))
+        [(action, logp)] = agent.act(np.zeros((1, 3)))
         assert action.shape == (5,)
         assert np.all((action > 0.0) & (action < 1.0))
-        frozen = agent.frozen_act(0, np.zeros(3))
+        [frozen] = agent.frozen_act(np.zeros((1, 3)))
         assert np.all((frozen > 0.0) & (frozen < 1.0))
 
     def test_act_shapes_joint(self):
         agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
                            [np.random.default_rng(0)])
-        action, logp = agent.act(0, np.zeros(3))
+        [(action, logp)] = agent.act(np.zeros((1, 3)))
         assert len(action) == 3
         for a, size in zip(action, (2, 3, 4)):
             assert 0 <= a < size
@@ -138,7 +139,7 @@ class TestLearner:
                                 calls.append(1) or forward_cached(x))
         rng = np.random.default_rng(1)
         for _ in range(10):
-            agent.act(0, rng.standard_normal(3))
+            agent.act(rng.standard_normal((1, 3)))
         assert calls == []
         agent.value_nets[0].forward(np.zeros(3))
         assert calls == [1], "the counter must see value-net calls"
@@ -150,28 +151,29 @@ class TestLearner:
         agent.policy_nets[0].flat[-1] = np.nan  # an output bias, a bad load
         state = np.ones(3)
         with pytest.raises(nn.NonFiniteParams):
-            agent.act(0, state)
+            agent.act(state[None])
         with pytest.raises(nn.NonFiniteParams):
-            agent.frozen_act(0, state)
+            agent.frozen_act(state[None])
 
         # in a group, one member's bad output bias stops the whole call
         group = PpoLearner(3, head, small_config(),
                            [np.random.default_rng(s) for s in range(3)])
         rows = np.ones((3, 3))
-        clean = group.frozen_act(ALL, rows)
+        clean = group.frozen_act(rows)
         group.policy_nets[1].flat[-1] = np.nan
         assert np.isnan(group.policy.flat[1, -1])
         for act in (group.act, group.frozen_act):
             with pytest.raises(nn.NonFiniteParams):
-                act(ALL, rows)
-        np.testing.assert_array_equal(group.frozen_act(0, rows[0]), clean[0])
+                act(rows)
+        own = group.policy_nets[0].forward(rows[0])
+        np.testing.assert_array_equal(nn.frozen_action(head, own), clean[0])
 
         # so is one member's non-finite input row
         group.policy_nets[1].flat[-1] = 0.0
         rows[2, 1] = np.inf
         for act in (group.act, group.frozen_act):
             with pytest.raises(nn.NonFiniteInput):
-                act(ALL, rows)
+                act(rows)
 
     def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
         agent = PpoLearner(5, CategoricalHead((3,)),
@@ -181,7 +183,7 @@ class TestLearner:
         rows = []
         for t in range(57):
             s = rng.standard_normal(5)
-            a, logp = agent.act(0, s)
+            [(a, logp)] = agent.act(s[None])
             rows.append((s, a, logp, rng.standard_normal()))
         rollout, rewards = episode_of(rows)
         batched = agent.value_nets[0].forward(rollout.states[0])[:, 0]
@@ -208,11 +210,11 @@ class TestLearner:
         for _ in range(150):
             rows = []
             for _ in range(32):
-                action, logp = agent.act(0, state)
+                [(action, logp)] = agent.act(state[None])
                 reward = 1.0 if action == (0,) else 0.0
                 rows.append((state, action, logp, reward))
             agent.update(*episode_of(rows))
-        pulls = [agent.act(0, state)[0] for _ in range(200)]
+        pulls = [agent.act(state[None])[0][0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
     def test_update_diagnostics(self):
@@ -222,7 +224,7 @@ class TestLearner:
         rng = np.random.default_rng(5)
         for t in range(20):
             s = rng.standard_normal(2)
-            a, logp = agent.act(0, s)
+            [(a, logp)] = agent.act(s[None])
             rows.append((s, a, logp, rng.standard_normal()))
         diags = agent.update(*episode_of(rows))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
@@ -246,8 +248,8 @@ class TestLearner:
         rollout = agent.empty_rollout(rows)
         for t in range(rows):
             rollout.states[0, t] = data.standard_normal(3)
-            rollout.actions[0, t], rollout.log_probs[0, t] = agent.act(
-                0, rollout.states[0, t])
+            [(rollout.actions[0, t], rollout.log_probs[0, t])] = agent.act(
+                rollout.states[:, t])
         twin.rngs[0].bit_generator.state = agent.rngs[0].bit_generator.state
         rewards = data.standard_normal(rows)
         got = agent.update(rollout, [rewards])
@@ -343,7 +345,7 @@ class TestLearner:
         rng = np.random.default_rng(5)
         for t in range(30):
             s = rng.standard_normal(2)
-            a, logp = agent.act(0, s)
+            [(a, logp)] = agent.act(s[None])
             rows.append((s, a, logp, rng.standard_normal()))
         diags = agent.update(*episode_of(rows))
         assert diags["clip_fraction"] == [0.0]
@@ -363,7 +365,7 @@ class TestLearner:
         def episode_with_rewards(rewards):
             rows = []
             for r in rewards:
-                a, logp = agent.act(0, s)
+                [(a, logp)] = agent.act(s[None])
                 rows.append((s, a, logp, r))
             return episode_of(rows)
 
@@ -406,7 +408,7 @@ class TestLearner:
         rows = []
         for t in range(8):
             s = np.zeros(1)
-            a, logp = agent.act(0, s)
+            [(a, logp)] = agent.act(s[None])
             # every state is equal, so update's value estimates are equal
             # too; with a constant reward and gamma = 0 (eight one-step
             # episodes in one) the advantages are equal
@@ -426,7 +428,7 @@ class TestLearnerCheckpoint:
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = rng.standard_normal(3)
-            assert agent.frozen_act(0, s) == clone.frozen_act(0, s)
+            assert agent.frozen_act(s[None]) == clone.frozen_act(s[None])
 
     def test_file_round_trip(self, tmp_path):
         agent = PpoLearner(2, BetaHead(2), small_config(),
@@ -437,8 +439,8 @@ class TestLearnerCheckpoint:
                            [np.random.default_rng(5)])
         clone.load(0, path)
         s = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(agent.frozen_act(0, s),
-                                      clone.frozen_act(0, s))
+        np.testing.assert_array_equal(agent.frozen_act(s[None]),
+                                      clone.frozen_act(s[None]))
 
     def test_dimension_mismatch_rejected(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),

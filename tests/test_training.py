@@ -14,7 +14,7 @@ from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl import nn, training
-from dagmarl.ppo import ALL, NonFiniteLoss, PpoConfig, PpoLearner
+from dagmarl.ppo import NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
     Trainer,
@@ -472,10 +472,10 @@ def test_leader_input_is_concatenated_observation_in_every_run():
 
     env.reset, env.step = reset, step
     for name in ("act", "frozen_act"):
-        def spy(member, state, original=getattr(leader, name)):
-            assert member == k
-            inputs.append(np.array(state))
-            return original(member, state)
+        def spy(states, original=getattr(leader, name)):
+            assert states.shape == (1, leader.obs_dim)
+            inputs.append(np.array(states[k]))
+            return original(states)
         setattr(leader, name, spy)
 
     for frozen in (False, True):
@@ -510,18 +510,18 @@ def test_rgd_input_is_sampled_states_end_state_and_goals():
 
     leader, _ = trainer.agents["leader"]
 
-    def leader_act(k, state, original=leader.act):
-        action, log_prob = original(k, state)
+    def leader_act(states, original=leader.act):
+        [(action, log_prob)] = original(states)
         goals.append(np.array(action, dtype=float))
-        return action, log_prob
+        return [(action, log_prob)]
     leader.act = leader_act
     for role in inputs:
         learner, member = trainer.agents[role]
 
-        def spy(k, state, role=role, member=member, original=learner.act):
-            assert k == member
-            inputs[role].append(np.array(state))
-            return original(k, state)
+        def spy(states, role=role, member=member, original=learner.act):
+            assert states.shape == (len(learner.rngs), learner.obs_dim)
+            inputs[role].append(np.array(states[member]))
+            return original(states)
         learner.act = spy
 
     trainer.run_episode(0)
@@ -672,7 +672,7 @@ def assert_groups_act_as_their_members(trainer, seed):
                 w, b = learner.policy.layer_views(learner.policy.flat)[-1]
                 w[...] = b[...] = 0.0
             stacked = learner.policy.forward(rows[:, None])[:, 0]
-            acted = learner.frozen_act(ALL, rows)
+            acted = learner.frozen_act(rows)
             assert len(acted) == len(roles)
             for k, row in enumerate(rows):
                 own = learner.policy_nets[k].forward(row)
@@ -703,33 +703,92 @@ def test_one_pass_frozen_act_is_each_members_own(tmp_path, env_name, mode,
     assert_groups_act_as_their_members(twin, 1)
 
 
-def test_a_follower_group_acts_in_one_call_per_step(monkeypatch):
-    trainer = Trainer(shape_group_config("prey", RunMode.SRM,
-                                         dict(max_steps=6)))
-    [(learner, roles)] = trainer.groups
-    assert len(roles) == 4
+def acting_count(roles, steps, goal_period, frozen):
+    """How often a group of ``roles`` acts in an episode of ``steps``."""
+    if roles[0] == "leader":
+        return -(-steps // goal_period)
+    if roles[0] in ("generator", "distributor"):
+        return 0 if frozen else steps // goal_period
+    return steps
+
+
+@pytest.mark.parametrize("env_name, mode, env_options, sizes", [
+    ("prey", RunMode.SRM, dict(max_steps=6), [4]),  # one group of followers
+    # 4 lone followers, the leader, the generator and the distributor
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2),
+     [1] * 7),
+    ("micro", RunMode.GS, None, [1]),
+])
+def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
+                                               env_options, sizes):
+    made = []
+    empty_rollout = PpoLearner.empty_rollout
+    monkeypatch.setattr(PpoLearner, "empty_rollout",
+                        lambda self, rows: made.append(self)
+                        or empty_rollout(self, rows))
+    trainer = Trainer(shape_group_config(env_name, mode, env_options))
+    assert [len(roles) for _, roles in trainer.groups] == sizes
+    assert made == [learner for learner, _ in trainer.groups]
+    made.clear()
     calls = []
     for name in ("act", "frozen_act"):
         monkeypatch.setattr(
             PpoLearner, name,
-            lambda self, k, states, name=name,
+            lambda self, states, name=name,
             original=getattr(PpoLearner, name):
-            calls.append((name, self, k)) or original(self, k, states))
+            calls.append((name, self, states)) or original(self, states))
     # no update runs, so every forward below is an acting one
-    monkeypatch.setattr(PpoLearner, "update", lambda *args: {})
+    updated = {}
+    monkeypatch.setattr(PpoLearner, "update",
+                        lambda self, rollout, rewards:
+                        updated.__setitem__(self, rollout) or {})
     forward_cached = nn.DenseNet.forward_cached
     monkeypatch.setattr(nn.DenseNet, "forward_cached",
                         lambda self, x: calls.append(np.ndim(x))
                         or forward_cached(self, x))
-    for frozen, name, forwards in ((False, "act", [1] * 4),
-                                   (True, "frozen_act", [3])):
+    rollouts, frozen_rows = {}, {}
+    for frozen in (False, True, False, True):
         calls.clear()
+        updated.clear()
         trainer.run_episode(0, env_seed=4, frozen=frozen)
         steps = trainer.env.step_count
         assert steps >= 2
-        # training: four single-row forwards, each member drawing in turn;
-        # frozen: one stacked forward of the (4, 1, obs) rows
-        assert calls == ([(name, learner, ALL)] + forwards) * steps
+        # training: one single-row forward per member, each drawing in
+        # turn; frozen: one stacked forward of a group's (G, 1, obs) rows,
+        # or a lone member's single-row forward
+        name = "frozen_act" if frozen else "act"
+        acts = [call for call in calls if isinstance(call, tuple)]
+        want = []
+        for _, learner, _ in acts:
+            members = len(learner.rngs)
+            want += [(name, learner)] + (
+                [3] if frozen and members > 1 else
+                [1] * (1 if frozen else members))
+        assert [call[:2] if isinstance(call, tuple) else call
+                for call in calls] == want
+        for learner, roles in trainer.groups:
+            seen = [rows for _, who, rows in acts if who is learner]
+            assert len(seen) == acting_count(roles, steps,
+                                             trainer.env.goal_period, frozen)
+            for t, rows in enumerate(seen):
+                assert rows.shape == (len(roles), learner.obs_dim)
+                if frozen:
+                    # one C-contiguous array of the group's, at every step
+                    assert rows.flags.c_contiguous
+                    assert rows is frozen_rows.setdefault(learner, rows)
+                else:
+                    # the group's act number t runs on its rollout rows t,
+                    # and the rollout lives as long as the trainer
+                    rollout = rollouts.setdefault(learner, updated[learner])
+                    assert updated[learner] is rollout
+                    assert (rows.__array_interface__
+                            == rollout.states[:, t].__array_interface__)
+    assert len({id(rows) for rows in frozen_rows.values()}) == len(
+        frozen_rows)
+    assert not any(np.shares_memory(rows, rollout.states)
+                   for rows in frozen_rows.values()
+                   for rollout in rollouts.values())
+    assert made == []
 
 
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
@@ -893,18 +952,70 @@ def test_bytes_do_not_depend_on_the_pool(monkeypatch, tmp_path,
         trainer = Trainer(cfg)
         records = [trainer.run_episode(episode) for episode in range(2)]
         assert (threading.main_thread() not in update_threads) == pooled
-        directory = tmp_path / str(pooled)
-        trainer.save_checkpoints(directory)
-        checkpoints = {path.name: path.read_bytes()
-                       for path in sorted(directory.iterdir())}
-        runs.append((checkpoints, records, trainer.last_diagnostics))
-    (ckpt_a, records_a, diags_a), (ckpt_b, records_b, diags_b) = runs
-    assert ckpt_a == ckpt_b
-    assert diags_a == diags_b
-    for a, b in zip(records_a, records_b):
-        assert (a.episode, a.team_reward, a.goal_periods, a.agent_rewards) \
-            == (b.episode, b.team_reward, b.goal_periods, b.agent_rewards)
-        np.testing.assert_array_equal(a.sr_sums, b.sr_sums)
+        runs.append(trained_bytes(trainer, records, tmp_path / str(pooled)))
+    assert runs[0] == runs[1]
+
+
+def trained_bytes(trainer, records, directory):
+    """A training run's checkpoints, episode records and last diagnostics,
+    each as plain values that compare bit for bit."""
+    trainer.save_checkpoints(directory)
+    checkpoints = {path.name: path.read_bytes()
+                   for path in sorted(directory.iterdir())}
+    episodes = [(r.episode, r.team_reward, r.goal_periods, r.agent_rewards,
+                 None if r.sr_sums is None else r.sr_sums.tobytes())
+                for r in records]
+    return checkpoints, episodes, trainer.last_diagnostics
+
+
+# -- rows that outlive their episode ------------------------------------------------
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", [
+    # lone followers, the leader, the generator and the distributor
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)),
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2)),
+    ("prey", RunMode.SRM, dict(max_steps=15)),
+    ("micro", RunMode.GS, None),
+])
+def test_frozen_episodes_change_no_training_byte(tmp_path, env_name, mode,
+                                                 env_options):
+    cfg = shape_group_config(env_name, mode, env_options, batch_size=4)
+    runs = []
+    for frozen_between in (0, 2):
+        trainer = Trainer(cfg)
+        records = []
+        for episode in range(3):
+            records.append(trainer.run_episode(episode))
+            for i in range(frozen_between):
+                trainer.run_episode(episode, env_seed=100 + i, frozen=True)
+        runs.append(trained_bytes(trainer, records,
+                                  tmp_path / str(frozen_between)))
+    assert runs[0] == runs[1]
+
+
+def test_stale_rows_never_reach_an_update(tmp_path):
+    # prey episodes end early, so a shorter episode follows a longer one
+    # and leaves rows of the longer one past its own end
+    cfg = shape_group_config("prey", RunMode.SRM, dict(max_steps=15),
+                             batch_size=4)
+    runs, lengths = [], []
+    for poisoned in (False, True):
+        trainer = Trainer(cfg)
+        records = []
+        for episode in range(4):
+            if poisoned:
+                # rows an update read would raise NonFiniteInput, an index
+                # error or NonFiniteLoss
+                for rollout in trainer._rollouts.values():
+                    rollout.states[...] = np.nan
+                    rollout.actions[...] = np.iinfo(rollout.actions.dtype).max
+                    rollout.log_probs[...] = np.nan
+            records.append(trainer.run_episode(episode))
+            lengths.append(trainer.env.step_count)
+        runs.append(trained_bytes(trainer, records, tmp_path / str(poisoned)))
+    assert runs[0] == runs[1]
+    assert any(b < a for a, b in zip(lengths, lengths[1:4]))
 
 
 # -- whole-run behaviour ------------------------------------------------------------
@@ -959,8 +1070,8 @@ def test_checkpoint_round_trip_via_trainer(tmp_path):
     learner, k = trainer.agents["follower-0"]
     twin_learner, twin_k = twin.agents["follower-0"]
     state = np.linspace(0.0, 1.0, learner.obs_dim)
-    assert learner.frozen_act(k, state) == \
-        twin_learner.frozen_act(twin_k, state)
+    rows = np.tile(state, (len(learner.rngs), 1))
+    assert learner.frozen_act(rows)[k] == twin_learner.frozen_act(rows)[twin_k]
 
 
 def test_load_checkpoints_requires_every_role(tmp_path):
