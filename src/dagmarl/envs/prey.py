@@ -23,6 +23,8 @@ from .base import DagEnv
 DIRS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 PARENT = {1: 0, 2: 1, 3: 1}
 LEASH = 5  # Chebyshev radius around the parent
+_STEPS = ((0, 0),) + DIRS  # action a moves by _STEPS[a]; 0 stays
+_MOVES = range(1, len(_STEPS))  # the actions that step, in DIRS order
 
 
 class PreyEnv(DagEnv):
@@ -40,6 +42,15 @@ class PreyEnv(DagEnv):
         self.action_sizes = [9, 9, 9, 9]  # stay + 8 directions
         self.obs_dims = [8, 8, 8, 8]
         self.sinks = tuple(self.topology.sinks)
+        self._order = [(i, PARENT.get(i))
+                       for i in self.topology.topological_order]
+        # the move table, one axis at a time: action a takes a piece at
+        # (x, y) to (_move_x[x][a], _move_y[y][a]), clamped to the board
+        hi = self.grid_size - 1
+        self._move_x, self._move_y = (
+            [tuple(min(max(v + step[axis], 0), hi) for step in _STEPS)
+             for v in range(hi + 1)]
+            for axis in (0, 1))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -47,8 +58,11 @@ class PreyEnv(DagEnv):
         self._start(seed)
         g = self.grid_size
         c = g // 2
-        self.prey_pos = np.array([[c, c], [c, c - 1],
-                                  [c - 2, c - 2], [c + 2, c - 2]])
+        hi = g - 1
+        starts = [(c, c), (c, c - 1), (c - 2, c - 2), (c + 2, c - 2)]
+        # clamped onto the board, where a 4x4 one would put the last at (4, 0)
+        self.prey_pos = np.array([[min(x, hi), min(y, hi)]
+                                  for x, y in starts])
         self.alive = np.array([True] * 4)
         corners = [(0, 0), (g - 1, g - 1), (0, g - 1), (g - 1, 0)]
         self.predator_pos = np.array(
@@ -60,31 +74,43 @@ class PreyEnv(DagEnv):
     # -- dynamics ------------------------------------------------------------
     #
     # Positions are read out of the state arrays once per call with tolist()
-    # and moved on Python ints: min(max(v, lo), hi) is np.clip on integers.
+    # and moved on Python ints through the move table, then written back.
 
     def _advance(self, actions):
-        hi = self.grid_size - 1
+        move_x, move_y = self._move_x, self._move_y
         prey = self.prey_pos.tolist()
         predators = self.predator_pos.tolist()
         alive = self.alive.tolist()
-        for i in self.topology.topological_order:
+        for i, parent in self._order:
             if not alive[i]:
                 continue
             x, y = prey[i]
             a = actions[i]
-            if a > 0:
-                dx, dy = DIRS[a - 1]
-                x, y = x + dx, y + dy
-            x, y = min(max(x, 0), hi), min(max(y, 0), hi)
-            if i in PARENT:
-                ax, ay = prey[PARENT[i]]
+            x, y = move_x[x][a], move_y[y][a]
+            if parent is not None:
+                ax, ay = prey[parent]
                 # both points lie on the grid, so the leash box keeps it there
-                x = min(max(x, ax - LEASH), ax + LEASH)
-                y = min(max(y, ay - LEASH), ay + LEASH)
-            prey[i] = [x, y]
+                if not (ax - LEASH <= x <= ax + LEASH
+                        and ay - LEASH <= y <= ay + LEASH):
+                    x = min(max(x, ax - LEASH), ax + LEASH)
+                    y = min(max(y, ay - LEASH), ay + LEASH)
+            prey[i] = (x, y)
 
-        for p in range(self.n_predators):
-            predators[p] = self._predator_move(p, predators[p], prey, alive)
+        first_dir = self.first_dir
+        for p, (x, y) in enumerate(predators):
+            xs, ys = move_x[x], move_y[y]
+            if first_dir[p] is not None:
+                a = first_dir[p] + 1
+                first_dir[p] = None
+            else:
+                tx, ty = self._nearest_living_sink((x, y), prey, alive)
+                dists = [abs(xs[m] - tx) + abs(ys[m] - ty) for m in _MOVES]
+                best = min(dists)
+                ties = [m for m, d in zip(_MOVES, dists) if d == best]
+                # integers(1) is 0 and draws no bits, so one best move skips it
+                a = (ties[0] if len(ties) == 1
+                     else ties[int(self.rng.integers(len(ties)))])
+            predators[p] = (xs[a], ys[a])
 
         for k in self.sinks:
             if alive[k] and prey[k] in predators:
@@ -96,21 +122,6 @@ class PreyEnv(DagEnv):
         living = sum(alive[k] for k in self.sinks)
         done = living == 0 or self.step_count + 1 >= self.max_steps
         return float(living), done
-
-    def _predator_move(self, p, pos, prey, alive):
-        hi = self.grid_size - 1
-        x, y = pos
-        if self.first_dir[p] is not None:
-            dx, dy = DIRS[self.first_dir[p]]
-            self.first_dir[p] = None
-            return [min(max(x + dx, 0), hi), min(max(y + dy, 0), hi)]
-        tx, ty = self._nearest_living_sink(pos, prey, alive)
-        options = [[min(max(x + dx, 0), hi), min(max(y + dy, 0), hi)]
-                   for dx, dy in DIRS]
-        dists = [abs(qx - tx) + abs(qy - ty) for qx, qy in options]
-        best = min(dists)
-        ties = [q for q, d in zip(options, dists) if d == best]
-        return ties[int(self.rng.integers(len(ties)))]
 
     def _nearest_living_sink(self, pos, prey, alive):
         best, best_d = None, None

@@ -161,7 +161,10 @@ class Trainer:
         self.global_dim = int(sum(self.env.obs_dims))
         self.baseline = RewardBaseline()
         self.last_diagnostics = {}
+        # a frozen episode without a seed draws it from a stream of its own,
+        # so evaluation never shifts a training episode's environment
         self._env_stream = substream(config.seed, "env")
+        self._frozen_env_stream = substream(config.seed, "frozen-env")
         # paper-width groups update on the pool, in one thread otherwise
         self._concurrent = (max(config.ppo.hidden) >= _POOL_MIN_WIDTH
                             and _cpu_count() >= 2)
@@ -221,7 +224,8 @@ class Trainer:
         env = self.env
         goal_period = env.goal_period
         if env_seed is None:
-            env_seed = int(self._env_stream.integers(2 ** 63))
+            stream = self._frozen_env_stream if frozen else self._env_stream
+            env_seed = int(stream.integers(2 ** 63))
         obs = env.reset(env_seed)
 
         track_diffs = (not frozen

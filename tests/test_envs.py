@@ -540,6 +540,15 @@ def test_prey_first_direction_used_once():
     assert all(d is None for d in env.first_dir)
 
 
+@pytest.mark.parametrize("grid_size", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("predators", [1, 2, 3, 4, 5])
+def test_prey_resets_onto_the_board(grid_size, predators):
+    env = PreyEnv(grid_size=grid_size, predators=predators)
+    env.reset(0)
+    for pos in (env.prey_pos, env.predator_pos):
+        assert np.all((pos >= 0) & (pos < grid_size))
+
+
 def test_prey_reward_counts_living_sinks():
     env = PreyEnv(grid_size=20, max_steps=10)
     env.reset(0)
@@ -639,8 +648,9 @@ class ArrayPreyEnv(PreyEnv):
         return out
 
 
-@pytest.mark.parametrize("grid_size", [4, 20])
-@pytest.mark.parametrize("predators", [1, 2, 3])
+# four predators start in all four corners, a fifth shares a corner
+@pytest.mark.parametrize("grid_size", [4, 5, 20])
+@pytest.mark.parametrize("predators", [1, 2, 3, 4, 5])
 def test_prey_matches_array_reference(grid_size, predators):
     env = PreyEnv(grid_size=grid_size, predators=predators)
     ref = ArrayPreyEnv(grid_size=grid_size, predators=predators)

@@ -989,6 +989,7 @@ def test_frozen_episodes_change_no_training_byte(tmp_path, env_name, mode,
             records.append(trainer.run_episode(episode))
             for i in range(frozen_between):
                 trainer.run_episode(episode, env_seed=100 + i, frozen=True)
+                trainer.run_episode(episode, frozen=True)  # a seed of its own
         runs.append(trained_bytes(trainer, records,
                                   tmp_path / str(frozen_between)))
     assert runs[0] == runs[1]
