@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (OSError, ValueError, NonFiniteLoss) as err:
+    except (OSError, ValueError, NonFiniteLoss, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

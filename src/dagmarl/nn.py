@@ -65,8 +65,9 @@ def keep_freed_heap():
     malloc at one arena.  glibc would otherwise give each thread that
     allocates, an update pool worker included, an arena of its own that
     keeps that thread's freed memory apart; with one arena the pool
-    threads reuse the one retained heap.  Results are unchanged.  Elsewhere (not Linux, or a C
-    library without ``mallopt``) it does nothing.
+    threads reuse the one retained heap.  Results are unchanged.
+    Elsewhere (not Linux, or a C library without ``mallopt``) it does
+    nothing.
     """
     if not sys.platform.startswith("linux"):
         return

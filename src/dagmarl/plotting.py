@@ -23,23 +23,30 @@ _MARGIN = {"left": 72.0, "right": 24.0, "top": 44.0, "bottom": 58.0}
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list:
+    lo, hi = float(lo), float(hi)  # a float width overflows without a warning
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("tick range must be finite")
     if hi == lo:
         lo -= 0.5
         hi += 0.5
     raw = (hi - lo) / max(target - 1, 1)
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    # a width that overflows or underflows has no magnitude
+    magnitude = (10.0 ** math.floor(math.log10(raw))
+                 if 0.0 < raw < math.inf else 0.0)
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * magnitude:
             step = mult * magnitude
             break
+    if step == 0.0:  # also where the magnitude itself underflows
+        raise ValueError(f"cannot chart values from {lo!r} to {hi!r}")
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
     while value <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(value) < 1e-12 else value)
+        if value + step == value:  # a step below the value's resolution
+            break
         value += step
     return ticks
 

@@ -68,8 +68,6 @@ class PpoConfig:
 class Rollout:
     """What a group's acting produced, one row per member and step in order.
 
-    In training a group acts on its ``states`` rows of the step, into
-    which each member's input is written in place.
     ``actions`` has the layout of the learner head's ``empty_actions``.
     Rewards and value estimates are not part of a rollout: ``update`` takes
     the episode's rewards and evaluates the values for all rows in one pass.
@@ -116,11 +114,12 @@ class PpoLearner:
     member's policy, then value, then actions and permutations.  ``policy``
     and ``value`` hold the members' parameters as (G, P) arrays, each with
     one Adam state; ``policy_nets[k]`` and ``value_nets[k]`` are member
-    k's nets, bound to row k.  The group acts in one call on (G, obs)
-    rows: in training its rollout rows of the step, in frozen episodes one
-    reusable array."""
+    k's nets, bound to row k.  The group owns its acting buffers, made
+    once: ``inputs``, the (G, obs) rows the caller writes before each act,
+    row k member k's, and ``rollout``, ``steps`` rows per member."""
 
-    def __init__(self, obs_dim: int, head, config: PpoConfig, rngs):
+    def __init__(self, obs_dim: int, head, config: PpoConfig, rngs,
+                 steps: int):
         self.obs_dim = int(obs_dim)
         self.head = head
         self.config = config
@@ -134,47 +133,56 @@ class PpoLearner:
         self.value = DenseNet.stack(self.value_nets)
         self.opt_policy = nn.AdamState(self.policy, config.learning_rate)
         self.opt_value = nn.AdamState(self.value, config.learning_rate)
+        members = len(self.rngs)
+        self.inputs = np.zeros((members, self.obs_dim))
+        self.rollout = Rollout(np.zeros((members, steps, self.obs_dim)),
+                               head.empty_actions(members, steps),
+                               np.zeros((members, steps)))
 
     # -- acting ------------------------------------------------------------
-    # ``states`` holds the group's (G, obs) input rows, row k member k's
 
-    def act(self, states):
-        """Each member in turn runs its own single-row forward on its row and
-        draws from its own generator; returns one (action, log_prob) per
-        member.  The value net does not run here; ``update`` evaluates it
-        for the whole rollout at once.
+    def act(self, t: int):
+        """Each member in turn runs its own single-row forward on its row of
+        ``inputs`` and draws from its own generator; records the rows, the
+        actions and the log-probs as the rollout's step ``t`` and returns
+        one action per member.  The value net does not run here; ``update``
+        evaluates it for the whole rollout at once.
         """
-        return [nn.sample_and_logprob(self.head, net.forward(row), rng)
-                for net, row, rng in zip(self.policy_nets, states, self.rngs)]
+        acted = [nn.sample_and_logprob(self.head, net.forward(row), rng)
+                 for net, row, rng in zip(self.policy_nets, self.inputs,
+                                          self.rngs)]
+        rollout = self.rollout
+        rollout.states[:, t] = self.inputs
+        # one write per member: a slice write of G nested tuples costs
+        # more than G small ones
+        for k, (action, log_prob) in enumerate(acted):
+            rollout.actions[k, t] = action
+            rollout.log_probs[k, t] = log_prob
+        return [action for action, _ in acted]
 
-    def frozen_act(self, states):
-        """One deterministic action per member.
+    def frozen_act(self):
+        """One deterministic action per member, acting on ``inputs``; records
+        nothing.
 
         A group of two or more runs one stacked forward and one
         ``frozen_action`` over the (G, A) outputs, bit for bit each
         member's own; a lone member keeps the cheaper single-row call.
         """
         if len(self.policy_nets) == 1:
-            return [nn.frozen_action(self.head,
-                                     self.policy_nets[0].forward(states[0]))]
+            return [nn.frozen_action(
+                self.head, self.policy_nets[0].forward(self.inputs[0]))]
         return nn.frozen_action(
-            self.head, self.policy.forward(states[:, None])[:, 0]).tolist()
-
-    def empty_rollout(self, rows: int) -> Rollout:
-        """Zeroed rollout arrays for up to ``rows`` steps of each member."""
-        members = len(self.rngs)
-        return Rollout(np.zeros((members, rows, self.obs_dim)),
-                       self.head.empty_actions(members, rows),
-                       np.zeros((members, rows)))
+            self.head, self.policy.forward(self.inputs[:, None])[:, 0]
+        ).tolist()
 
     # -- learning ------------------------------------------------------------
 
-    def update(self, rollout: Rollout, rewards) -> dict:
+    def update(self, rewards) -> dict:
         """One PPO update of every member, each on its own finished episode;
         returns loss/entropy diagnostics.
 
         ``rewards`` holds one reward array of length n per member, and the
-        first n rows of each member's rollout are its episode.  V_old is
+        first n rows of each member's ``rollout`` are its episode.  V_old is
         the value net on all those states in one pass, taken before any
         step.  GAE runs per member and each member's rng draws its own
         permutation in turn.  Each diagnostic is a list over members and
@@ -184,6 +192,7 @@ class PpoLearner:
         steps are put back as they were.
         """
         cfg = self.config
+        rollout = self.rollout
         n = len(rewards[0])
         values = self.value.forward(rollout.states[:, :n])[..., 0]
         adv, returns = np.empty((2, len(rewards), n))

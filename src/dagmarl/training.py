@@ -174,21 +174,17 @@ class Trainer:
             groups.setdefault(shape, []).append(role)
         self.groups = []  # (learner, roles), one learner per shape group
         self.agents = {}  # role -> (learner, k)
-        # every group acts in one call on (G, obs) rows: its rollout rows of
-        # the step in training, one reusable array in frozen episodes
-        self._rollouts, self._frozen_rows = {}, {}
         for (obs_dim, head), roles in groups.items():
+            # the leader, generator and distributor act once a period at most
+            per_period = roles[0] in ("leader", "generator", "distributor")
+            steps = (-(-self.env.max_steps // self.env.goal_period)
+                     if per_period else self.env.max_steps)
             learner = PpoLearner(obs_dim, head, config.ppo,
-                                 [substream(config.seed, r) for r in roles])
+                                 [substream(config.seed, r) for r in roles],
+                                 steps)
             self.groups.append((learner, roles))
             self.agents.update((role, (learner, k))
                                for k, role in enumerate(roles))
-            # the leader, generator and distributor act once a period at most
-            per_period = roles[0] in ("leader", "generator", "distributor")
-            self._rollouts[learner] = learner.empty_rollout(
-                -(-self.env.max_steps // self.env.goal_period) if per_period
-                else self.env.max_steps)
-            self._frozen_rows[learner] = np.zeros((len(roles), obs_dim))
         # (learner, its members' nodes) of each follower group
         node_of = {f"follower-{i}": i for i in range(self.n_nodes)}
         self._followers = [(learner, [node_of[role] for role in roles])
@@ -250,8 +246,7 @@ class Trainer:
                 period_sums.append(0.0)
                 if self.leader_on:
                     leader, _ = self.agents["leader"]
-                    rows = self._rows(leader, period, frozen, obs)
-                    [goals_flat] = self._act(leader, rows, period, frozen)
+                    [goals_flat] = self._act(leader, period, frozen, obs)
                     goals = np.asarray(goals_flat, dtype=float).reshape(
                         self.n_nodes, cfg.goal_dim)
             if rgd_active and d + 1 in flow_idx:
@@ -294,8 +289,7 @@ class Trainer:
                   else map)
         # _settled never raises, so map returns only once every job has
         outcomes = list(mapper(
-            lambda job: _settled(err_state, job[0].update,
-                                 self._rollouts[job[0]], job[2]), jobs))
+            lambda job: _settled(err_state, job[0].update, job[2]), jobs))
         diagnostics = {}
         for (_, roles, rewards), (out, err) in zip(jobs, outcomes):
             if isinstance(err, NonFiniteLoss):
@@ -314,47 +308,30 @@ class Trainer:
         return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
 
-    def _rows(self, learner, t, frozen, parts=None):
-        """The group's (G, obs) input rows of step ``t``: its rollout rows in
-        training, its one reusable C-contiguous array in frozen episodes.
-        With ``parts``, each row is written as their concatenation."""
-        rows = (self._frozen_rows[learner] if frozen
-                else self._rollouts[learner].states[:, t])
+    def _act(self, learner, t, frozen, parts=None):
+        """One action per member of the group, acting on its ``inputs`` as
+        step ``t``.  With ``parts``, each row is first written as their
+        concatenation."""
         if parts is not None:
-            for row in rows:
+            for row in learner.inputs:
                 np.concatenate(parts, out=row)
-        return rows
-
-    def _act(self, learner, rows, t, frozen):
-        """One action per member of the group, acting on its input ``rows``
-        of step ``t``; in training it records the actions and log-probs in
-        its rollout's rows ``t``."""
-        if frozen:
-            return learner.frozen_act(rows)
-        acted = learner.act(rows)
-        rollout = self._rollouts[learner]
-        # one write per member: a slice write of G nested tuples costs
-        # more than G small ones
-        for k, (action, log_prob) in enumerate(acted):
-            rollout.actions[k, t] = action
-            rollout.log_probs[k, t] = log_prob
-        return [action for action, _ in acted]
+        return learner.frozen_act() if frozen else learner.act(t)
 
     def _select_actions(self, obs, goals, t, frozen):
         """The joint action, one acting call per group."""
         if self.mode is RunMode.GS:
             gs, _ = self.agents["gs"]
-            [action] = self._act(gs, self._rows(gs, t, frozen, obs), t, frozen)
+            [action] = self._act(gs, t, frozen, obs)
             return list(action)
         actions = [0] * self.n_nodes
         for learner, nodes in self._followers:
-            rows = self._rows(learner, t, frozen)
+            rows = learner.inputs
             for j, i in enumerate(nodes):
                 if goals is None:
                     rows[j] = obs[i]
                 else:
                     np.concatenate((obs[i], goals[i]), out=rows[j])
-            acted = self._act(learner, rows, t, frozen)
+            acted = self._act(learner, t, frozen)
             for i, (action,) in zip(nodes, acted):
                 actions[i] = action
         return actions
@@ -364,8 +341,7 @@ class Trainer:
         acted = {}
         for learner, roles in self.groups:
             if roles[0] in ("generator", "distributor"):
-                rows = self._rows(learner, t, False, parts)
-                acted.update(zip(roles, self._act(learner, rows, t, False)))
+                acted.update(zip(roles, self._act(learner, t, False, parts)))
         budget = synthetic_budget(float(acted["generator"][0]), self.baseline)
         values = acted["distributor"]
         output = RgdOutput(values[:self.n_nodes], values[self.n_nodes:])

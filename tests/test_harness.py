@@ -37,6 +37,7 @@ from dagmarl.logio import (
     atomic_write_bytes,
     read_episode_csv,
     write_episode_csv,
+    write_log,
 )
 from dagmarl.metrics import (
     EmptySeries,
@@ -375,7 +376,7 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     ckpt_path = tmp_path / "agent.ckpt"
     write_episode_csv(csv_path, sample_records()[:1])
     agent = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
-                       [np.random.default_rng(0)])
+                       [np.random.default_rng(0)], 1)
     agent.save(0, ckpt_path)
     old_csv, old_ckpt = csv_path.read_bytes(), ckpt_path.read_bytes()
 
@@ -386,7 +387,7 @@ def test_failed_replace_keeps_old_files(tmp_path, monkeypatch):
     with pytest.raises(IoError):
         write_episode_csv(csv_path, sample_records())
     other = PpoLearner(3, CategoricalHead((4,)), PpoConfig(hidden=(8,)),
-                       [np.random.default_rng(1)])
+                       [np.random.default_rng(1)], 1)
     assert other.to_bytes(0) != old_ckpt
     with pytest.raises(OSError):
         other.save(0, ckpt_path)
@@ -572,9 +573,12 @@ def test_cli_train_rejects_fractional_step_limit(tmp_path, capsys):
     ("[env]\nname = factory\ngoal_periods = 0\n", []),
     ("[env]\nname = prey\nmax_steps = 0\n", []),
     ("[env]\nname = prey\nmax_steps = 20\n", ["--episodes", "0"]),
+    # the rollout of 10^12 steps would need 233 TiB
+    ("[env]\nname = prey\nmax_steps = 1000000000000\n", []),
     *[(text, []) for text, _ in MALFORMED_FILES],
     *[(text, []) for text in DEFAULT_SECTION_FILES],
-], ids=["factory-no-periods", "prey-no-steps", "no-episodes", "no-header",
+], ids=["factory-no-periods", "prey-no-steps", "no-episodes",
+        "prey-huge-rollout", "no-header",
         "repeated-key", "repeated-section", "default-section",
         "default-section-beside-env"])
 def test_cli_train_rejected_run_leaves_no_output(tmp_path, capsys, text, args):
@@ -742,6 +746,38 @@ def test_cli_plot_draws_every_log(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a column whose tick step rounds away at 1e16, one whose width overflows
+# and one whose width underflows
+@pytest.mark.parametrize("values, error", [
+    ([1e16, 1.0000000000000002e16, 1.0000000000000004e16], None),
+    ([-1.7e308, 1.7e308], "error: cannot chart values from -1.7e+308 to "
+                          "1.7e+308\n"),
+    ([5e-324, 1e-323], "error: cannot chart values from 5e-324 to 1e-323\n"),
+], ids=["near-1e16", "overflow", "underflow"])
+def test_cli_plot_charts_or_refuses_extreme_ranges(tmp_path, values, error):
+    log, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    write_log(log, [{"episode": i, "team_reward": v}
+                    for i, v in enumerate(values)])
+    # in a fresh interpreter, so a plot that never returns fails the bound
+    proc = python_run("import sys\n"
+                      "from dagmarl.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))\n",
+                      "plot", str(log), "--out", str(svg), timeout=60)
+    if error is None:
+        assert proc.returncode == 0, proc.stderr
+        xml.dom.minidom.parseString(svg.read_text())
+    else:
+        assert (proc.returncode, proc.stderr) == (1, error)
+        assert not svg.exists()
+
+
+def test_histogram_chart_of_a_range_near_1e16_returns():
+    proc = python_run("from dagmarl.plotting import histogram_chart\n"
+                      "histogram_chart([1, 2], [1e16, 1.0000000000000002e16,"
+                      " 1.0000000000000004e16])\n", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_evaluate_missing_checkpoints(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
@@ -752,14 +788,19 @@ def test_cli_evaluate_missing_checkpoints(tmp_path, capsys):
     assert "error: missing checkpoint" in capsys.readouterr().err
 
 
-def run_python(code, *args):
+def python_run(code, *args, timeout=300):
     """Runs ``code`` in a fresh interpreter with this checkout's ``src``
-    first on the import path; returns its standard output."""
+    first on the import path; returns the finished process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def run_python(code, *args):
+    """``python_run``, which must succeed; returns its standard output."""
+    proc = python_run(code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -895,8 +936,8 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
             onehot = np.zeros(env.n_states[i])
             onehot[s] = 1.0
             learner, k = trainer.agents[f"follower-{i}"]
-            rows = np.tile(onehot, (len(learner.rngs), 1))
-            (action,) = learner.frozen_act(rows)[k]
+            learner.inputs[...] = onehot
+            (action,) = learner.frozen_act()[k]
             per_state.append(action)
         choice.append(per_state)
     policy = deterministic_policy(env, choice)

@@ -12,14 +12,12 @@ from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
 from helpers import parameters, reference_update
 
 
-def episode_of(rows):
-    """``(Rollout, rewards)`` of one member's episode from (state, action,
-    log_prob, reward) rows, the arguments of a one-member group's
-    ``update``."""
-    states, actions, log_probs, rewards = zip(*rows)
-    return (Rollout(np.array([states]), np.array([actions]),
-                    np.array([log_probs])),
-            np.array([rewards], dtype=float))
+def act_on(agent, state, t):
+    """Member 0 of a one-member ``agent`` acts on ``state`` as step ``t``;
+    returns its (action, log_prob) as its rollout recorded them."""
+    agent.inputs[0] = state
+    [action] = agent.act(t)
+    return action, agent.rollout.log_probs[0, t]
 
 
 def member_rows(rollout, k):
@@ -28,18 +26,14 @@ def member_rows(rollout, k):
 
 
 def acted_episode(agent, rows, seed):
-    """``(Rollout, rewards)`` of ``rows`` steps that each of ``agent``'s
-    members acted on, with standard normal states and rewards drawn from
-    ``seed``."""
+    """Rewards of ``rows`` steps that each of ``agent``'s members acted on,
+    with standard normal states and rewards drawn from ``seed``."""
     data = np.random.default_rng(seed)
-    rollout = agent.empty_rollout(rows)
-    for k in range(len(agent.rngs)):
-        for t in range(rows):
-            rollout.states[k, t] = data.standard_normal(agent.obs_dim)
+    states = data.standard_normal((len(agent.rngs), rows, agent.obs_dim))
     for t in range(rows):
-        for k, acted in enumerate(agent.act(rollout.states[:, t])):
-            rollout.actions[k, t], rollout.log_probs[k, t] = acted
-    return rollout, data.standard_normal((len(agent.rngs), rows))
+        agent.inputs[...] = states[:, t]
+        agent.act(t)
+    return data.standard_normal((len(agent.rngs), rows))
 
 
 def gae_of(rewards, values, gamma, lam):
@@ -104,26 +98,26 @@ def small_config(**kw):
 class TestLearner:
     def test_act_shapes_discrete(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(0)])
-        [((action,), logp)] = agent.act(np.zeros((1, 3)))
+                           [np.random.default_rng(0)], 1)
+        [(action,)] = agent.act(0)
         assert 0 <= action < 4
-        assert np.isfinite(logp)
-        [(frozen,)] = agent.frozen_act(np.zeros((1, 3)))
+        assert np.isfinite(agent.rollout.log_probs[0, 0])
+        [(frozen,)] = agent.frozen_act()
         assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
         agent = PpoLearner(3, BetaHead(5), small_config(),
-                           [np.random.default_rng(0)])
-        [(action, logp)] = agent.act(np.zeros((1, 3)))
+                           [np.random.default_rng(0)], 1)
+        [action] = agent.act(0)
         assert action.shape == (5,)
         assert np.all((action > 0.0) & (action < 1.0))
-        [frozen] = agent.frozen_act(np.zeros((1, 3)))
+        [frozen] = agent.frozen_act()
         assert np.all((frozen > 0.0) & (frozen < 1.0))
 
     def test_act_shapes_joint(self):
         agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
-                           [np.random.default_rng(0)])
-        [(action, logp)] = agent.act(np.zeros((1, 3)))
+                           [np.random.default_rng(0)], 1)
+        [action] = agent.act(0)
         assert len(action) == 3
         for a, size in zip(action, (2, 3, 4)):
             assert 0 <= a < size
@@ -131,15 +125,16 @@ class TestLearner:
     @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
                              ids=["categorical", "beta"])
     def test_act_does_not_run_the_value_net(self, head, monkeypatch):
-        agent = PpoLearner(3, head, small_config(), [np.random.default_rng(0)])
+        agent = PpoLearner(3, head, small_config(),
+                           [np.random.default_rng(0)], 10)
         calls = []
         for net in (agent.value, agent.value_nets[0]):
             monkeypatch.setattr(net, "forward_cached",
                                 lambda x, forward_cached=net.forward_cached:
                                 calls.append(1) or forward_cached(x))
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            agent.act(rng.standard_normal((1, 3)))
+        for t in range(10):
+            act_on(agent, rng.standard_normal(3), t)
         assert calls == []
         agent.value_nets[0].forward(np.zeros(3))
         assert calls == [1], "the counter must see value-net calls"
@@ -147,55 +142,55 @@ class TestLearner:
     @pytest.mark.parametrize("head", [CategoricalHead((4,)), BetaHead(2)],
                              ids=["categorical", "beta"])
     def test_nan_policy_refuses_to_act(self, head):
-        agent = PpoLearner(3, head, small_config(), [np.random.default_rng(0)])
+        agent = PpoLearner(3, head, small_config(),
+                           [np.random.default_rng(0)], 1)
         agent.policy_nets[0].flat[-1] = np.nan  # an output bias, a bad load
-        state = np.ones(3)
+        agent.inputs[0] = np.ones(3)
         with pytest.raises(nn.NonFiniteParams):
-            agent.act(state[None])
+            agent.act(0)
         with pytest.raises(nn.NonFiniteParams):
-            agent.frozen_act(state[None])
+            agent.frozen_act()
 
         # in a group, one member's bad output bias stops the whole call
         group = PpoLearner(3, head, small_config(),
-                           [np.random.default_rng(s) for s in range(3)])
-        rows = np.ones((3, 3))
-        clean = group.frozen_act(rows)
+                           [np.random.default_rng(s) for s in range(3)], 1)
+        group.inputs[...] = 1.0
+        clean = group.frozen_act()
         group.policy_nets[1].flat[-1] = np.nan
         assert np.isnan(group.policy.flat[1, -1])
-        for act in (group.act, group.frozen_act):
+        for act in (lambda: group.act(0), group.frozen_act):
             with pytest.raises(nn.NonFiniteParams):
-                act(rows)
-        own = group.policy_nets[0].forward(rows[0])
+                act()
+        own = group.policy_nets[0].forward(group.inputs[0])
         np.testing.assert_array_equal(nn.frozen_action(head, own), clean[0])
 
         # so is one member's non-finite input row
         group.policy_nets[1].flat[-1] = 0.0
-        rows[2, 1] = np.inf
-        for act in (group.act, group.frozen_act):
+        group.inputs[2, 1] = np.inf
+        for act in (lambda: group.act(0), group.frozen_act):
             with pytest.raises(nn.NonFiniteInput):
-                act(rows)
+                act()
 
     def test_update_takes_values_in_one_batched_pass(self, monkeypatch):
         agent = PpoLearner(5, CategoricalHead((3,)),
                            small_config(hidden=(64, 64)),
-                           [np.random.default_rng(6)])
+                           [np.random.default_rng(6)], 57)
         rng = np.random.default_rng(7)
-        rows = []
+        rewards = []
         for t in range(57):
-            s = rng.standard_normal(5)
-            [(a, logp)] = agent.act(s[None])
-            rows.append((s, a, logp, rng.standard_normal()))
-        rollout, rewards = episode_of(rows)
-        batched = agent.value_nets[0].forward(rollout.states[0])[:, 0]
+            act_on(agent, rng.standard_normal(5), t)
+            rewards.append(rng.standard_normal())
+        states = agent.rollout.states[0]
+        batched = agent.value_nets[0].forward(states)[:, 0]
         row_by_row = np.array([agent.value_nets[0].forward(s)[0]
-                               for s in rollout.states[0]])
+                               for s in states])
         seen = []
         real_gae = ppo.compute_gae
         monkeypatch.setattr(
             ppo, "compute_gae",
             lambda r, values, *a: (seen.append(values.copy())
                                    or real_gae(r, values, *a)))
-        agent.update(rollout, rewards)
+        agent.update(np.array([rewards]))
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], batched)
         np.testing.assert_allclose(seen[0], row_by_row, rtol=0, atol=1e-12)
@@ -205,28 +200,26 @@ class TestLearner:
         # update packs 32 one-step pulls into one episode, and gamma = 0
         # gives every row exactly its own one-step advantage
         agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
-                           [np.random.default_rng(3)])
+                           [np.random.default_rng(3)], 32)
         state = np.zeros(1)
         for _ in range(150):
-            rows = []
-            for _ in range(32):
-                [(action, logp)] = agent.act(state[None])
-                reward = 1.0 if action == (0,) else 0.0
-                rows.append((state, action, logp, reward))
-            agent.update(*episode_of(rows))
-        pulls = [agent.act(state[None])[0][0] for _ in range(200)]
+            rewards = []
+            for t in range(32):
+                action, _ = act_on(agent, state, t)
+                rewards.append(1.0 if action == (0,) else 0.0)
+            agent.update(np.array([rewards]))
+        pulls = [act_on(agent, state, 0)[0] for _ in range(200)]
         assert np.mean(np.array(pulls) == 0) > 0.9
 
     def test_update_diagnostics(self):
         agent = PpoLearner(2, CategoricalHead((3,)), small_config(),
-                           [np.random.default_rng(1)])
-        rows = []
+                           [np.random.default_rng(1)], 20)
+        rewards = []
         rng = np.random.default_rng(5)
         for t in range(20):
-            s = rng.standard_normal(2)
-            [(a, logp)] = agent.act(s[None])
-            rows.append((s, a, logp, rng.standard_normal()))
-        diags = agent.update(*episode_of(rows))
+            act_on(agent, rng.standard_normal(2), t)
+            rewards.append(rng.standard_normal())
+        diags = agent.update(np.array([rewards]))
         for key in ("policy_loss", "value_loss", "entropy", "clip_fraction",
                     "transitions"):
             assert key in diags
@@ -242,18 +235,16 @@ class TestLearner:
         # (300, 8) makes 76 minibatch steps, so each diagnostic is averaged
         # over 8 or more values, which NumPy sums pairwise
         cfg = small_config(batch_size=batch_size)
-        agent, twin = (PpoLearner(3, head, cfg, [np.random.default_rng(4)])
-                       for _ in range(2))
+        agent, twin = (PpoLearner(3, head, cfg, [np.random.default_rng(4)],
+                                  rows) for _ in range(2))
         data = np.random.default_rng(rows)
-        rollout = agent.empty_rollout(rows)
         for t in range(rows):
-            rollout.states[0, t] = data.standard_normal(3)
-            [(rollout.actions[0, t], rollout.log_probs[0, t])] = agent.act(
-                rollout.states[:, t])
+            act_on(agent, data.standard_normal(3), t)
         twin.rngs[0].bit_generator.state = agent.rngs[0].bit_generator.state
         rewards = data.standard_normal(rows)
-        got = agent.update(rollout, [rewards])
-        want = reference_update(twin, member_rows(rollout, 0), rewards)
+        rollout = member_rows(agent.rollout, 0)
+        got = agent.update([rewards])
+        want = reference_update(twin, rollout, rewards)
         # a one-member group's dict holds one-entry lists
         assert got == {key: value if key == "transitions" else [value]
                        for key, value in want.items()}
@@ -270,16 +261,17 @@ class TestLearner:
             self, head, rows, batch_size, members):
         cfg = small_config(batch_size=batch_size)
         agent = PpoLearner(3, head, cfg, [np.random.default_rng(k)
-                                          for k in range(members)])
-        twins = [PpoLearner(3, head, cfg, [np.random.default_rng(k)])
+                                          for k in range(members)], rows)
+        twins = [PpoLearner(3, head, cfg, [np.random.default_rng(k)], rows)
                  for k in range(members)]
-        rollout, rewards = acted_episode(agent, rows, seed=rows)
+        rewards = acted_episode(agent, rows, seed=rows)
         for rng, twin in zip(agent.rngs, twins):
             twin.rngs[0].bit_generator.state = rng.bit_generator.state
-        got = agent.update(rollout, rewards)
+        got = agent.update(rewards)
         assert got["transitions"] == members * rows
         for k, twin in enumerate(twins):
-            want = reference_update(twin, member_rows(rollout, k), rewards[k])
+            want = reference_update(twin, member_rows(agent.rollout, k),
+                                    rewards[k])
             assert want["transitions"] == rows and list(got) == list(want)
             # the group's one dict has one list per key
             assert all(got[key][k] == want[key] for key in want
@@ -298,9 +290,9 @@ class TestLearner:
             self, monkeypatch):
         cfg = small_config(batch_size=1, epochs_per_update=2)
         agent = PpoLearner(2, CategoricalHead((2,)), cfg,
-                           [np.random.default_rng(k) for k in range(3)])
+                           [np.random.default_rng(k) for k in range(3)], 4)
         # warm up so the optimizer moments are not all zero
-        agent.update(*acted_episode(agent, 4, seed=0))
+        agent.update(acted_episode(agent, 4, seed=0))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
@@ -314,11 +306,11 @@ class TestLearner:
                 agent.policy.flat.copy(), agent.value.flat.copy(),
                 *((opt.step, opt.m.copy(), opt.v.copy())
                   for opt in (agent.opt_policy, agent.opt_value)))
-            rollout, rewards = acted_episode(agent, 4, seed=10)
+            rewards = acted_episode(agent, 4, seed=10)
             rewards[1][0] = bad
             with pytest.raises(NonFiniteLoss, match=message) as err, \
                     np.errstate(over="ignore"):
-                agent.update(rollout, rewards)
+                agent.update(rewards)
             assert err.value.member == 1
             assert bool(adam_calls) == (bad != np.inf)
             # every member's rows, which its nets are still bound to
@@ -340,37 +332,34 @@ class TestLearner:
         # is exactly 1, so nothing clips
         agent = PpoLearner(2, CategoricalHead((3,)),
                            small_config(epochs_per_update=1, batch_size=256),
-                           [np.random.default_rng(1)])
-        rows = []
+                           [np.random.default_rng(1)], 30)
+        rewards = []
         rng = np.random.default_rng(5)
         for t in range(30):
-            s = rng.standard_normal(2)
-            [(a, logp)] = agent.act(s[None])
-            rows.append((s, a, logp, rng.standard_normal()))
-        diags = agent.update(*episode_of(rows))
+            act_on(agent, rng.standard_normal(2), t)
+            rewards.append(rng.standard_normal())
+        diags = agent.update(np.array([rewards]))
         assert diags["clip_fraction"] == [0.0]
 
     def test_empty_batch_raises(self):
         agent = PpoLearner(2, CategoricalHead((2,)), small_config(),
-                           [np.random.default_rng(0)])
+                           [np.random.default_rng(0)], 0)
         with pytest.raises(EmptyBatch):
-            agent.update(agent.empty_rollout(0), np.zeros((1, 0)))
+            agent.update(np.zeros((1, 0)))
 
     def test_non_finite_loss_restores_state(self, monkeypatch):
         agent = PpoLearner(2, CategoricalHead((2,)),
                            small_config(batch_size=1, epochs_per_update=2),
-                           [np.random.default_rng(0)])
+                           [np.random.default_rng(0)], 4)
         s = np.ones(2)
 
         def episode_with_rewards(rewards):
-            rows = []
-            for r in rewards:
-                [(a, logp)] = agent.act(s[None])
-                rows.append((s, a, logp, r))
-            return episode_of(rows)
+            for t in range(len(rewards)):
+                act_on(agent, s, t)
+            return np.array([rewards])
 
         # warm up so the optimizer moments are not all zero
-        agent.update(*episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
+        agent.update(episode_with_rewards([1.0, -1.0, 0.5, 2.0]))
         adam_calls = []
         adam_step = nn.adam_step
         monkeypatch.setattr(nn, "adam_step",
@@ -386,7 +375,7 @@ class TestLearner:
                           for opt in (agent.opt_policy, agent.opt_value)]
             episode = episode_with_rewards(rewards)
             with pytest.raises(NonFiniteLoss), np.errstate(over="ignore"):
-                agent.update(*episode)
+                agent.update(episode)
             params_after = [p for net in (agent.policy, agent.value)
                             for p in parameters(net)]
             for p0, p1 in zip(params_before, params_after):
@@ -404,57 +393,53 @@ class TestLearner:
     def test_constant_advantage_not_normalized_to_nan(self):
         # all-equal advantages have zero std; normalization must be skipped
         agent = PpoLearner(1, CategoricalHead((2,)), small_config(gamma=0.0),
-                           [np.random.default_rng(2)])
-        rows = []
+                           [np.random.default_rng(2)], 8)
         for t in range(8):
-            s = np.zeros(1)
-            [(a, logp)] = agent.act(s[None])
             # every state is equal, so update's value estimates are equal
             # too; with a constant reward and gamma = 0 (eight one-step
             # episodes in one) the advantages are equal
-            rows.append((s, a, logp, 1.0))
-        diags = agent.update(*episode_of(rows))
+            act_on(agent, np.zeros(1), t)
+        diags = agent.update(np.ones((1, 8)))
         assert np.isfinite(diags["policy_loss"]).all()
 
 
 class TestLearnerCheckpoint:
     def test_round_trip_preserves_frozen_actions(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(11)])
+                           [np.random.default_rng(11)], 1)
         blob = agent.to_bytes(0)
         clone = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(99)])
+                           [np.random.default_rng(99)], 1)
         clone.load_bytes(0, blob)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            s = rng.standard_normal(3)
-            assert agent.frozen_act(s[None]) == clone.frozen_act(s[None])
+            agent.inputs[0] = clone.inputs[0] = rng.standard_normal(3)
+            assert agent.frozen_act() == clone.frozen_act()
 
     def test_file_round_trip(self, tmp_path):
         agent = PpoLearner(2, BetaHead(2), small_config(),
-                           [np.random.default_rng(4)])
+                           [np.random.default_rng(4)], 1)
         path = tmp_path / "agent.ckpt"
         agent.save(0, path)
         clone = PpoLearner(2, BetaHead(2), small_config(),
-                           [np.random.default_rng(5)])
+                           [np.random.default_rng(5)], 1)
         clone.load(0, path)
-        s = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(agent.frozen_act(s[None]),
-                                      clone.frozen_act(s[None]))
+        agent.inputs[0] = clone.inputs[0] = np.array([0.3, -0.7])
+        np.testing.assert_array_equal(agent.frozen_act(), clone.frozen_act())
 
     def test_dimension_mismatch_rejected(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(11)])
+                           [np.random.default_rng(11)], 1)
         other = PpoLearner(5, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(11)])
+                           [np.random.default_rng(11)], 1)
         with pytest.raises(CheckpointMismatch):
             other.load_bytes(0, agent.to_bytes(0))
 
     def test_value_mismatch_loads_neither_net(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(11)])
+                           [np.random.default_rng(11)], 1)
         other = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(12)])
+                           [np.random.default_rng(12)], 1)
         before = other.to_bytes(0)
         wrong_value = DenseNet((3, 5, 1), np.random.default_rng(13))
         with pytest.raises(CheckpointMismatch, match="value dims"):
@@ -464,9 +449,9 @@ class TestLearnerCheckpoint:
 
     def test_load_writes_only_its_members_rows(self, tmp_path):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                           [np.random.default_rng(k) for k in range(3)])
+                           [np.random.default_rng(k) for k in range(3)], 1)
         lone = PpoLearner(3, CategoricalHead((4,)), small_config(),
-                          [np.random.default_rng(7)])
+                          [np.random.default_rng(7)], 1)
         lone.save(0, tmp_path / "lone.ckpt")
         before = agent.policy.flat.copy(), agent.value.flat.copy()
         agent.load(1, tmp_path / "lone.ckpt")

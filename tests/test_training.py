@@ -1,6 +1,7 @@
 """Tests for episode orchestration: reward composition, counterfactual
 replay hygiene, per-mode agent wiring, and credit timing."""
 
+import copy
 import threading
 import time
 import warnings
@@ -432,10 +433,10 @@ def test_role_streams_are_period_sums_of_team_rewards(horizon,
     paid = {}
     roles = {id(learner): group for learner, group in trainer.groups}
 
-    def update(learner, rollout, rewards, original=PpoLearner.update):
+    def update(learner, rewards, original=PpoLearner.update):
         for role, paid_rewards in zip(roles[id(learner)], rewards):
             paid[role] = np.array(paid_rewards, dtype=float)
-        return original(learner, rollout, rewards)
+        return original(learner, rewards)
 
     monkeypatch.setattr(PpoLearner, "update", update)
 
@@ -472,10 +473,10 @@ def test_leader_input_is_concatenated_observation_in_every_run():
 
     env.reset, env.step = reset, step
     for name in ("act", "frozen_act"):
-        def spy(states, original=getattr(leader, name)):
-            assert states.shape == (1, leader.obs_dim)
-            inputs.append(np.array(states[k]))
-            return original(states)
+        def spy(*t, original=getattr(leader, name)):
+            assert leader.inputs.shape == (1, leader.obs_dim)
+            inputs.append(np.array(leader.inputs[k]))
+            return original(*t)
         setattr(leader, name, spy)
 
     for frozen in (False, True):
@@ -510,18 +511,20 @@ def test_rgd_input_is_sampled_states_end_state_and_goals():
 
     leader, _ = trainer.agents["leader"]
 
-    def leader_act(states, original=leader.act):
-        [(action, log_prob)] = original(states)
+    def leader_act(t, original=leader.act):
+        [action] = original(t)
         goals.append(np.array(action, dtype=float))
-        return [(action, log_prob)]
+        return [action]
     leader.act = leader_act
     for role in inputs:
         learner, member = trainer.agents[role]
 
-        def spy(states, role=role, member=member, original=learner.act):
-            assert states.shape == (len(learner.rngs), learner.obs_dim)
-            inputs[role].append(np.array(states[member]))
-            return original(states)
+        def spy(t, role=role, learner=learner, member=member,
+                original=learner.act):
+            rows = learner.inputs
+            assert rows.shape == (len(learner.rngs), learner.obs_dim)
+            inputs[role].append(np.array(rows[member]))
+            return original(t)
         learner.act = spy
 
     trainer.run_episode(0)
@@ -672,7 +675,8 @@ def assert_groups_act_as_their_members(trainer, seed):
                 w, b = learner.policy.layer_views(learner.policy.flat)[-1]
                 w[...] = b[...] = 0.0
             stacked = learner.policy.forward(rows[:, None])[:, 0]
-            acted = learner.frozen_act(rows)
+            learner.inputs[...] = rows
+            acted = learner.frozen_act()
             assert len(acted) == len(roles)
             for k, row in enumerate(rows):
                 own = learner.policy_nets[k].forward(row)
@@ -721,32 +725,25 @@ def acting_count(roles, steps, goal_period, frozen):
 ])
 def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
                                                env_options, sizes):
-    made = []
-    empty_rollout = PpoLearner.empty_rollout
-    monkeypatch.setattr(PpoLearner, "empty_rollout",
-                        lambda self, rows: made.append(self)
-                        or empty_rollout(self, rows))
     trainer = Trainer(shape_group_config(env_name, mode, env_options))
     assert [len(roles) for _, roles in trainer.groups] == sizes
-    assert made == [learner for learner, _ in trainer.groups]
-    made.clear()
+    # each group's acting buffers, allocated with it
+    buffers = {learner: (learner.inputs, learner.rollout)
+               for learner, _ in trainer.groups}
     calls = []
     for name in ("act", "frozen_act"):
         monkeypatch.setattr(
             PpoLearner, name,
-            lambda self, states, name=name,
-            original=getattr(PpoLearner, name):
-            calls.append((name, self, states)) or original(self, states))
+            lambda self, *t, name=name, original=getattr(PpoLearner, name):
+            calls.append((name, self, *t)) or original(self, *t))
     # no update runs, so every forward below is an acting one
-    updated = {}
+    updated = set()
     monkeypatch.setattr(PpoLearner, "update",
-                        lambda self, rollout, rewards:
-                        updated.__setitem__(self, rollout) or {})
+                        lambda self, rewards: updated.add(self) or {})
     forward_cached = nn.DenseNet.forward_cached
     monkeypatch.setattr(nn.DenseNet, "forward_cached",
                         lambda self, x: calls.append(np.ndim(x))
                         or forward_cached(self, x))
-    rollouts, frozen_rows = {}, {}
     for frozen in (False, True, False, True):
         calls.clear()
         updated.clear()
@@ -759,7 +756,7 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
         name = "frozen_act" if frozen else "act"
         acts = [call for call in calls if isinstance(call, tuple)]
         want = []
-        for _, learner, _ in acts:
+        for _, learner, *_ in acts:
             members = len(learner.rngs)
             want += [(name, learner)] + (
                 [3] if frozen and members > 1 else
@@ -767,28 +764,69 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
         assert [call[:2] if isinstance(call, tuple) else call
                 for call in calls] == want
         for learner, roles in trainer.groups:
-            seen = [rows for _, who, rows in acts if who is learner]
+            seen = [call[2:] for call in acts if call[1] is learner]
             assert len(seen) == acting_count(roles, steps,
                                              trainer.env.goal_period, frozen)
-            for t, rows in enumerate(seen):
-                assert rows.shape == (len(roles), learner.obs_dim)
-                if frozen:
-                    # one C-contiguous array of the group's, at every step
-                    assert rows.flags.c_contiguous
-                    assert rows is frozen_rows.setdefault(learner, rows)
-                else:
-                    # the group's act number t runs on its rollout rows t,
-                    # and the rollout lives as long as the trainer
-                    rollout = rollouts.setdefault(learner, updated[learner])
-                    assert updated[learner] is rollout
-                    assert (rows.__array_interface__
-                            == rollout.states[:, t].__array_interface__)
-    assert len({id(rows) for rows in frozen_rows.values()}) == len(
-        frozen_rows)
-    assert not any(np.shares_memory(rows, rollout.states)
-                   for rows in frozen_rows.values()
-                   for rollout in rollouts.values())
-    assert made == []
+            # the group's act number t records its rollout's step t
+            assert seen == ([()] * len(seen) if frozen
+                            else [(t,) for t in range(len(seen))])
+            assert (frozen or not seen) == (learner not in updated)
+            # one C-contiguous (G, obs) array of the group's, and one
+            # rollout, for as long as the trainer lives
+            inputs, rollout = buffers[learner]
+            assert learner.inputs is inputs and learner.rollout is rollout
+            assert inputs.shape == (len(roles), learner.obs_dim)
+            assert inputs.flags.c_contiguous
+    assert len({id(inputs) for inputs, _ in buffers.values()}) == len(buffers)
+    assert not any(np.shares_memory(inputs, array)
+                   for inputs, _ in buffers.values()
+                   for _, rollout in buffers.values()
+                   for array in vars(rollout).values())
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", [
+    ("prey", RunMode.SRM, dict(max_steps=6)),
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2)),
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)),
+    ("micro", RunMode.GS, None),
+])
+def test_act_records_its_inputs_and_each_members_own_draw(
+        monkeypatch, env_name, mode, env_options):
+    trainer = Trainer(shape_group_config(env_name, mode, env_options))
+    checked = {"act": 0, "frozen_act": 0}
+    act, frozen_act = PpoLearner.act, PpoLearner.frozen_act
+
+    def act_spy(self, t):
+        twins = [copy.deepcopy(rng) for rng in self.rngs]
+        states = self.rollout.states.copy()
+        acted = act(self, t)
+        rollout = self.rollout
+        # step t holds the inputs, and no other step changed
+        states[:, t] = self.inputs
+        np.testing.assert_array_equal(rollout.states, states)
+        for k, (net, twin) in enumerate(zip(self.policy_nets, twins)):
+            action, log_prob = nn.sample_and_logprob(
+                self.head, net.forward(self.inputs[k]), twin)
+            np.testing.assert_array_equal(acted[k], action)
+            np.testing.assert_array_equal(rollout.actions[k, t], action)
+            assert rollout.log_probs[k, t] == log_prob
+        checked["act"] += 1
+        return acted
+
+    def frozen_spy(self):
+        before = [array.copy() for array in vars(self.rollout).values()]
+        acted = frozen_act(self)
+        for now, then in zip(vars(self.rollout).values(), before):
+            np.testing.assert_array_equal(now, then)
+        checked["frozen_act"] += 1
+        return acted
+
+    monkeypatch.setattr(PpoLearner, "act", act_spy)
+    monkeypatch.setattr(PpoLearner, "frozen_act", frozen_spy)
+    for episode in range(2):
+        trainer.run_episode(episode)
+        trainer.run_episode(episode, frozen=True)
+    assert checked["act"] > 0 and checked["frozen_act"] > 0
 
 
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
@@ -1006,12 +1044,14 @@ def test_stale_rows_never_reach_an_update(tmp_path):
         records = []
         for episode in range(4):
             if poisoned:
-                # rows an update read would raise NonFiniteInput, an index
-                # error or NonFiniteLoss
-                for rollout in trainer._rollouts.values():
+                # rows an act or update read would raise NonFiniteInput,
+                # an index error or NonFiniteLoss
+                for learner, _ in trainer.groups:
+                    rollout = learner.rollout
                     rollout.states[...] = np.nan
                     rollout.actions[...] = np.iinfo(rollout.actions.dtype).max
                     rollout.log_probs[...] = np.nan
+                    learner.inputs[...] = np.nan
             records.append(trainer.run_episode(episode))
             lengths.append(trainer.env.step_count)
         runs.append(trained_bytes(trainer, records, tmp_path / str(poisoned)))
@@ -1071,8 +1111,8 @@ def test_checkpoint_round_trip_via_trainer(tmp_path):
     learner, k = trainer.agents["follower-0"]
     twin_learner, twin_k = twin.agents["follower-0"]
     state = np.linspace(0.0, 1.0, learner.obs_dim)
-    rows = np.tile(state, (len(learner.rngs), 1))
-    assert learner.frozen_act(rows)[k] == twin_learner.frozen_act(rows)[twin_k]
+    learner.inputs[...] = twin_learner.inputs[...] = state
+    assert learner.frozen_act()[k] == twin_learner.frozen_act()[twin_k]
 
 
 def test_load_checkpoints_requires_every_role(tmp_path):
