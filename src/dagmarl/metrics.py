@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -28,16 +30,28 @@ def moving_average(series, window: int = 100) -> np.ndarray:
     return out
 
 
+def constant_span(value: float) -> tuple:
+    """(lo, hi) drawn around a constant ``value``: half a unit each side,
+    or the floats next to it where half a unit rounds away, from 2**53."""
+    lo, hi = value - 0.5, value + 0.5
+    if lo == hi:
+        lo = math.nextafter(value, -math.inf)
+        hi = math.nextafter(value, math.inf)
+    return lo, hi
+
+
 def min_max_normalize(series) -> np.ndarray:
     """Rescale into [0, 1]; a constant series maps to 0.5 everywhere."""
     values = np.asarray(series, dtype=float)
     if values.size == 0:
         raise EmptySeries("cannot normalize an empty series")
-    lo = values.min()
-    hi = values.max()
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         return np.full_like(values, 0.5)
-    return (values - lo) / (hi - lo)
+    width = hi - lo  # a float width overflows without a warning
+    if width == math.inf:
+        raise ValueError(f"cannot normalize values from {lo!r} to {hi!r}")
+    return (values - lo) / width
 
 
 def histogram(series, bins: int = 30):
@@ -50,7 +64,6 @@ def histogram(series, bins: int = 30):
     lo = values.min()
     hi = values.max()
     if hi == lo:
-        edges = np.array([lo - 0.5, lo + 0.5])
-        return np.array([values.size]), edges
+        return np.array([values.size]), np.array(constant_span(float(lo)))
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     return counts, edges

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 import math
 import struct
 import sys
@@ -387,12 +388,23 @@ def betaln(a, b):
 # ---------------------------------------------------------------------------
 
 
+# A padded block of rows may be narrower than this, or else hold rows of one
+# size: NumPy sums fewer than 8 values in order and 8 or more pairwise, so
+# padding a row of 4 to 7 logits to 8 or more cells can change its sum.
+_IN_ORDER_SUM = 8
+
+
 @dataclass(frozen=True)
 class CategoricalHead:
-    """One categorical segment per entry of ``sizes``, over consecutive logits.
+    """One categorical segment per entry of ``sizes``.
 
-    An action is a tuple of one int per segment; log-probs and entropies add
-    across segments, logit gradients concatenate.
+    A net's outputs hold the segments' logits one after another
+    (``bounds``), as ``categorical_stats`` reads them.
+    ``sample_and_logprob`` and ``frozen_action`` read them one segment per
+    row of a padded (segments, max size) array instead: each row's logits
+    from the left, ``-inf`` after.  An action is one int per segment;
+    log-probs and entropies add across segments, logit gradients
+    concatenate.
     """
 
     sizes: tuple
@@ -407,6 +419,30 @@ class CategoricalHead:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "bounds",
                            tuple(zip([0] + ends[:-1], ends)))
+
+    @functools.cached_property
+    def real(self):
+        """The padded rows' logit cells, a boolean (segments, max size)
+        mask."""
+        widths = np.array(self.sizes)
+        return np.arange(widths.max()) < widths[:, None]
+
+    @functools.cached_property
+    def blocks(self):
+        """(rows, width, row positions, last index of each row) of each
+        block of rows that one log-softmax pads to a common width: the rows
+        narrower than _IN_ORDER_SUM, then the wider ones, one block per
+        size."""
+        widths = np.array(self.sizes)
+        keys = np.where(widths < _IN_ORDER_SUM, 0, widths)
+        blocks = []
+        for key in sorted(set(keys.tolist())):
+            rows = np.flatnonzero(keys == key)
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            blocks.append((rows, int(widths[rows].max()),
+                           np.arange(len(widths[rows])), widths[rows] - 1))
+        return tuple(blocks)
 
     @property
     def param_dim(self):
@@ -465,56 +501,73 @@ def _check_params(params):
         raise NonFiniteParams("non-finite head parameters")
 
 
-def sample_and_logprob(head, params, rng: np.random.Generator):
-    """Draws one action; returns (action, log_prob)."""
-    params = np.asarray(params, dtype=np.float64)
-    _check_params(params)
+def _check_rows(head, params):
+    """Refuses rows that ``head`` cannot read, or a non-finite logit or raw
+    parameter; a categorical head's padding is not checked."""
     if isinstance(head, CategoricalHead):
-        if params.shape != (head.param_dim,):
-            raise DimensionMismatch(
-                f"logits shape {params.shape} for segments {head.sizes}")
-        action, logp = [], 0.0
-        for lo, hi in head.bounds:
-            seg = params[lo:hi]
-            m = seg.max()
-            logp_all = seg - (m + np.log(np.exp(seg - m).sum()))
-            a = min(int(np.exp(logp_all).cumsum().searchsorted(
-                rng.random(), side="right")), hi - lo - 1)
-            action.append(a)
-            logp += float(logp_all[a])
-        return tuple(action), logp
-    if isinstance(head, BetaHead):
-        alpha, beta = beta_shapes(head, params)
-        x = np.clip(rng.beta(alpha, beta), _X_EDGE, 1.0 - _X_EDGE)
-        logp = float(np.sum((alpha - 1.0) * np.log(x)
-                            + (beta - 1.0) * np.log1p(-x)
-                            - betaln(alpha, beta)))
-        return x, logp
-    raise TypeError(f"unknown head {head!r}")
+        if params.shape != head.real.shape:
+            raise DimensionMismatch(f"padded logits {params.shape} for "
+                                    f"segments {head.sizes}")
+        _check_params(params[head.real])
+    elif isinstance(head, BetaHead):
+        if params.ndim != 2 or params.shape[1] != head.param_dim:
+            raise DimensionMismatch(f"raw params {params.shape} for "
+                                    f"BetaHead(dim={head.dim})")
+        _check_params(params)
+    else:
+        raise TypeError(f"unknown head {head!r}")
+
+
+def sample_and_logprob(head, params, rngs):
+    """Draws one action per row of ``params``, row r's from ``rngs[r]``, in
+    row order; returns (actions, log_probs), one of each per row.
+
+    A categorical head's rows are its padded segments (see
+    ``CategoricalHead``), and each row's action is an int.  Each block of
+    rows takes one log-softmax, one cumsum and one search for the first
+    cumulative probability past each row's uniform draw, so every row gets
+    the bits of its own segment sampled alone.  A Beta head's rows are raw
+    parameter vectors, and each row's action a (dim,) vector.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    _check_rows(head, params)
+    if isinstance(head, CategoricalHead):
+        u = np.array([rng.random() for rng in rngs])
+        actions = np.empty(len(u), dtype=int)
+        log_probs = np.empty(len(u))
+        for rows, width, at, last in head.blocks:
+            block = params[rows, :width]
+            m = block.max(axis=1, keepdims=True)
+            logp_all = block - (m + np.log(np.exp(block - m).sum(
+                axis=1, keepdims=True)))
+            # the first cell whose cumulative probability passes the draw;
+            # the last logit takes a draw that rounding left above the sum
+            cum = np.exp(logp_all).cumsum(axis=1)
+            cum[at, last] = np.inf
+            taken = (cum > u[rows, None]).argmax(axis=1)
+            actions[rows] = taken
+            log_probs[rows] = logp_all[at, taken]
+        return actions, log_probs
+    alpha, beta = beta_shapes(head, params)
+    x = np.clip([rng.beta(a, b) for rng, a, b in zip(rngs, alpha, beta)],
+                _X_EDGE, 1.0 - _X_EDGE)
+    log_probs = np.sum((alpha - 1.0) * np.log(x)
+                       + (beta - 1.0) * np.log1p(-x) - betaln(alpha, beta),
+                       axis=-1)
+    return x, log_probs
 
 
 def frozen_action(head, params):
-    """Deterministic action for evaluation: per-segment argmax (the first
-    index of a tie) / Beta mean.
-
-    ``params`` is one row, or rows with leading axes such as a group's
-    (G, param_dim) outputs.  One row gives a tuple of ints (categorical)
-    or a (dim,) array (Beta); rows give an int array (..., segments) or a
-    (..., dim) array, each row's action equal to that row's own.
-    """
+    """Deterministic action for evaluation, one per row of ``params`` as
+    ``sample_and_logprob`` reads them: each row's argmax (the first index
+    of a tie) as an int array, or each row's Beta mean."""
     params = np.asarray(params, dtype=np.float64)
-    _check_params(params)
+    _check_rows(head, params)
     if isinstance(head, CategoricalHead):
-        if params.ndim > 1:
-            actions = head.empty_actions(*params.shape[:-1])
-            for s, (lo, hi) in enumerate(head.bounds):
-                actions[..., s] = params[..., lo:hi].argmax(axis=-1)
-            return actions
-        return tuple([int(params[lo:hi].argmax()) for lo, hi in head.bounds])
-    if isinstance(head, BetaHead):
-        alpha, beta = beta_shapes(head, params)
-        return alpha / (alpha + beta)
-    raise TypeError(f"unknown head {head!r}")
+        # a padding cell, -inf, never beats a finite logit
+        return params.argmax(axis=1)
+    alpha, beta = beta_shapes(head, params)
+    return alpha / (alpha + beta)
 
 
 def categorical_stats(head: CategoricalHead, logits, actions):

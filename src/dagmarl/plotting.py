@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .metrics import EmptySeries
+from .metrics import EmptySeries, constant_span
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -27,8 +27,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("tick range must be finite")
     if hi == lo:
-        lo -= 0.5
-        hi += 0.5
+        lo, hi = constant_span(lo)
     raw = (hi - lo) / max(target - 1, 1)
     # a width that overflows or underflows has no magnitude
     magnitude = (10.0 ** math.floor(math.log10(raw))
@@ -133,8 +132,7 @@ def line_chart(series: dict, x_label: str = "episode",
     y_lo = min(arr.min() for arr in arrays.values())
     y_hi = max(arr.max() for arr in arrays.values())
     if y_hi == y_lo:
-        y_lo -= 0.5
-        y_hi += 0.5
+        y_lo, y_hi = constant_span(float(y_lo))
     x_ticks = _nice_ticks(0, max(x_hi, 1))
     y_ticks = _nice_ticks(y_lo, y_hi)
     y_lo = min(y_lo, y_ticks[0])

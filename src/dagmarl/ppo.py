@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .logio import atomic_write_bytes
-from .nn import BetaHead, DenseNet
+from .nn import BetaHead, CategoricalHead, DenseNet
 
 
 # what PpoLearner.update averages over its minibatch steps, in this order
@@ -116,7 +116,9 @@ class PpoLearner:
     one Adam state; ``policy_nets[k]`` and ``value_nets[k]`` are member
     k's nets, bound to row k.  The group owns its acting buffers, made
     once: ``inputs``, the (G, obs) rows the caller writes before each act,
-    row k member k's, and ``rollout``, ``steps`` rows per member."""
+    row k member k's, and ``rollout``, ``steps`` rows per member.  Acting
+    writes the policy outputs to ``out``, the group's (G, segments, width)
+    view of the padded rows of a ``HeadRows``, which draws for it."""
 
     def __init__(self, obs_dim: int, head, config: PpoConfig, rngs,
                  steps: int):
@@ -138,42 +140,53 @@ class PpoLearner:
         self.rollout = Rollout(np.zeros((members, steps, self.obs_dim)),
                                head.empty_actions(members, steps),
                                np.zeros((members, steps)))
+        # each padded row's slice of a member's outputs: a categorical
+        # head's segments, or all of a Beta head's raw parameters
+        self.segments = (head.bounds if isinstance(head, CategoricalHead)
+                         else ((0, head.param_dim),))
 
     # -- acting ------------------------------------------------------------
 
-    def act(self, t: int):
+    def act(self, t: int, out):
         """Each member in turn runs its own single-row forward on its row of
-        ``inputs`` and draws from its own generator; records the rows, the
-        actions and the log-probs as the rollout's step ``t`` and returns
-        one action per member.  The value net does not run here; ``update``
-        evaluates it for the whole rollout at once.
+        ``inputs`` and writes it to ``out``; records the rows as the
+        rollout's step ``t``.  ``record`` writes the step's draws.  The
+        value net does not run here; ``update`` evaluates it for the whole
+        rollout at once.
         """
-        acted = [nn.sample_and_logprob(self.head, net.forward(row), rng)
-                 for net, row, rng in zip(self.policy_nets, self.inputs,
-                                          self.rngs)]
-        rollout = self.rollout
-        rollout.states[:, t] = self.inputs
-        # one write per member: a slice write of G nested tuples costs
-        # more than G small ones
-        for k, (action, log_prob) in enumerate(acted):
-            rollout.actions[k, t] = action
-            rollout.log_probs[k, t] = log_prob
-        return [action for action, _ in acted]
+        for k, (net, row) in enumerate(zip(self.policy_nets, self.inputs)):
+            self._write(out, k, net.forward(row))
+        self.rollout.states[:, t] = self.inputs
 
-    def frozen_act(self):
-        """One deterministic action per member, acting on ``inputs``; records
-        nothing.
+    def frozen_act(self, out):
+        """Writes each member's outputs on its row of ``inputs`` to ``out``;
+        records nothing.
 
-        A group of two or more runs one stacked forward and one
-        ``frozen_action`` over the (G, A) outputs, bit for bit each
+        A group of two or more runs one stacked forward, bit for bit each
         member's own; a lone member keeps the cheaper single-row call.
         """
         if len(self.policy_nets) == 1:
-            return [nn.frozen_action(
-                self.head, self.policy_nets[0].forward(self.inputs[0]))]
-        return nn.frozen_action(
-            self.head, self.policy.forward(self.inputs[:, None])[:, 0]
-        ).tolist()
+            self._write(out, 0, self.policy_nets[0].forward(self.inputs[0]))
+        else:
+            self._write(out, slice(None),
+                        self.policy.forward(self.inputs[:, None])[:, 0])
+
+    def _write(self, out, members, params):
+        """``params``, the outputs of ``members``, to their rows of ``out``,
+        each row's slice from the left."""
+        for s, (lo, hi) in enumerate(self.segments):
+            out[members, s, :hi - lo] = params[..., lo:hi]
+
+    def record(self, t: int, actions, log_probs):
+        """Writes the draws of the group's rows, in ``out`` order, as the
+        rollout's step ``t``.  A member of several segments is paid
+        their log-probs summed left to right."""
+        members = len(self.rngs)
+        self.rollout.actions[:, t] = actions.reshape(members, -1)
+        if len(self.segments) > 1:
+            # a cumsum adds in order, as 0.0 + lp_0 + lp_1 + ... does
+            log_probs = log_probs.reshape(members, -1).cumsum(axis=1)[:, -1]
+        self.rollout.log_probs[:, t] = log_probs
 
     # -- learning ------------------------------------------------------------
 
@@ -321,3 +334,59 @@ class PpoLearner:
     def load(self, k: int, path):
         with open(path, "rb") as fh:
             self.load_bytes(k, fh.read())
+
+
+class HeadRows:
+    """One head call over the padded rows of ``learners``, all categorical
+    or all of one Beta head.
+
+    Learner after learner and member after member, each of a member's
+    ``segments`` takes one row of ``params``; a categorical row's logits
+    are padded on the right with ``-inf``.  Each row draws from its
+    member's generator, so a member of several segments draws for them in
+    order.  Each learner writes to its own (G, segments, width) view of the
+    rows, made once.
+    """
+
+    def __init__(self, learners):
+        self.learners = tuple(learners)
+        head = self.learners[0].head
+        if isinstance(head, CategoricalHead):
+            head = CategoricalHead([size for learner in self.learners
+                                    for _ in learner.rngs
+                                    for size in learner.head.sizes])
+            self.params = np.full(head.real.shape, -np.inf)
+        else:
+            self.params = np.zeros((sum(len(learner.rngs)
+                                        for learner in self.learners),
+                                    head.param_dim))
+        self.head = head
+        self.rngs = tuple(rng for learner in self.learners
+                          for rng in learner.rngs
+                          for _ in learner.segments)
+        self._rows = []  # (learner, its view of the rows, their slice)
+        lo = 0
+        for learner in self.learners:
+            members = len(learner.rngs)
+            rows = slice(lo, lo + members * len(learner.segments))
+            out = self.params[rows].reshape(members, -1, self.params.shape[1])
+            self._rows.append((learner, out, rows))
+            lo = rows.stop
+
+    def act(self, t: int):
+        """Each learner acts as step ``t``, then one draw over every row,
+        which each learner records; returns the rows' actions."""
+        for learner, out, _ in self._rows:
+            learner.act(t, out)
+        actions, log_probs = nn.sample_and_logprob(self.head, self.params,
+                                                   self.rngs)
+        for learner, _, rows in self._rows:
+            learner.record(t, actions[rows], log_probs[rows])
+        return actions
+
+    def frozen_act(self):
+        """Each learner acts frozen, then one deterministic action per row;
+        records nothing."""
+        for learner, out, _ in self._rows:
+            learner.frozen_act(out)
+        return nn.frozen_action(self.head, self.params)

@@ -26,7 +26,7 @@ import numpy as np
 from .config import ExperimentConfig, RunMode
 from .envs import make_env
 from .nn import BetaHead, CategoricalHead, CheckpointMismatch, keep_freed_heap
-from .ppo import NonFiniteLoss, PpoLearner
+from .ppo import HeadRows, NonFiniteLoss, PpoLearner
 from .reward_flow import (RewardBaseline, RgdOutput, distribute,
                           synthetic_budget)
 from .seeding import substream
@@ -185,11 +185,22 @@ class Trainer:
             self.groups.append((learner, roles))
             self.agents.update((role, (learner, k))
                                for k, role in enumerate(roles))
-        # (learner, its members' nodes) of each follower group
+        # every follower draws in one head call per step, and each other
+        # group in one of its own
         node_of = {f"follower-{i}": i for i in range(self.n_nodes)}
+        self._heads = {roles[0]: HeadRows([learner])
+                       for learner, roles in self.groups
+                       if roles[0] not in node_of}
+        # (learner, its members' nodes) of each follower group
         self._followers = [(learner, [node_of[role] for role in roles])
                            for learner, roles in self.groups
                            if roles[0] in node_of]
+        self._follower_heads = (HeadRows([learner for learner, _
+                                          in self._followers])
+                                if self._followers else None)
+        # the follower heads' row of each node
+        self._node_rows = np.argsort(
+            [i for _, nodes in self._followers for i in nodes])
 
     def _role_shapes(self) -> dict:
         """Each role's (obs_dim, head), in role order."""
@@ -245,8 +256,8 @@ class Trainer:
             if d == 0:
                 period_sums.append(0.0)
                 if self.leader_on:
-                    leader, _ = self.agents["leader"]
-                    [goals_flat] = self._act(leader, period, frozen, obs)
+                    [goals_flat] = self._act(self._heads["leader"], period,
+                                             frozen, obs)
                     goals = np.asarray(goals_flat, dtype=float).reshape(
                         self.n_nodes, cfg.goal_dim)
             if rgd_active and d + 1 in flow_idx:
@@ -308,22 +319,20 @@ class Trainer:
         return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
 
-    def _act(self, learner, t, frozen, parts=None):
-        """One action per member of the group, acting on its ``inputs`` as
-        step ``t``.  With ``parts``, each row is first written as their
-        concatenation."""
+    def _act(self, heads, t, frozen, parts=None):
+        """One action per row of ``heads``, its learners acting on their
+        ``inputs`` as step ``t``.  With ``parts``, each input row is first
+        written as their concatenation."""
         if parts is not None:
-            for row in learner.inputs:
-                np.concatenate(parts, out=row)
-        return learner.frozen_act() if frozen else learner.act(t)
+            for learner in heads.learners:
+                for row in learner.inputs:
+                    np.concatenate(parts, out=row)
+        return heads.frozen_act() if frozen else heads.act(t)
 
     def _select_actions(self, obs, goals, t, frozen):
-        """The joint action, one acting call per group."""
+        """The joint action, from one head call."""
         if self.mode is RunMode.GS:
-            gs, _ = self.agents["gs"]
-            [action] = self._act(gs, t, frozen, obs)
-            return list(action)
-        actions = [0] * self.n_nodes
+            return self._act(self._heads["gs"], t, frozen, obs).tolist()
         for learner, nodes in self._followers:
             rows = learner.inputs
             for j, i in enumerate(nodes):
@@ -331,17 +340,16 @@ class Trainer:
                     rows[j] = obs[i]
                 else:
                     np.concatenate((obs[i], goals[i]), out=rows[j])
-            acted = self._act(learner, t, frozen)
-            for i, (action,) in zip(nodes, acted):
-                actions[i] = action
-        return actions
+        acted = self._act(self._follower_heads, t, frozen)
+        return acted[self._node_rows].tolist()
 
     def _rgd_act(self, parts, t):
         """The period's synthetic rewards, acted on ``parts`` concatenated."""
         acted = {}
-        for learner, roles in self.groups:
+        for _, roles in self.groups:
             if roles[0] in ("generator", "distributor"):
-                acted.update(zip(roles, self._act(learner, t, False, parts)))
+                acted.update(zip(roles, self._act(self._heads[roles[0]], t,
+                                                  False, parts)))
         budget = synthetic_budget(float(acted["generator"][0]), self.baseline)
         values = acted["distributor"]
         output = RgdOutput(values[:self.n_nodes], values[self.n_nodes:])

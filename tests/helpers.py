@@ -77,6 +77,14 @@ def reference_sample_and_logprob(head, params, rng):
     return tuple(action), logp
 
 
+def padded_rows(head, logits):
+    """A categorical head's consecutive (param_dim,) logits as the padded
+    rows its draw reads: one row per segment, ``-inf`` after its logits."""
+    rows = np.full(head.real.shape, -np.inf)
+    rows[head.real] = logits
+    return rows
+
+
 def reference_categorical_stats(head, logits, actions):
     """Per-segment statistics, concatenated at the end."""
     logits = np.asarray(logits, dtype=np.float64)

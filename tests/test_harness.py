@@ -47,7 +47,7 @@ from dagmarl.metrics import (
 )
 from dagmarl.nn import CategoricalHead
 from dagmarl.plotting import histogram_chart, line_chart
-from dagmarl.ppo import PpoConfig, PpoLearner
+from dagmarl.ppo import HeadRows, PpoConfig, PpoLearner
 from dagmarl.seeding import substream
 from dagmarl.training import EpisodeRecord, Trainer
 from helpers import deterministic_policy, exact_values
@@ -489,6 +489,27 @@ def test_min_max_normalize():
         min_max_normalize([])
 
 
+def test_min_max_normalize_refuses_a_width_past_the_float_range():
+    with pytest.raises(ValueError, match=r"^cannot normalize values from "
+                       r"-1\.7e\+308 to 1\.7e\+308$"):
+        min_max_normalize([-1.7e308, 0.0, 1.7e308])
+    # the widest range that fits keeps its ends
+    np.testing.assert_array_equal(min_max_normalize([-8e307, 8e307]),
+                                  [0.0, 1.0])
+
+
+@pytest.mark.parametrize("value", [1e16, -1e16, 2.0 ** 53, 1e300, 3.0])
+def test_a_constant_column_charts_flat_and_bins_into_one_bin(value):
+    svg = line_chart({"flat": [value] * 3})
+    xml.dom.minidom.parseString(svg)
+    [points] = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len({point.split(",")[1] for point in points.split()}) == 1
+    counts, edges = histogram([value] * 3)
+    assert counts.tolist() == [3]
+    assert edges[0] < value < edges[1]
+    xml.dom.minidom.parseString(histogram_chart(counts, edges))
+
+
 def test_histogram_counts_and_edges():
     counts, edges = histogram([0.0, 0.5, 1.0, 1.0], bins=2)
     assert counts.sum() == 4
@@ -771,6 +792,30 @@ def test_cli_plot_charts_or_refuses_extreme_ranges(tmp_path, values, error):
         assert not svg.exists()
 
 
+# a normalized column whose width overflows, and a constant 1e16 column
+@pytest.mark.parametrize("values, args, error", [
+    ([-1.7e308, 1.7e308], ["--normalize"],
+     "error: cannot normalize values from -1.7e+308 to 1.7e+308\n"),
+    ([1e16] * 3, [], None),
+], ids=["normalize-overflow", "constant-1e16"])
+def test_cli_plot_refuses_or_charts_without_warnings(tmp_path, values, args,
+                                                     error):
+    log, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    write_log(log, [{"episode": i, "team_reward": v}
+                    for i, v in enumerate(values)])
+    proc = python_run("import sys, warnings\n"
+                      "warnings.simplefilter('error', RuntimeWarning)\n"
+                      "from dagmarl.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))\n",
+                      "plot", str(log), *args, "--out", str(svg), timeout=60)
+    if error is None:
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        xml.dom.minidom.parseString(svg.read_text())
+    else:
+        assert (proc.returncode, proc.stderr) == (1, error)
+        assert not svg.exists()
+
+
 def test_histogram_chart_of_a_range_near_1e16_returns():
     proc = python_run("from dagmarl.plotting import histogram_chart\n"
                       "histogram_chart([1, 2], [1e16, 1.0000000000000002e16,"
@@ -937,7 +982,7 @@ def test_evaluate_matches_exhaustive_values(tmp_path):
             onehot[s] = 1.0
             learner, k = trainer.agents[f"follower-{i}"]
             learner.inputs[...] = onehot
-            (action,) = learner.frozen_act()[k]
+            action = HeadRows([learner]).frozen_act()[k]
             per_state.append(action)
         choice.append(per_state)
     policy = deterministic_policy(env, choice)

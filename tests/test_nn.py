@@ -20,11 +20,12 @@ from scipy import special, stats
 import dagmarl
 from dagmarl.nn import (AdamState, BetaHead, CategoricalHead,
                         CheckpointMismatch, DenseNet, DimensionMismatch,
-                        NonFiniteGradient, NonFiniteInput, ShapeMismatch,
+                        NonFiniteGradient, NonFiniteInput, NonFiniteParams,
+                        ShapeMismatch,
                         adam_step, beta_shapes, beta_stats, betaln,
                         categorical_stats, digamma, frozen_action,
                         keep_freed_heap, sample_and_logprob, trigamma)
-from helpers import (biases, n_params, parameters,
+from helpers import (biases, n_params, padded_rows, parameters,
                      reference_categorical_stats, reference_sample_and_logprob,
                      weights)
 
@@ -320,7 +321,7 @@ class TestCategoricalHead:
         counts = np.zeros(4)
         n = 8000
         for _ in range(n):
-            (action,), logp = sample_and_logprob(head, np.zeros(4), rng)
+            (action,), _ = sample_and_logprob(head, np.zeros((1, 4)), [rng])
             counts[action] += 1
         p = 0.25
         sigma = math.sqrt(n * p * (1 - p))
@@ -328,8 +329,8 @@ class TestCategoricalHead:
 
     def test_logp_and_entropy_uniform(self):
         head = CategoricalHead((5,))
-        (action,), logp = sample_and_logprob(head, np.zeros(5),
-                                             np.random.default_rng(0))
+        (action,), (logp,) = sample_and_logprob(head, np.zeros((1, 5)),
+                                                [np.random.default_rng(0)])
         assert abs(logp - math.log(0.2)) < 1e-12
         _, ent, _, _ = categorical_stats(head, np.zeros((1, 5)),
                                          np.array([[action]]))
@@ -337,7 +338,7 @@ class TestCategoricalHead:
 
     def test_frozen_is_argmax(self):
         head = CategoricalHead((3,))
-        assert frozen_action(head, np.array([0.1, 2.0, -1.0])) == (1,)
+        assert frozen_action(head, np.array([[0.1, 2.0, -1.0]])).tolist() == [1]
 
     def test_stats_gradients_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -370,18 +371,16 @@ class TestCategoricalHead:
         data = np.random.default_rng(13)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(50):
+            # the segments' rows all draw from one generator, in order
             params = data.standard_normal(head.param_dim)
-            action, logp = sample_and_logprob(head, params, rng)
-            want_action, want_logp = [], 0.0
-            for single, (lo, hi) in zip(singles, head.bounds):
-                (a,), lp = sample_and_logprob(single, params[lo:hi], ref_rng)
-                want_action.append(a)
-                want_logp += lp
-            assert action == tuple(want_action)
-            assert logp == want_logp
-            assert frozen_action(head, params) == tuple(
-                frozen_action(single, params[lo:hi])[0]
-                for single, (lo, hi) in zip(singles, head.bounds))
+            rows = padded_rows(head, params)
+            action, logp = sample_and_logprob(head, rows, [rng] * 3)
+            for k, (single, (lo, hi)) in enumerate(zip(singles, head.bounds)):
+                own = params[None, lo:hi]
+                (a,), (lp,) = sample_and_logprob(single, own, [ref_rng])
+                assert a == action[k] and lp == logp[k]
+                assert frozen_action(single, own)[0] == frozen_action(
+                    head, rows)[k]
 
         logits = data.standard_normal((7, head.param_dim))
         actions = np.stack([data.integers(k, size=7) for k in sizes], axis=1)
@@ -406,14 +405,86 @@ class TestCategoricalHead:
 
     @pytest.mark.parametrize("head", HEADS, ids=lambda h: str(h.sizes))
     def test_sampler_is_bit_identical_to_reference(self, head):
+        # one head's segments, drawn from its one generator: the action and
+        # the log-probs added from 0.0, left to right
         data = np.random.default_rng(17)
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         for scale in (0.1, 1.0, 30.0):
             for _ in range(200):
                 params = scale * data.standard_normal(head.param_dim)
-                action, logp = sample_and_logprob(head, params, rng)
-                assert (action, logp) == reference_sample_and_logprob(
-                    head, params, ref_rng)
+                action, logps = sample_and_logprob(
+                    head, padded_rows(head, params), [rng] * len(head.sizes))
+                logp = 0.0
+                for lp in logps.tolist():
+                    logp += lp
+                assert (tuple(action.tolist()), logp) == \
+                    reference_sample_and_logprob(head, params, ref_rng)
+
+    # the padded rows of a step's followers: a micro DAG's mixed sizes,
+    # logistics, factory, prey, and single sizes on both sides of 8
+    ROW_HEADS = [CategoricalHead(s) for s in
+                 ((3, 9, 8, 5, 1, 16), (3, 3, 5, 5, 5), (3, 2, 2, 4),
+                  (9, 9, 9, 9), (7, 7), (8, 8, 8), (9,), (5, 9, 5))]
+
+    @staticmethod
+    def assert_rows_draw_as_alone(head, draws=150):
+        """Each row, drawn from its own generator, gets the bits of its
+        segment drawn alone by the reference from a twin generator."""
+        data = np.random.default_rng(len(head.sizes))
+        rngs = [np.random.default_rng(r) for r in range(len(head.sizes))]
+        twins = [np.random.default_rng(r) for r in range(len(head.sizes))]
+        singles = [CategoricalHead((size,)) for size in head.sizes]
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(draws):
+                params = scale * data.standard_normal(head.param_dim)
+                actions, logps = sample_and_logprob(
+                    head, padded_rows(head, params), rngs)
+                for r, (single, (lo, hi)) in enumerate(zip(singles,
+                                                           head.bounds)):
+                    (a,), lp = reference_sample_and_logprob(
+                        single, params[lo:hi], twins[r])
+                    assert actions[r] == a and logps[r] == lp, (scale, r)
+
+    @pytest.mark.parametrize("head", ROW_HEADS, ids=lambda h: str(h.sizes))
+    def test_padded_rows_draw_bit_for_bit_as_alone(self, head):
+        # each row in one block, and a block narrower than 8 or of rows of
+        # one size: the narrow rows share one, the wider one per size
+        sizes = np.array(head.sizes)
+        seen = np.zeros(len(sizes), dtype=int)
+        for rows, width, _, _ in head.blocks:
+            seen[rows] += 1
+            assert width == sizes[rows].max()
+            assert width < 8 or (sizes[rows] == width).all()
+        assert (seen == 1).all()
+        assert len(head.blocks) == (sizes.min() < 8) + len(
+            set(sizes[sizes >= 8].tolist()))
+        self.assert_rows_draw_as_alone(head)
+
+    def test_a_five_wide_row_padded_to_nine_would_not_draw_as_alone(self):
+        head = CategoricalHead((5, 9))
+        assert [width for _, width, _, _ in head.blocks] == [5, 9]
+        # both rows in one 9-wide block: the padding the blocks rule out
+        object.__setattr__(head, "blocks", ((slice(0, 2), 9, np.arange(2),
+                                             np.array([4, 8])),))
+        with pytest.raises(AssertionError):
+            self.assert_rows_draw_as_alone(head)
+
+    def test_only_real_logits_must_be_finite(self):
+        head = CategoricalHead((2, 5, 3))
+        rows = padded_rows(head, np.zeros(head.param_dim))
+        rngs = [np.random.default_rng(0)] * 3
+        # the padding is -inf, and never checked
+        assert np.isneginf(rows[~head.real]).all()
+        sample_and_logprob(head, rows, rngs)
+        frozen_action(head, rows)
+        for bad in (np.nan, np.inf, -np.inf):
+            for cell in ((0, 1), (1, 4), (2, 0)):
+                poisoned = rows.copy()
+                poisoned[cell] = bad
+                with pytest.raises(NonFiniteParams):
+                    sample_and_logprob(head, poisoned, rngs)
+                with pytest.raises(NonFiniteParams):
+                    frozen_action(head, poisoned)
 
     @pytest.mark.parametrize("head", HEADS, ids=lambda h: str(h.sizes))
     @pytest.mark.parametrize("rows", (1, 12, 300))
@@ -432,9 +503,12 @@ class TestCategoricalHead:
         for sizes in ((), (3, 0)):
             with pytest.raises(DimensionMismatch):
                 CategoricalHead(sizes)
-        with pytest.raises(DimensionMismatch):
-            sample_and_logprob(CategoricalHead((2, 3)), np.zeros(4),
-                               np.random.default_rng(0))
+        for shape in ((4,), (2, 2), (3, 3), (2, 4)):
+            with pytest.raises(DimensionMismatch):
+                sample_and_logprob(CategoricalHead((2, 3)), np.zeros(shape),
+                                   [np.random.default_rng(0)] * 2)
+            with pytest.raises(DimensionMismatch):
+                frozen_action(CategoricalHead((2, 3)), np.zeros(shape))
 
 
 class TestBetaHead:
@@ -461,7 +535,7 @@ class TestBetaHead:
         raw = np.full(2, math.log(math.e - 1.0))  # Beta(2, 2)
         rng = np.random.default_rng(21)
         n = 4000
-        xs = np.array([sample_and_logprob(head, raw, rng)[0][0]
+        xs = np.array([sample_and_logprob(head, raw[None], [rng])[0][0, 0]
                        for _ in range(n)])
         se = math.sqrt(0.05 / n)  # var of Beta(2,2) is 0.05
         assert abs(xs.mean() - 0.5) < 3 * se
@@ -471,7 +545,7 @@ class TestBetaHead:
         head = BetaHead(2)
         raw = np.array([0.5, -0.3, 0.1, 0.9])
         alpha, beta = beta_shapes(head, raw)
-        np.testing.assert_allclose(frozen_action(head, raw),
+        np.testing.assert_allclose(frozen_action(head, raw[None])[0],
                                    alpha / (alpha + beta), atol=1e-12)
 
     def test_stats_gradients_finite_difference(self):
@@ -502,19 +576,24 @@ class TestBetaHead:
 @pytest.mark.parametrize("head", [CategoricalHead((3, 3, 3, 5)), BetaHead(2)],
                          ids=["categorical", "beta"])
 def test_frozen_rows_are_each_rows_own(head):
-    rows = np.random.default_rng(3).standard_normal((2, 3, head.param_dim))
-    # categorical ties go to the first index: a row of zeros, and a
-    # two-way tie atop a segment
-    rows[1, 2] = 0.0
-    rows[0, 1, :2] = 7.0
+    data = np.random.default_rng(3)
+    if isinstance(head, CategoricalHead):
+        singles = [CategoricalHead((size,)) for size in head.sizes]
+        rows = padded_rows(head, data.standard_normal(head.param_dim))
+        # ties go to the first index: a row of zeros, and a two-way tie
+        rows[1, :3] = 0.0
+        rows[3, :2] = 7.0
+    else:
+        singles = [head] * 6
+        rows = data.standard_normal((6, head.param_dim))
     acted = frozen_action(head, rows)
-    assert acted.shape == head.empty_actions(2, 3).shape
-    for row, action in zip(rows.reshape(6, -1), acted.reshape(6, -1)):
-        np.testing.assert_array_equal(action, frozen_action(head, row))
+    assert len(acted) == len(rows)
+    for single, row, action in zip(singles, rows, acted):
+        own = row[None, :single.param_dim]
+        np.testing.assert_array_equal(action, frozen_action(single, own)[0])
     if isinstance(head, CategoricalHead):
         assert acted.dtype == int
-        assert acted[1, 2].tolist() == [0, 0, 0, 0]
-        assert acted[0, 1, 0] == 0
+        assert acted[1] == 0 and acted[3] == 0
 
 
 class TestSpecialFunctions:

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from dagmarl import nn, ppo
 from dagmarl.nn import BetaHead, CategoricalHead, CheckpointMismatch, DenseNet
-from dagmarl.ppo import (EmptyBatch, NonFiniteLoss, PpoConfig, PpoLearner,
-                         Rollout, compute_gae)
+from dagmarl.ppo import (EmptyBatch, HeadRows, NonFiniteLoss, PpoConfig,
+                         PpoLearner, Rollout, compute_gae)
 from helpers import parameters, reference_update
 
 
 def act_on(agent, state, t):
-    """Member 0 of a one-member ``agent`` acts on ``state`` as step ``t``;
-    returns its (action, log_prob) as its rollout recorded them."""
+    """Member 0 of a one-member ``agent`` acts on ``state`` as step ``t``,
+    in a head call of its own; returns its (action, log_prob) as its rollout
+    recorded them."""
     agent.inputs[0] = state
-    [action] = agent.act(t)
-    return action, agent.rollout.log_probs[0, t]
+    HeadRows([agent]).act(t)
+    return agent.rollout.actions[0, t], agent.rollout.log_probs[0, t]
 
 
 def member_rows(rollout, k):
@@ -30,9 +31,10 @@ def acted_episode(agent, rows, seed):
     with standard normal states and rewards drawn from ``seed``."""
     data = np.random.default_rng(seed)
     states = data.standard_normal((len(agent.rngs), rows, agent.obs_dim))
+    heads = HeadRows([agent])
     for t in range(rows):
         agent.inputs[...] = states[:, t]
-        agent.act(t)
+        heads.act(t)
     return data.standard_normal((len(agent.rngs), rows))
 
 
@@ -99,25 +101,25 @@ class TestLearner:
     def test_act_shapes_discrete(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),
                            [np.random.default_rng(0)], 1)
-        [(action,)] = agent.act(0)
+        [action] = HeadRows([agent]).act(0)
         assert 0 <= action < 4
         assert np.isfinite(agent.rollout.log_probs[0, 0])
-        [(frozen,)] = agent.frozen_act()
+        [frozen] = HeadRows([agent]).frozen_act()
         assert 0 <= frozen < 4
 
     def test_act_shapes_continuous(self):
         agent = PpoLearner(3, BetaHead(5), small_config(),
                            [np.random.default_rng(0)], 1)
-        [action] = agent.act(0)
+        [action] = HeadRows([agent]).act(0)
         assert action.shape == (5,)
         assert np.all((action > 0.0) & (action < 1.0))
-        [frozen] = agent.frozen_act()
+        [frozen] = HeadRows([agent]).frozen_act()
         assert np.all((frozen > 0.0) & (frozen < 1.0))
 
     def test_act_shapes_joint(self):
         agent = PpoLearner(3, CategoricalHead((2, 3, 4)), small_config(),
                            [np.random.default_rng(0)], 1)
-        [action] = agent.act(0)
+        action = HeadRows([agent]).act(0)
         assert len(action) == 3
         for a, size in zip(action, (2, 3, 4)):
             assert 0 <= a < size
@@ -146,28 +148,31 @@ class TestLearner:
                            [np.random.default_rng(0)], 1)
         agent.policy_nets[0].flat[-1] = np.nan  # an output bias, a bad load
         agent.inputs[0] = np.ones(3)
+        heads = HeadRows([agent])
         with pytest.raises(nn.NonFiniteParams):
-            agent.act(0)
+            heads.act(0)
         with pytest.raises(nn.NonFiniteParams):
-            agent.frozen_act()
+            heads.frozen_act()
 
         # in a group, one member's bad output bias stops the whole call
         group = PpoLearner(3, head, small_config(),
                            [np.random.default_rng(s) for s in range(3)], 1)
+        heads = HeadRows([group])
         group.inputs[...] = 1.0
-        clean = group.frozen_act()
+        clean = heads.frozen_act()
         group.policy_nets[1].flat[-1] = np.nan
         assert np.isnan(group.policy.flat[1, -1])
-        for act in (lambda: group.act(0), group.frozen_act):
+        for act in (lambda: heads.act(0), heads.frozen_act):
             with pytest.raises(nn.NonFiniteParams):
                 act()
         own = group.policy_nets[0].forward(group.inputs[0])
-        np.testing.assert_array_equal(nn.frozen_action(head, own), clean[0])
+        np.testing.assert_array_equal(nn.frozen_action(head, own[None])[0],
+                                      clean[0])
 
         # so is one member's non-finite input row
         group.policy_nets[1].flat[-1] = 0.0
         group.inputs[2, 1] = np.inf
-        for act in (lambda: group.act(0), group.frozen_act):
+        for act in (lambda: heads.act(0), heads.frozen_act):
             with pytest.raises(nn.NonFiniteInput):
                 act()
 
@@ -412,9 +417,10 @@ class TestLearnerCheckpoint:
                            [np.random.default_rng(99)], 1)
         clone.load_bytes(0, blob)
         rng = np.random.default_rng(0)
+        heads, clone_heads = HeadRows([agent]), HeadRows([clone])
         for _ in range(20):
             agent.inputs[0] = clone.inputs[0] = rng.standard_normal(3)
-            assert agent.frozen_act() == clone.frozen_act()
+            assert heads.frozen_act() == clone_heads.frozen_act()
 
     def test_file_round_trip(self, tmp_path):
         agent = PpoLearner(2, BetaHead(2), small_config(),
@@ -425,7 +431,8 @@ class TestLearnerCheckpoint:
                            [np.random.default_rng(5)], 1)
         clone.load(0, path)
         agent.inputs[0] = clone.inputs[0] = np.array([0.3, -0.7])
-        np.testing.assert_array_equal(agent.frozen_act(), clone.frozen_act())
+        np.testing.assert_array_equal(HeadRows([agent]).frozen_act(),
+                                      HeadRows([clone]).frozen_act())
 
     def test_dimension_mismatch_rejected(self):
         agent = PpoLearner(3, CategoricalHead((4,)), small_config(),

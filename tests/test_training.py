@@ -15,7 +15,7 @@ from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
 from dagmarl.envs.micro import MicroDagEnv
 from dagmarl import nn, training
-from dagmarl.ppo import NonFiniteLoss, PpoConfig, PpoLearner
+from dagmarl.ppo import HeadRows, NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
 from dagmarl.training import (
     Trainer,
@@ -25,7 +25,8 @@ from dagmarl.training import (
     state_flow_indices,
     train,
 )
-from helpers import parameters, snapshots_equal
+from helpers import (padded_rows, parameters, reference_sample_and_logprob,
+                     snapshots_equal)
 
 
 def tiny_ppo(**kw):
@@ -511,20 +512,20 @@ def test_rgd_input_is_sampled_states_end_state_and_goals():
 
     leader, _ = trainer.agents["leader"]
 
-    def leader_act(t, original=leader.act):
-        [action] = original(t)
+    def leader_record(t, actions, log_probs, original=leader.record):
+        [action] = actions
         goals.append(np.array(action, dtype=float))
-        return [action]
-    leader.act = leader_act
+        return original(t, actions, log_probs)
+    leader.record = leader_record
     for role in inputs:
         learner, member = trainer.agents[role]
 
-        def spy(t, role=role, learner=learner, member=member,
+        def spy(t, out, role=role, learner=learner, member=member,
                 original=learner.act):
             rows = learner.inputs
             assert rows.shape == (len(learner.rngs), learner.obs_dim)
             inputs[role].append(np.array(rows[member]))
-            return original(t)
+            return original(t, out)
         learner.act = spy
 
     trainer.run_episode(0)
@@ -663,6 +664,13 @@ def test_members_act_on_rows_of_their_group(monkeypatch, tmp_path, env_name,
     np.testing.assert_array_equal(learner.value.flat, before[1])
 
 
+def own_frozen_action(head, own):
+    """The frozen action of one member's outputs ``own``, drawn alone."""
+    if isinstance(head, nn.CategoricalHead):
+        return nn.frozen_action(head, padded_rows(head, own))
+    return nn.frozen_action(head, own[None])[0]
+
+
 def assert_groups_act_as_their_members(trainer, seed):
     """Each group's one-pass frozen action is every member's own: the
     stacked outputs equal each member's single-row forward bit for bit,
@@ -676,12 +684,12 @@ def assert_groups_act_as_their_members(trainer, seed):
                 w[...] = b[...] = 0.0
             stacked = learner.policy.forward(rows[:, None])[:, 0]
             learner.inputs[...] = rows
-            acted = learner.frozen_act()
-            assert len(acted) == len(roles)
+            # one row per member and segment, in member order
+            acted = HeadRows([learner]).frozen_act().reshape(len(roles), -1)
             for k, row in enumerate(rows):
                 own = learner.policy_nets[k].forward(row)
                 assert np.array_equal(stacked[k], own)
-                want = nn.frozen_action(learner.head, own)
+                want = own_frozen_action(learner.head, own)
                 np.testing.assert_array_equal(acted[k], want)
                 if tie and isinstance(learner.head, nn.CategoricalHead):
                     assert list(want) == [0] * len(learner.head.sizes)
@@ -731,11 +739,19 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
     buffers = {learner: (learner.inputs, learner.rollout)
                for learner, _ in trainer.groups}
     calls = []
+    # each act call's step: t in training, none when frozen; ``out`` is last
     for name in ("act", "frozen_act"):
         monkeypatch.setattr(
             PpoLearner, name,
             lambda self, *t, name=name, original=getattr(PpoLearner, name):
-            calls.append((name, self, *t)) or original(self, *t))
+            calls.append((name, self, *t[:-1])) or original(self, *t))
+    # the heads each draw or argmax is called for, in order
+    head_calls = []
+    for name in ("sample_and_logprob", "frozen_action"):
+        monkeypatch.setattr(
+            nn, name,
+            lambda head, *args, original=getattr(nn, name):
+            head_calls.append(head) or original(head, *args))
     # no update runs, so every forward below is an acting one
     updated = set()
     monkeypatch.setattr(PpoLearner, "update",
@@ -744,15 +760,18 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
     monkeypatch.setattr(nn.DenseNet, "forward_cached",
                         lambda self, x: calls.append(np.ndim(x))
                         or forward_cached(self, x))
+    heads = [trainer._heads.get(roles[0]) for _, roles in trainer.groups]
+    follower_heads = trainer._follower_heads
     for frozen in (False, True, False, True):
         calls.clear()
+        head_calls.clear()
         updated.clear()
         trainer.run_episode(0, env_seed=4, frozen=frozen)
         steps = trainer.env.step_count
         assert steps >= 2
-        # training: one single-row forward per member, each drawing in
-        # turn; frozen: one stacked forward of a group's (G, 1, obs) rows,
-        # or a lone member's single-row forward
+        # training: one single-row forward per member; frozen: one stacked
+        # forward of a group's (G, 1, obs) rows, or a lone member's
+        # single-row forward
         name = "frozen_act" if frozen else "act"
         acts = [call for call in calls if isinstance(call, tuple)]
         want = []
@@ -763,10 +782,22 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
                 [1] * (1 if frozen else members))
         assert [call[:2] if isinstance(call, tuple) else call
                 for call in calls] == want
-        for learner, roles in trainer.groups:
+        # every follower draws in exactly one head call per step, and each
+        # other group in one per act
+        if follower_heads is not None:
+            assert sum(head is follower_heads.head
+                       for head in head_calls) == steps
+        want_heads = sum(acting_count(roles, steps, trainer.env.goal_period,
+                                      frozen)
+                         for _, roles in trainer.groups if roles[0] in
+                         trainer._heads) + (steps if follower_heads else 0)
+        assert len(head_calls) == want_heads
+        for (learner, roles), own in zip(trainer.groups, heads):
             seen = [call[2:] for call in acts if call[1] is learner]
             assert len(seen) == acting_count(roles, steps,
                                              trainer.env.goal_period, frozen)
+            if own is not None:
+                assert sum(head is own.head for head in head_calls) == len(seen)
             # the group's act number t records its rollout's step t
             assert seen == ([()] * len(seen) if frozen
                             else [(t,) for t in range(len(seen))])
@@ -793,40 +824,56 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
 def test_act_records_its_inputs_and_each_members_own_draw(
         monkeypatch, env_name, mode, env_options):
     trainer = Trainer(shape_group_config(env_name, mode, env_options))
-    checked = {"act": 0, "frozen_act": 0}
-    act, frozen_act = PpoLearner.act, PpoLearner.frozen_act
+    checked = {"act": 0, "record": 0, "frozen_act": 0}
+    act, record = PpoLearner.act, PpoLearner.record
+    frozen_act = PpoLearner.frozen_act
+    # each acting group's generators as they were before its step's draw
+    twins = {}
 
-    def act_spy(self, t):
-        twins = [copy.deepcopy(rng) for rng in self.rngs]
+    def act_spy(self, t, out):
+        assert self not in twins, "a group acts once per step"
+        twins[self] = [copy.deepcopy(rng) for rng in self.rngs]
         states = self.rollout.states.copy()
-        acted = act(self, t)
-        rollout = self.rollout
+        act(self, t, out)
         # step t holds the inputs, and no other step changed
         states[:, t] = self.inputs
-        np.testing.assert_array_equal(rollout.states, states)
-        for k, (net, twin) in enumerate(zip(self.policy_nets, twins)):
-            action, log_prob = nn.sample_and_logprob(
-                self.head, net.forward(self.inputs[k]), twin)
+        np.testing.assert_array_equal(self.rollout.states, states)
+        checked["act"] += 1
+
+    def record_spy(self, t, actions, log_probs):
+        record(self, t, actions, log_probs)
+        rollout = self.rollout
+        acted = actions.reshape(len(self.rngs), -1)
+        for k, (net, twin) in enumerate(zip(self.policy_nets,
+                                            twins.pop(self))):
+            own = net.forward(self.inputs[k])
+            if isinstance(self.head, nn.CategoricalHead):
+                action, log_prob = reference_sample_and_logprob(
+                    self.head, own, twin)
+            else:
+                [action], [log_prob] = nn.sample_and_logprob(
+                    self.head, own[None], [twin])
             np.testing.assert_array_equal(acted[k], action)
             np.testing.assert_array_equal(rollout.actions[k, t], action)
             assert rollout.log_probs[k, t] == log_prob
-        checked["act"] += 1
-        return acted
+        checked["record"] += 1
 
-    def frozen_spy(self):
+    def frozen_spy(self, out):
         before = [array.copy() for array in vars(self.rollout).values()]
-        acted = frozen_act(self)
+        frozen_act(self, out)
         for now, then in zip(vars(self.rollout).values(), before):
             np.testing.assert_array_equal(now, then)
         checked["frozen_act"] += 1
-        return acted
 
     monkeypatch.setattr(PpoLearner, "act", act_spy)
+    monkeypatch.setattr(PpoLearner, "record", record_spy)
     monkeypatch.setattr(PpoLearner, "frozen_act", frozen_spy)
     for episode in range(2):
         trainer.run_episode(episode)
+        assert not twins, "every group that acted recorded its draws"
         trainer.run_episode(episode, frozen=True)
-    assert checked["act"] > 0 and checked["frozen_act"] > 0
+    assert checked["act"] == checked["record"] > 0
+    assert checked["frozen_act"] > 0
 
 
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
@@ -1112,7 +1159,8 @@ def test_checkpoint_round_trip_via_trainer(tmp_path):
     twin_learner, twin_k = twin.agents["follower-0"]
     state = np.linspace(0.0, 1.0, learner.obs_dim)
     learner.inputs[...] = twin_learner.inputs[...] = state
-    assert learner.frozen_act()[k] == twin_learner.frozen_act()[twin_k]
+    assert (HeadRows([learner]).frozen_act()[k]
+            == HeadRows([twin_learner]).frozen_act()[twin_k])
 
 
 def test_load_checkpoints_requires_every_role(tmp_path):
