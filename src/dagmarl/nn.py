@@ -424,24 +424,26 @@ class CategoricalHead:
     def real(self):
         """The padded rows' logit cells, a boolean (segments, max size)
         mask."""
-        widths = np.array(self.sizes)
-        return np.arange(widths.max()) < widths[:, None]
+        width = max(self.sizes)
+        return np.array([[c < size for c in range(width)]
+                         for size in self.sizes])
 
     @functools.cached_property
     def blocks(self):
         """(rows, width, row positions, last index of each row) of each
         block of rows that one log-softmax pads to a common width: the rows
         narrower than _IN_ORDER_SUM, then the wider ones, one block per
-        size."""
-        widths = np.array(self.sizes)
-        keys = np.where(widths < _IN_ORDER_SUM, 0, widths)
+        size.  Built in Python: a NumPy kernel's first run costs RSS."""
+        keys = [0 if size < _IN_ORDER_SUM else size for size in self.sizes]
         blocks = []
-        for key in sorted(set(keys.tolist())):
-            rows = np.flatnonzero(keys == key)
-            if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)
-            blocks.append((rows, int(widths[rows].max()),
-                           np.arange(len(widths[rows])), widths[rows] - 1))
+        for key in sorted(set(keys)):
+            rows = [r for r, k in enumerate(keys) if k == key]
+            widths = [self.sizes[r] for r in rows]
+            at = np.array(range(len(rows)))
+            last = np.array([w - 1 for w in widths])
+            rows = (slice(rows[0], rows[-1] + 1)
+                    if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows))
+            blocks.append((rows, max(widths), at, last))
         return tuple(blocks)
 
     @property
@@ -465,6 +467,11 @@ class BetaHead:
     @property
     def param_dim(self):
         return 2 * self.dim
+
+    @property
+    def bounds(self):
+        """One padded row, which holds all raw parameters."""
+        return ((0, self.param_dim),)
 
     def empty_actions(self, *lead):
         return np.zeros((*lead, self.dim))

@@ -140,10 +140,6 @@ class PpoLearner:
         self.rollout = Rollout(np.zeros((members, steps, self.obs_dim)),
                                head.empty_actions(members, steps),
                                np.zeros((members, steps)))
-        # each padded row's slice of a member's outputs: a categorical
-        # head's segments, or all of a Beta head's raw parameters
-        self.segments = (head.bounds if isinstance(head, CategoricalHead)
-                         else ((0, head.param_dim),))
 
     # -- acting ------------------------------------------------------------
 
@@ -174,7 +170,7 @@ class PpoLearner:
     def _write(self, out, members, params):
         """``params``, the outputs of ``members``, to their rows of ``out``,
         each row's slice from the left."""
-        for s, (lo, hi) in enumerate(self.segments):
+        for s, (lo, hi) in enumerate(self.head.bounds):
             out[members, s, :hi - lo] = params[..., lo:hi]
 
     def record(self, t: int, actions, log_probs):
@@ -183,7 +179,7 @@ class PpoLearner:
         their log-probs summed left to right."""
         members = len(self.rngs)
         self.rollout.actions[:, t] = actions.reshape(members, -1)
-        if len(self.segments) > 1:
+        if len(self.head.bounds) > 1:
             # a cumsum adds in order, as 0.0 + lp_0 + lp_1 + ... does
             log_probs = log_probs.reshape(members, -1).cumsum(axis=1)[:, -1]
         self.rollout.log_probs[:, t] = log_probs
@@ -340,9 +336,9 @@ class HeadRows:
     """One head call over the padded rows of ``learners``, all categorical
     or all of one Beta head.
 
-    Learner after learner and member after member, each of a member's
-    ``segments`` takes one row of ``params``; a categorical row's logits
-    are padded on the right with ``-inf``.  Each row draws from its
+    Learner after learner and member after member, each slice of its
+    head's ``bounds`` takes one row of ``params``; a categorical row's
+    logits are padded on the right with ``-inf``.  Each row draws from its
     member's generator, so a member of several segments draws for them in
     order.  Each learner writes to its own (G, segments, width) view of the
     rows, made once.
@@ -363,12 +359,12 @@ class HeadRows:
         self.head = head
         self.rngs = tuple(rng for learner in self.learners
                           for rng in learner.rngs
-                          for _ in learner.segments)
+                          for _ in learner.head.bounds)
         self._rows = []  # (learner, its view of the rows, their slice)
         lo = 0
         for learner in self.learners:
             members = len(learner.rngs)
-            rows = slice(lo, lo + members * len(learner.segments))
+            rows = slice(lo, lo + members * len(learner.head.bounds))
             out = self.params[rows].reshape(members, -1, self.params.shape[1])
             self._rows.append((learner, out, rows))
             lo = rows.stop

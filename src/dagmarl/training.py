@@ -168,62 +168,65 @@ class Trainer:
         # paper-width groups update on the pool, in one thread otherwise
         self._concurrent = (max(config.ppo.hidden) >= _POOL_MIN_WIDTH
                             and _cpu_count() >= 2)
-        # roles of one (obs_dim, head), in role order, are one shape group
-        groups = {}
-        for role, shape in self._role_shapes().items():
-            groups.setdefault(shape, []).append(role)
+        # the period's sampled in-period steps; the period-end state follows
+        self._flow_idx = frozenset(state_flow_indices(self.env.goal_period,
+                                                      config.flow_stride))
         self.groups = []  # (learner, roles), one learner per shape group
         self.agents = {}  # role -> (learner, k)
-        for (obs_dim, head), roles in groups.items():
-            # the leader, generator and distributor act once a period at most
-            per_period = roles[0] in ("leader", "generator", "distributor")
-            steps = (-(-self.env.max_steps // self.env.goal_period)
-                     if per_period else self.env.max_steps)
-            learner = PpoLearner(obs_dim, head, config.ppo,
-                                 [substream(config.seed, r) for r in roles],
-                                 steps)
-            self.groups.append((learner, roles))
-            self.agents.update((role, (learner, k))
-                               for k, role in enumerate(roles))
-        # every follower draws in one head call per step, and each other
-        # group in one of its own
-        node_of = {f"follower-{i}": i for i in range(self.n_nodes)}
-        self._heads = {roles[0]: HeadRows([learner])
-                       for learner, roles in self.groups
-                       if roles[0] not in node_of}
+        self._heads = {}  # a lone role's head call, by role
+        m = config.goal_dim
+        # followers of one input width and action count, in node order, are
+        # one shape group
+        nodes_of = {}
+        if self.mode is RunMode.GS:
+            self._lone("gs", self.global_dim,
+                       CategoricalHead(self.env.action_sizes),
+                       self.env.max_steps)
+        else:
+            for i, size in enumerate(self.env.action_sizes):
+                dim = self.env.obs_dims[i] + (m if self.leader_on else 0)
+                nodes_of.setdefault((dim, size), []).append(i)
         # (learner, its members' nodes) of each follower group
-        self._followers = [(learner, [node_of[role] for role in roles])
-                           for learner, roles in self.groups
-                           if roles[0] in node_of]
+        self._followers = [(self._learner([f"follower-{i}" for i in nodes],
+                                          dim, CategoricalHead((size,)),
+                                          self.env.max_steps), nodes)
+                           for (dim, size), nodes in nodes_of.items()]
+        # every follower draws in one head call per step
         self._follower_heads = (HeadRows([learner for learner, _
                                           in self._followers])
                                 if self._followers else None)
         # the follower heads' row of each node
-        self._node_rows = np.argsort(
-            [i for _, nodes in self._followers for i in nodes])
-
-    def _role_shapes(self) -> dict:
-        """Each role's (obs_dim, head), in role order."""
-        m = self.config.goal_dim
-        sizes = self.env.action_sizes
-        if self.mode is RunMode.GS:
-            return {"gs": (self.global_dim, CategoricalHead(sizes))}
-        shapes = {}
-        for i in range(self.n_nodes):
-            dim = self.env.obs_dims[i] + (m if self.leader_on else 0)
-            shapes[f"follower-{i}"] = (dim, CategoricalHead((sizes[i],)))
+        order = [i for _, nodes in self._followers for i in nodes]
+        self._node_rows = np.array(sorted(range(len(order)),
+                                          key=order.__getitem__), dtype=int)
+        # the leader, generator and distributor each act once a period at
+        # most, as a learner of one
+        periods = -(-self.env.max_steps // self.env.goal_period)
         if self.leader_on:
-            shapes["leader"] = (self.global_dim, BetaHead(self.n_nodes * m))
+            self._lone("leader", self.global_dim,
+                       BetaHead(self.n_nodes * m), periods)
         if self.rgd_on:
-            n_flow = len(state_flow_indices(self.env.goal_period,
-                                            self.config.flow_stride)) + 1
-            dim = n_flow * self.global_dim
+            dim = (len(self._flow_idx) + 1) * self.global_dim
             if self.leader_on:
                 dim += self.n_nodes * m
-            shapes["generator"] = (dim, BetaHead(1))
-            shapes["distributor"] = (dim, BetaHead(
-                self.n_nodes + len(self.env.topology.arcs)))
-        return shapes
+            self._lone("generator", dim, BetaHead(1), periods)
+            self._lone("distributor", dim, BetaHead(
+                self.n_nodes + len(self.env.topology.arcs)), periods)
+
+    def _learner(self, roles, obs_dim, head, steps) -> PpoLearner:
+        """A new shape group of ``roles``, each drawing from its own stream."""
+        learner = PpoLearner(obs_dim, head, self.config.ppo,
+                             [substream(self.config.seed, r) for r in roles],
+                             steps)
+        self.groups.append((learner, roles))
+        self.agents.update((role, (learner, k))
+                           for k, role in enumerate(roles))
+        return learner
+
+    def _lone(self, role, obs_dim, head, steps):
+        """``role``'s learner of one, with a head call of its own."""
+        self._heads[role] = HeadRows([self._learner([role], obs_dim, head,
+                                                    steps)])
 
     def run_episode(self, episode_index: int, env_seed=None,
                     frozen: bool = False) -> EpisodeRecord:
@@ -244,8 +247,6 @@ class Trainer:
         period_sums = []
         diff_rows = []
         sr_by_period = {}  # completed period -> per-node synthetic rewards
-        flow_idx = frozenset(state_flow_indices(goal_period,
-                                                cfg.flow_stride))
         flow_parts = []  # the period's sampled observations, in order
         goals = None
         done = False
@@ -256,11 +257,10 @@ class Trainer:
             if d == 0:
                 period_sums.append(0.0)
                 if self.leader_on:
-                    [goals_flat] = self._act(self._heads["leader"], period,
-                                             frozen, obs)
+                    [goals_flat] = self._act("leader", period, frozen, obs)
                     goals = np.asarray(goals_flat, dtype=float).reshape(
                         self.n_nodes, cfg.goal_dim)
-            if rgd_active and d + 1 in flow_idx:
+            if rgd_active and d + 1 in self._flow_idx:
                 flow_parts += obs
             actions = self._select_actions(obs, goals, t, frozen)
             if track_diffs:
@@ -319,20 +319,17 @@ class Trainer:
         return EpisodeRecord(episode_index, total, n_periods, agent_rewards,
                              sr_sums)
 
-    def _act(self, heads, t, frozen, parts=None):
-        """One action per row of ``heads``, its learners acting on their
-        ``inputs`` as step ``t``.  With ``parts``, each input row is first
-        written as their concatenation."""
-        if parts is not None:
-            for learner in heads.learners:
-                for row in learner.inputs:
-                    np.concatenate(parts, out=row)
+    def _act(self, role, t, frozen, parts):
+        """``role``'s action as step ``t``, acted on ``parts``
+        concatenated."""
+        heads = self._heads[role]
+        np.concatenate(parts, out=heads.learners[0].inputs[0])
         return heads.frozen_act() if frozen else heads.act(t)
 
     def _select_actions(self, obs, goals, t, frozen):
         """The joint action, from one head call."""
         if self.mode is RunMode.GS:
-            return self._act(self._heads["gs"], t, frozen, obs).tolist()
+            return self._act("gs", t, frozen, obs).tolist()
         for learner, nodes in self._followers:
             rows = learner.inputs
             for j, i in enumerate(nodes):
@@ -340,18 +337,15 @@ class Trainer:
                     rows[j] = obs[i]
                 else:
                     np.concatenate((obs[i], goals[i]), out=rows[j])
-        acted = self._act(self._follower_heads, t, frozen)
+        heads = self._follower_heads
+        acted = heads.frozen_act() if frozen else heads.act(t)
         return acted[self._node_rows].tolist()
 
     def _rgd_act(self, parts, t):
         """The period's synthetic rewards, acted on ``parts`` concatenated."""
-        acted = {}
-        for _, roles in self.groups:
-            if roles[0] in ("generator", "distributor"):
-                acted.update(zip(roles, self._act(self._heads[roles[0]], t,
-                                                  False, parts)))
-        budget = synthetic_budget(float(acted["generator"][0]), self.baseline)
-        values = acted["distributor"]
+        [fraction] = self._act("generator", t, False, parts)
+        [values] = self._act("distributor", t, False, parts)
+        budget = synthetic_budget(float(fraction[0]), self.baseline)
         output = RgdOutput(values[:self.n_nodes], values[self.n_nodes:])
         _, sr = distribute(self.env.topology, output, budget)
         return sr

@@ -553,14 +553,21 @@ def test_follower_transition_counts():
 # each environment's shape groups under the mode it is tested with below,
 # as role lists in role order
 SHAPE_GROUPS = {
-    "prey": [[f"follower-{i}" for i in range(4)]],
-    "logistics": [["follower-0", "follower-1"], ["follower-2", "follower-3"],
-                  ["follower-4"]],
-    "factory": [[f"follower-{i}"] for i in range(4)] + [
+    ("prey", RunMode.SRM): [[f"follower-{i}" for i in range(4)]],
+    ("logistics", RunMode.DIFF_M): [["follower-0", "follower-1"],
+                                    ["follower-2", "follower-3"],
+                                    ["follower-4"]],
+    ("factory", RunMode.PROPOSED): [[f"follower-{i}"] for i in range(4)] + [
         ["leader"], ["generator"], ["distributor"]],
-    "micro": [["follower-0", "follower-1", "follower-2"]],
+    ("micro", RunMode.SRM): [["follower-0", "follower-1", "follower-2"]],
+    # a one-node DAG: the generator and distributor share an input and a
+    # BetaHead(1), and are still a learner each
+    ("micro", RunMode.PROPOSED): [["follower-0"], ["leader"], ["generator"],
+                                  ["distributor"]],
 }
 
+ONE_NODE_MICRO = dict(nodes=1, arcs=(), states=2, actions=2, horizon=8,
+                      goal_period=4)
 
 # (env_name, mode, env_options, updates per training episode)
 SHAPE_GROUP_CASES = [
@@ -569,6 +576,7 @@ SHAPE_GROUP_CASES = [
     # 4 followers of 4 shapes, the leader, the generator and the distributor
     ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2), 7),
     ("micro", RunMode.SRM, None, 1),
+    ("micro", RunMode.PROPOSED, ONE_NODE_MICRO, 4),
 ]
 
 
@@ -590,11 +598,21 @@ def test_one_update_per_shape_group_per_episode(monkeypatch, env_name, mode,
                         lambda self, *a: calls.append(self)
                         or update(self, *a))
     trainer = Trainer(shape_group_config(env_name, mode, env_options))
-    assert [roles for _, roles in trainer.groups] == SHAPE_GROUPS[env_name]
+    assert ([roles for _, roles in trainer.groups]
+            == SHAPE_GROUPS[env_name, mode])
     for learner, roles in trainer.groups:
         assert len(learner.rngs) == len(roles)
         assert all(trainer.agents[role] == (learner, k)
                    for k, role in enumerate(roles))
+    # the followers draw in one head call, and each other role in its own
+    followers = [learner for learner, roles in trainer.groups
+                 if roles[0].startswith("follower-")]
+    assert trainer._follower_heads.learners == tuple(followers)
+    lone = {roles[0]: learner for learner, roles in trainer.groups
+            if learner not in followers}
+    assert sorted(trainer._heads) == sorted(lone)
+    for role, learner in lone.items():
+        assert trainer._heads[role].learners == (learner,)
     for episode in range(2):
         calls.clear()
         trainer.run_episode(episode)
@@ -638,16 +656,18 @@ def test_members_act_on_rows_of_their_group(monkeypatch, tmp_path, env_name,
             np.testing.assert_array_equal(learner.value.flat, own.value.flat)
 
     # a huge first reward overflows follower-1's value loss in its own
-    # minibatch, so its whole group fails after other minibatches stepped
+    # minibatch, so its whole group fails after other minibatches stepped;
+    # a one-node DAG poisons its one follower
+    role = f"follower-{min(1, trainer.n_nodes - 1)}"
     reward_streams = Trainer._reward_streams
 
     def poisoned(self, *args):
         streams, sr_sums = reward_streams(self, *args)
-        streams["follower-1"][0] = 1e200
+        streams[role][0] = 1e200
         return streams, sr_sums
 
     monkeypatch.setattr(Trainer, "_reward_streams", poisoned)
-    learner, _ = trainer.agents["follower-1"]
+    learner, _ = trainer.agents[role]
     before = (learner.policy.flat.copy(), learner.value.flat.copy())
     steps = []
     adam_step = nn.adam_step
@@ -655,7 +675,7 @@ def test_members_act_on_rows_of_their_group(monkeypatch, tmp_path, env_name,
                         lambda state, params, grad:
                         steps.append(params is learner.policy.flat)
                         or adam_step(state, params, grad))
-    with pytest.raises(NonFiniteLoss, match="follower-1 update in episode 2"), \
+    with pytest.raises(NonFiniteLoss, match=f"{role} update in episode 2"), \
             np.errstate(over="ignore"):
         trainer.run_episode(2)
     assert any(steps), "the failure must come after the group stepped"
