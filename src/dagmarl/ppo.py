@@ -309,8 +309,9 @@ class PpoLearner:
     def to_bytes(self, k: int) -> bytes:
         return self.policy_nets[k].to_bytes() + self.value_nets[k].to_bytes()
 
-    def load_bytes(self, k: int, data: bytes):
-        """Loads member k's nets into its rows, both or neither."""
+    def check_bytes(self, k: int, data: bytes):
+        """Member k's (net, loaded net) pairs read from ``data``; raises
+        CheckpointMismatch unless both nets fit member k's."""
         policy, offset = DenseNet.from_bytes(data)
         value, end = DenseNet.from_bytes(data, offset)
         if end != len(data):
@@ -321,7 +322,11 @@ class PpoLearner:
             if loaded.layer_dims != net.layer_dims:
                 raise nn.CheckpointMismatch(
                     f"{name} dims {loaded.layer_dims} != {net.layer_dims}")
-        for _, net, loaded in pairs:
+        return [(net, loaded) for _, net, loaded in pairs]
+
+    def load_bytes(self, k: int, data: bytes):
+        """Loads member k's nets into its rows, both or neither."""
+        for net, loaded in self.check_bytes(k, data):
             net.flat[...] = loaded.flat
 
     def save(self, k: int, path):

@@ -16,6 +16,7 @@ counterfactual replay, or potential-based shaping on top of the equal share.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,45 +174,46 @@ class Trainer:
                                                       config.flow_stride))
         self.groups = []  # (learner, roles), one learner per shape group
         self.agents = {}  # role -> (learner, k)
-        self._heads = {}  # a lone role's head call, by role
-        m = config.goal_dim
-        # followers of one input width and action count, in node order, are
-        # one shape group
-        nodes_of = {}
+        widths = self.env.obs_dims
+        m = config.goal_dim if self.leader_on else 0
         if self.mode is RunMode.GS:
-            self._lone("gs", self.global_dim,
-                       CategoricalHead(self.env.action_sizes),
-                       self.env.max_steps)
+            [row] = self._learner(["gs"], self.global_dim,
+                                  CategoricalHead(self.env.action_sizes),
+                                  self.env.max_steps).inputs
+            # a node's observation is its slice of gs's one input row
+            self._obs_rows = [row[end - w:end] for end, w
+                              in zip(itertools.accumulate(widths), widths)]
         else:
-            for i, size in enumerate(self.env.action_sizes):
-                dim = self.env.obs_dims[i] + (m if self.leader_on else 0)
-                nodes_of.setdefault((dim, size), []).append(i)
-        # (learner, its members' nodes) of each follower group
-        self._followers = [(self._learner([f"follower-{i}" for i in nodes],
-                                          dim, CategoricalHead((size,)),
-                                          self.env.max_steps), nodes)
-                           for (dim, size), nodes in nodes_of.items()]
-        # every follower draws in one head call per step
-        self._follower_heads = (HeadRows([learner for learner, _
-                                          in self._followers])
-                                if self._followers else None)
-        # the follower heads' row of each node
-        order = [i for _, nodes in self._followers for i in nodes]
-        self._node_rows = np.array(sorted(range(len(order)),
-                                          key=order.__getitem__), dtype=int)
+            # each run of consecutive followers of one input width and
+            # action count is one shape group
+            shapes = [(w + m, size)
+                      for w, size in zip(widths, self.env.action_sizes)]
+            for (dim, size), nodes in itertools.groupby(
+                    range(self.n_nodes), shapes.__getitem__):
+                self._learner([f"follower-{i}" for i in nodes], dim,
+                              CategoricalHead((size,)), self.env.max_steps)
+            # a follower's input row is its observation, then its goal
+            rows = [row for group, _ in self.groups for row in group.inputs]
+            self._obs_rows = [row[:w] for row, w in zip(rows, widths)]
+            self._goal_rows = [row[w:] for row, w in zip(rows, widths)]
+        # gs or the followers: one head call per step, rows in node order
+        self._step_heads = HeadRows([learner for learner, _ in self.groups])
         # the leader, generator and distributor each act once a period at
         # most, as a learner of one
         periods = -(-self.env.max_steps // self.env.goal_period)
         if self.leader_on:
-            self._lone("leader", self.global_dim,
-                       BetaHead(self.n_nodes * m), periods)
+            self._learner(["leader"], self.global_dim,
+                          BetaHead(self.n_nodes * m), periods)
         if self.rgd_on:
-            dim = (len(self._flow_idx) + 1) * self.global_dim
-            if self.leader_on:
-                dim += self.n_nodes * m
-            self._lone("generator", dim, BetaHead(1), periods)
-            self._lone("distributor", dim, BetaHead(
+            dim = ((len(self._flow_idx) + 1) * self.global_dim
+                   + self.n_nodes * m)
+            self._learner(["generator"], dim, BetaHead(1), periods)
+            self._learner(["distributor"], dim, BetaHead(
                 self.n_nodes + len(self.env.topology.arcs)), periods)
+        # each with a head call of its own
+        self._heads = {roles[0]: HeadRows([learner])
+                       for learner, roles in self.groups
+                       if learner not in self._step_heads.learners}
 
     def _learner(self, roles, obs_dim, head, steps) -> PpoLearner:
         """A new shape group of ``roles``, each drawing from its own stream."""
@@ -223,14 +225,8 @@ class Trainer:
                            for k, role in enumerate(roles))
         return learner
 
-    def _lone(self, role, obs_dim, head, steps):
-        """``role``'s learner of one, with a head call of its own."""
-        self._heads[role] = HeadRows([self._learner([role], obs_dim, head,
-                                                    steps)])
-
     def run_episode(self, episode_index: int, env_seed=None,
                     frozen: bool = False) -> EpisodeRecord:
-        cfg = self.config
         env = self.env
         goal_period = env.goal_period
         if env_seed is None:
@@ -248,7 +244,6 @@ class Trainer:
         diff_rows = []
         sr_by_period = {}  # completed period -> per-node synthetic rewards
         flow_parts = []  # the period's sampled observations, in order
-        goals = None
         done = False
 
         while not done:
@@ -258,11 +253,12 @@ class Trainer:
                 period_sums.append(0.0)
                 if self.leader_on:
                     [goals_flat] = self._act("leader", period, frozen, obs)
-                    goals = np.asarray(goals_flat, dtype=float).reshape(
-                        self.n_nodes, cfg.goal_dim)
+                    # each follower's goal stays in its row for the period
+                    for i, row in enumerate(self._goal_rows):
+                        row[...] = goals_flat[i * row.size:(i + 1) * row.size]
             if rgd_active and d + 1 in self._flow_idx:
                 flow_parts += obs
-            actions = self._select_actions(obs, goals, t, frozen)
+            actions = self._select_actions(obs, t, frozen)
             if track_diffs:
                 obs, reward, done, diffs = counterfactual_rewards(env, actions)
                 diff_rows.append(diffs)
@@ -326,20 +322,12 @@ class Trainer:
         np.concatenate(parts, out=heads.learners[0].inputs[0])
         return heads.frozen_act() if frozen else heads.act(t)
 
-    def _select_actions(self, obs, goals, t, frozen):
-        """The joint action, from one head call."""
-        if self.mode is RunMode.GS:
-            return self._act("gs", t, frozen, obs).tolist()
-        for learner, nodes in self._followers:
-            rows = learner.inputs
-            for j, i in enumerate(nodes):
-                if goals is None:
-                    rows[j] = obs[i]
-                else:
-                    np.concatenate((obs[i], goals[i]), out=rows[j])
-        heads = self._follower_heads
-        acted = heads.frozen_act() if frozen else heads.act(t)
-        return acted[self._node_rows].tolist()
+    def _select_actions(self, obs, t, frozen):
+        """The joint action, from one head call on the nodes' rows."""
+        for row, node_obs in zip(self._obs_rows, obs):
+            row[...] = node_obs
+        heads = self._step_heads
+        return (heads.frozen_act() if frozen else heads.act(t)).tolist()
 
     def _rgd_act(self, parts, t):
         """The period's synthetic rewards, acted on ``parts`` concatenated."""
@@ -396,11 +384,15 @@ class Trainer:
         if extra:
             raise CheckpointMismatch(f"{directory} holds checkpoints of roles "
                                      f"this run does not have: {extra}")
+        # every file is read and checked before any role loads, so a
+        # checkpoint that does not fit leaves every role as it was
         for role, (learner, k) in self.agents.items():
             path = directory / f"{role}.ckpt"
             if not path.exists():
                 raise CheckpointMismatch(f"missing checkpoint {path}")
-            learner.load(k, path)
+            learner.check_bytes(k, path.read_bytes())
+        for role, (learner, k) in self.agents.items():
+            learner.load(k, directory / f"{role}.ckpt")
 
 
 @dataclass

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from dagmarl.config import ExperimentConfig, RunMode
 from dagmarl.envs import FactoryEnv
-from dagmarl.envs.micro import MicroDagEnv
+from dagmarl.dag import DagTopology
+from dagmarl.envs.micro import MicroDagEnv, sample_micro_env
 from dagmarl import nn, training
 from dagmarl.ppo import HeadRows, NonFiniteLoss, PpoConfig, PpoLearner
 from dagmarl.reward_flow import RewardBaseline
@@ -491,6 +492,65 @@ def test_leader_input_is_concatenated_observation_in_every_run():
             np.testing.assert_array_equal(state, np.concatenate(observed[t]))
 
 
+@pytest.mark.parametrize("env_name, mode, env_options", [
+    ("micro", RunMode.LFM, None),
+    ("micro", RunMode.PROPOSED, None),
+    # four lone followers of four shapes, each reading its goal
+    ("factory", RunMode.LFM, dict(goal_period=3, goal_periods=3)),
+])
+def test_follower_rows_hold_the_periods_goal(env_name, mode, env_options):
+    trainer = Trainer(shape_group_config(env_name, mode, env_options))
+    env = trainer.env
+    m = trainer.config.goal_dim
+    observed, goals, rows = [], [], []
+    env_reset, env_step = env.reset, env.step
+
+    def reset(seed):
+        observed.append([np.array(o) for o in env_reset(seed)])
+        return observed[-1]
+
+    def step(actions):
+        obs, reward, done = env_step(actions)
+        observed.append([np.array(o) for o in obs])
+        return obs, reward, done
+
+    env.reset, env.step = reset, step
+    leader_heads = trainer._heads["leader"]
+    for name in ("act", "frozen_act"):
+        def spy(*t, original=getattr(leader_heads, name)):
+            [action] = original(*t)
+            goals.append(np.array(action))
+            return action[None]
+        setattr(leader_heads, name, spy)
+    followers = {learner for role, (learner, _) in trainer.agents.items()
+                 if role.startswith("follower-")}
+    for learner in followers:
+        for name in ("act", "frozen_act"):
+            def spy(*args, learner=learner, original=getattr(learner, name)):
+                rows.append((learner, np.array(learner.inputs)))
+                return original(*args)
+            setattr(learner, name, spy)
+
+    # a frozen episode follows a training one and a training one a frozen
+    for episode, frozen in enumerate((False, False, True, True, False)):
+        observed.clear()
+        goals.clear()
+        rows.clear()
+        trainer.run_episode(episode, env_seed=episode, frozen=frozen)
+        steps = len(observed) - 1
+        assert len(goals) == -(-steps // env.goal_period) >= 2
+        # every follower group acts once a step, in group order
+        acted = iter(rows)
+        assert len(rows) == steps * len(followers)
+        for t in range(steps):
+            seen = dict(next(acted) for _ in followers)
+            for i in range(trainer.n_nodes):
+                learner, k = trainer.agents[f"follower-{i}"]
+                goal = goals[t // env.goal_period][i * m:(i + 1) * m]
+                want = np.concatenate((observed[t][i], goal))
+                np.testing.assert_array_equal(seen[learner][k], want)
+
+
 def test_rgd_input_is_sampled_states_end_state_and_goals():
     trainer = Trainer(micro_config(RunMode.PROPOSED, horizon=10, seed=2,
                                    flow_stride=2))
@@ -607,7 +667,7 @@ def test_one_update_per_shape_group_per_episode(monkeypatch, env_name, mode,
     # the followers draw in one head call, and each other role in its own
     followers = [learner for learner, roles in trainer.groups
                  if roles[0].startswith("follower-")]
-    assert trainer._follower_heads.learners == tuple(followers)
+    assert trainer._step_heads.learners == tuple(followers)
     lone = {roles[0]: learner for learner, roles in trainer.groups
             if learner not in followers}
     assert sorted(trainer._heads) == sorted(lone)
@@ -735,6 +795,45 @@ def test_one_pass_frozen_act_is_each_members_own(tmp_path, env_name, mode,
     assert_groups_act_as_their_members(twin, 1)
 
 
+def interleaved_micro_env():
+    """A micro env whose followers 0 and 2 share a shape, with node 1's
+    other shape between them."""
+    return sample_micro_env(np.random.default_rng(8),
+                            DagTopology(3, ((0, 1), (0, 2))),
+                            n_states=(2, 3, 2), n_actions=(2, 3, 2),
+                            horizon=12, goal_period=4)
+
+
+@pytest.mark.parametrize("mode, groups", [
+    # a shape group is a run of consecutive nodes
+    (RunMode.SRM, [["follower-0"], ["follower-1"], ["follower-2"]]),
+    (RunMode.PROPOSED, [["follower-0"], ["follower-1"], ["follower-2"],
+                        ["leader"], ["generator"], ["distributor"]]),
+    (RunMode.GS, [["gs"]]),
+])
+def test_interleaved_shapes_act_in_node_order(mode, groups):
+    env = interleaved_micro_env()
+    trainer = Trainer(micro_config(mode), env=env)
+    assert [roles for _, roles in trainer.groups] == groups
+    joint = []
+    env_step = env.step
+
+    def step(actions):
+        joint.append(list(actions))
+        return env_step(actions)
+
+    env.step = step
+    for episode, frozen in enumerate((False, True, False, True)):
+        trainer.run_episode(episode, env_seed=episode, frozen=frozen)
+    # node 1 draws from three actions, nodes 0 and 2 from two
+    assert len(joint) == 4 * env.max_steps
+    for actions in joint:
+        assert len(actions) == 3
+        assert all(0 <= a < size for a, size in zip(actions, (2, 3, 2)))
+    assert any(actions[1] == 2 for actions in joint)
+    assert_groups_act_as_their_members(trainer, 0)
+
+
 def acting_count(roles, steps, goal_period, frozen):
     """How often a group of ``roles`` acts in an episode of ``steps``."""
     if roles[0] == "leader":
@@ -781,7 +880,7 @@ def test_every_group_acts_in_one_call_per_step(monkeypatch, env_name, mode,
                         lambda self, x: calls.append(np.ndim(x))
                         or forward_cached(self, x))
     heads = [trainer._heads.get(roles[0]) for _, roles in trainer.groups]
-    follower_heads = trainer._follower_heads
+    follower_heads = trainer._step_heads
     for frozen in (False, True, False, True):
         calls.clear()
         head_calls.clear()
@@ -1197,3 +1296,42 @@ def test_load_checkpoints_requires_every_role(tmp_path):
     with pytest.raises(CheckpointMismatch, match="distributor.ckpt") as err:
         Trainer(micro_config(RunMode.LFM, seed=2)).load_checkpoints(tmp_path)
     assert "generator.ckpt" in str(err.value)
+
+
+def test_load_checkpoints_loads_every_role_or_none(tmp_path):
+    from dagmarl.nn import CheckpointMismatch
+
+    cfg = micro_config(RunMode.PROPOSED, seed=4)
+    trained = Trainer(cfg)
+    trained.run_episode(0)
+    trained.save_checkpoints(tmp_path)
+    ckpt = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    trainer = Trainer(cfg)
+    before = {role: [np.array(net.flat) for net in member_nets(trainer, role)]
+              for role in trainer.agents}
+    assert trainer.agents["follower-0"][0].policy.flat.shape[0] == 3
+    assert not np.array_equal(before["follower-2"][0],
+                              member_nets(trained, "follower-2")[0].flat)
+    # a missing checkpoint, and a checkpoint of the leader's dims in place
+    # of the last member of the follower group, found after its first two
+    # members and before the leader, generator and distributor
+    for name, data, error in (
+            ("distributor.ckpt", None, "missing checkpoint"),
+            ("follower-2.ckpt", ckpt["leader.ckpt"], "policy dims")):
+        if data is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(CheckpointMismatch, match=error):
+            trainer.load_checkpoints(tmp_path)
+        assert_members_are_group_rows(trainer)
+        for role, nets in before.items():
+            for net, old in zip(member_nets(trainer, role), nets):
+                np.testing.assert_array_equal(net.flat, old)
+        (tmp_path / name).write_bytes(ckpt[name])
+    # with every file in place, every role loads
+    trainer.load_checkpoints(tmp_path)
+    for role in trainer.agents:
+        for net, want in zip(member_nets(trainer, role),
+                             member_nets(trained, role)):
+            np.testing.assert_array_equal(net.flat, want.flat)
