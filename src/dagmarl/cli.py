@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -21,6 +22,19 @@ def _json_bytes(data) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _check_out_dir(path) -> None:
+    """Refuses ``path`` when it, or the nearest of its parents that exists
+    (a dangling link included), is not a directory, before any episode
+    runs: the late ``mkdir`` would find that out only after the last one."""
+    path = Path(path)
+    for existing in (path, *path.parents):
+        if os.path.lexists(existing):
+            if not existing.is_dir():
+                raise NotADirectoryError(f"output directory {path}: "
+                                         f"{existing} is not a directory")
+            return
+
+
 def _cmd_train(args) -> int:
     from .training import train
 
@@ -32,6 +46,7 @@ def _cmd_train(args) -> int:
                           "set [run] out or pass --out")
     if config.episodes < 1:
         raise ConfigError("train needs at least one episode")
+    _check_out_dir(config.out_dir)
     started = time.monotonic()
     result = train(config)
     wall = time.monotonic() - started
@@ -62,9 +77,10 @@ def _cmd_evaluate(args) -> int:
         config = load_config(record)
     except ConfigError as err:
         raise ConfigError(f"{record}: {err}") from None
+    out = Path(args.out or args.run_dir)
+    _check_out_dir(out)
     result = evaluate(config, args.run_dir / "checkpoints",
                       episodes=args.episodes, seed=args.seed, bins=args.bins)
-    out = Path(args.out or args.run_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     atomic_write_bytes(out / "eval_summary.json", _json_bytes(result.summary))

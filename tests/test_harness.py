@@ -629,6 +629,38 @@ def test_cli_train_reports_a_diverging_run_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("target", ["file", "under-file", "dangling-link"])
+def test_cli_refuses_an_output_path_that_is_not_a_directory(
+        tmp_path, capsys, monkeypatch, command, target):
+    cfg = write_config(tmp_path)
+    if command == "train":
+        args = ["train", "--config", str(cfg), "--episodes", "1000000"]
+    else:
+        assert main(["train", "--config", str(cfg), "--episodes", "2"]) == 0
+        args = ["evaluate", str(tmp_path / "run"), "--episodes", "100000"]
+    blocker = tmp_path / "blocker"
+    if target == "dangling-link":
+        blocker.symlink_to(tmp_path / "gone")
+    else:
+        blocker.write_bytes(b"not a directory\n")
+    out = blocker / "sub" if target == "under-file" else blocker
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} ran an episode")
+
+    monkeypatch.setattr(sys.modules["dagmarl.training"], "train", never)
+    monkeypatch.setattr(sys.modules["dagmarl.evaluate"], "evaluate", never)
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output directory {out}: {blocker} is not a directory\n")
+    if target == "dangling-link":
+        assert not blocker.exists() and blocker.is_symlink()
+    else:
+        assert blocker.read_bytes() == b"not a directory\n"
+
+
 def test_cli_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run_dir = tmp_path / "run"

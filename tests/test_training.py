@@ -995,6 +995,90 @@ def test_act_records_its_inputs_and_each_members_own_draw(
     assert checked["frozen_act"] > 0
 
 
+# -- acting order ------------------------------------------------------------------
+
+
+ORDER_CASES = [
+    # 4 lone followers in the step head call; the leader, the generator and
+    # the distributor each in a head call of one learner
+    ("factory", RunMode.PROPOSED, dict(goal_period=4, goal_periods=2)),
+    # groups of two, two and one in the step head call
+    ("logistics", RunMode.DIFF_M, dict(goal_period=2, goal_periods=2)),
+]
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", ORDER_CASES)
+def test_step_head_calls_alternate_their_acting_order(monkeypatch, env_name,
+                                                      mode, env_options):
+    trainer = Trainer(shape_group_config(env_name, mode, env_options))
+    calls = []  # (head call, learners in acting order, in recording order)
+
+    def head_spy(original):
+        def head_call(self, *args):
+            calls.append((self, [], []))
+            return original(self, *args)
+        return head_call
+
+    for name in ("act", "frozen_act"):
+        monkeypatch.setattr(HeadRows, name,
+                            head_spy(getattr(HeadRows, name)))
+        monkeypatch.setattr(
+            PpoLearner, name,
+            lambda self, *args, original=getattr(PpoLearner, name):
+            calls[-1][1].append(self) or original(self, *args))
+    record = PpoLearner.record
+    monkeypatch.setattr(PpoLearner, "record",
+                        lambda self, *args: calls[-1][2].append(self)
+                        or record(self, *args))
+    step_heads = trainer._step_heads
+    assert len(step_heads.learners) > 1
+    # a lone role's head call has one learner, so one order
+    assert all(len(heads.learners) == 1 for heads in trainer._heads.values())
+    seen = dict.fromkeys([step_heads, *trainer._heads.values()], 0)
+    for episode, frozen in enumerate((False, True, False, True)):
+        calls.clear()
+        trainer.run_episode(episode, env_seed=episode, frozen=frozen)
+        assert (sum(heads is step_heads for heads, _, _ in calls)
+                == trainer.env.step_count)
+        for heads, acted, recorded in calls:
+            # row order on every even call of the trainer's life, the
+            # reverse on every odd one, in training and frozen episodes
+            rows = list(heads.learners)
+            assert acted == (rows[::-1] if seen[heads] % 2 else rows)
+            seen[heads] += 1
+            # the draws are recorded in row order
+            assert recorded == ([] if frozen else rows)
+    assert seen[step_heads] > 1 and all(seen.values())
+
+
+@pytest.mark.parametrize("env_name, mode, env_options", ORDER_CASES)
+def test_acting_order_changes_no_byte(monkeypatch, tmp_path, env_name, mode,
+                                      env_options):
+    cfg = shape_group_config(env_name, mode, env_options, batch_size=4)
+    init = HeadRows.__init__
+
+    def row_order_only(self, learners):
+        init(self, learners)
+        self._orders = (self._orders[0],) * 2
+
+    runs = []
+    for alternating in (True, False):
+        if not alternating:
+            monkeypatch.setattr(HeadRows, "__init__", row_order_only)
+        trainer = Trainer(cfg)
+        records = [trainer.run_episode(episode) for episode in range(3)]
+        frozen = [trainer.run_episode(0, env_seed=seed, frozen=True)
+                  .team_reward for seed in range(3)]
+        states = [(learner.policy.flat.tobytes(), learner.value.flat.tobytes(),
+                   *[(opt.step, opt.m.tobytes(), opt.v.tobytes())
+                     for opt in (learner.opt_policy, learner.opt_value)])
+                  for learner, _ in trainer.groups]
+        run_dir = tmp_path / str(alternating)
+        runs.append((trained_bytes(trainer, records, run_dir), states,
+                     frozen))
+    assert runs[0] == runs[1]
+
+
 def test_non_finite_follower_reward_fails_its_whole_stack(monkeypatch):
     trainer = Trainer(micro_config(RunMode.SRM))
     trainer.run_episode(0)
